@@ -53,7 +53,7 @@ impl ComponentStats {
 
 /// Execution-tier residency, folded from `injection.tier` campaign-end
 /// events: which tier each campaign ran on and how much work the warp
-/// cursor and µop fast path absorbed.
+/// cursor, the µop fast path and the reconvergence cut absorbed.
 #[derive(Clone, Debug, Default)]
 pub struct TierStats {
     /// Campaigns that ran with the warp cursor armed.
@@ -72,6 +72,10 @@ pub struct TierStats {
     pub fastpath_uop_hits: u64,
     /// Decoded-µop fast-path misses across all runs.
     pub fastpath_uop_misses: u64,
+    /// Runs ended as the golden run once their live state rejoined it.
+    pub reconverged: u64,
+    /// Golden cycles those runs left unsimulated.
+    pub reconverge_cycles_saved: u64,
 }
 
 /// A parsed trace, aggregated for rendering.
@@ -151,6 +155,8 @@ impl TraceSummary {
             t.warp_advance_cycles += n("warp_advance_cycles");
             t.fastpath_uop_hits += n("fastpath_uop_hits");
             t.fastpath_uop_misses += n("fastpath_uop_misses");
+            t.reconverged += n("reconverged");
+            t.reconverge_cycles_saved += n("reconverge_cycles_saved");
         }
         if let Some(dur) = ev.get("dur_us").and_then(Json::as_u64) {
             self.spans
@@ -219,7 +225,7 @@ impl TraceSummary {
         let t = &self.tier;
         if t.warp_campaigns + t.detailed_campaigns > 0 {
             out.push_str("\nexecution tiers\n");
-            let rows: [(&str, u64); 8] = [
+            let rows: [(&str, u64); 10] = [
                 ("warp campaigns", t.warp_campaigns),
                 ("detailed campaigns", t.detailed_campaigns),
                 ("warp handoffs", t.warp_handoffs),
@@ -228,6 +234,8 @@ impl TraceSummary {
                 ("cursor cycles run", t.warp_advance_cycles),
                 ("fastpath µop hits", t.fastpath_uop_hits),
                 ("fastpath µop misses", t.fastpath_uop_misses),
+                ("reconverged runs", t.reconverged),
+                ("suffix cycles saved", t.reconverge_cycles_saved),
             ];
             let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(5);
             for (label, n) in rows {
@@ -402,7 +410,8 @@ mod tests {
              \"workload\":\"crc32\",\"tier\":\"warp\",\"warp_handoffs\":40,\
              \"warp_cursor_resets\":2,\"warp_prefix_cycles_saved\":90000,\
              \"warp_advance_cycles\":4500,\"fastpath_uop_hits\":800,\
-             \"fastpath_uop_misses\":20}",
+             \"fastpath_uop_misses\":20,\"reconverged\":31,\
+             \"reconverge_cycles_saved\":700000}",
             "{\"ev\":\"injection.tier\",\"sub\":\"injection\",\"level\":\"info\",\
              \"workload\":\"matmul\",\"tier\":\"detailed\",\"warp_handoffs\":0,\
              \"warp_cursor_resets\":0,\"warp_prefix_cycles_saved\":0,\
@@ -416,10 +425,13 @@ mod tests {
         assert_eq!(s.tier.warp_handoffs, 40);
         assert_eq!(s.tier.warp_prefix_cycles_saved, 90000);
         assert_eq!(s.tier.fastpath_uop_hits, 800);
+        assert_eq!(s.tier.reconverged, 31);
+        assert_eq!(s.tier.reconverge_cycles_saved, 700000);
         let out = s.render();
         assert!(out.contains("execution tiers"), "{out}");
         assert!(out.contains("warp handoffs"), "{out}");
         assert!(out.contains("prefix cycles saved"), "{out}");
+        assert!(out.contains("reconverged runs"), "{out}");
     }
 
     #[test]

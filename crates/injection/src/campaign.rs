@@ -6,12 +6,12 @@ use rand::{Rng, SeedableRng};
 use sea_kernel::KernelConfig;
 use sea_microarch::{ArrayKind, Component, MachineConfig, System};
 use sea_platform::{
-    boot, classify, golden_run, golden_run_with_checkpoints, run, Board, CheckpointSet,
-    CheckpointStats, ClassCounts, FaultClass, GoldenRun, RunLimits,
+    boot, classify, golden_run, golden_run_with_checkpoints, run_until_reconverged, Board,
+    CheckpointSet, CheckpointStats, ClassCounts, FaultClass, GoldenRun, RunLimits,
 };
 use sea_snapshot::CheckpointMeta;
 use sea_trace::json::{Json, ObjWriter};
-use sea_trace::{event, Histogram, Level, Progress, Subsystem};
+use sea_trace::{event, Counter, Histogram, Level, Progress, Subsystem};
 use sea_workloads::BuiltWorkload;
 
 use std::sync::Arc;
@@ -30,6 +30,28 @@ pub const CLASS_LABELS: [&str; 4] = ["masked", "sdc", "app", "sys"];
 /// Cycles actually simulated per injection run (the post-restore suffix).
 /// Feeds the work-weighted ETA and the Prometheus campaign snapshot.
 static RUN_SIM_CYCLES: Histogram = Histogram::new("inject.run_sim_cycles");
+
+/// Injected runs ended early by the reconvergence cut: their live state
+/// equalled the golden run's at the same cycle, so they were credited with
+/// the golden ending instead of being simulated to `exit()`.
+pub static RECONVERGED: Counter = Counter::new("campaign.reconverged");
+/// Golden cycles those runs left unsimulated (golden end − cut cycle).
+pub static RECONVERGE_CYCLES_SAVED: Counter = Counter::new("campaign.reconverge_cycles_saved");
+
+/// Appends the reconvergence-cut counters to a Prometheus document (shared
+/// by the campaign and beam-session snapshots).
+pub fn prom_append_reconvergence(w: &mut sea_profile::PromWriter) {
+    w.counter(
+        "sea_reconverged_total",
+        "Injected runs ended as the golden run once their live state rejoined it.",
+        RECONVERGED.get(),
+    );
+    w.counter(
+        "sea_reconverge_cycles_saved_total",
+        "Golden cycles left unsimulated by reconverged runs.",
+        RECONVERGE_CYCLES_SAVED.get(),
+    );
+}
 
 /// Record one run's simulated-cycle count into the process-wide
 /// [`RUN_SIM_CYCLES`] histogram. `run_campaign` does this itself; callers
@@ -351,7 +373,9 @@ pub(crate) fn machine_toward(
 
 /// Runs one injected execution: boots a fresh machine (or restores the
 /// nearest checkpoint), advances it to `spec.cycle`, flips the bit, and
-/// runs to a terminal state.
+/// runs to a terminal state — or, with `ckpts`, to the first golden
+/// checkpoint it has provably rejoined. `ckpts: None` is the uncut,
+/// from-reset reference every accelerated path is diffed against.
 pub fn run_one(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
@@ -360,7 +384,7 @@ pub fn run_one(
     limits: RunLimits,
 ) -> InjectionOutcome {
     let mut sys = machine_toward(workload, cfg, ckpts, spec.cycle);
-    inject_and_run(&mut sys, workload, cfg, spec, limits)
+    inject_and_run(&mut sys, workload, cfg, ckpts, spec, limits)
 }
 
 /// The injection body shared by [`run_one`] and the supervised path
@@ -370,6 +394,7 @@ pub(crate) fn inject_and_run(
     sys: &mut System<Board>,
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
+    ckpts: Option<&CheckpointSet>,
     spec: InjectionSpec,
     limits: RunLimits,
 ) -> InjectionOutcome {
@@ -402,12 +427,25 @@ pub(crate) fn inject_and_run(
                "bit" => b,
                "wrapped" => b < spec.bit);
     }
-    // Phase 2: run to a terminal state under the watchdog.
-    let outcome = run(sys, limits);
+    // Phase 2: run to a terminal state under the watchdog — or only until
+    // the machine has provably rejoined the golden path. A flip into a cell
+    // nothing reads (an invalid line or TLB entry) leaves it equal to this
+    // worker's fault-free cursor right here, with nothing to simulate.
+    let at_cursor = ckpts
+        .and_then(|c| c.golden_end(limits))
+        .filter(|_| crate::warp::cursor_converged(workload, cfg, sys));
+    let (outcome, saved) = match at_cursor {
+        Some((end, golden)) => (golden.clone(), Some(end.saturating_sub(sys.cycles()))),
+        None => run_until_reconverged(sys, limits, ckpts),
+    };
+    if let Some(saved) = saved {
+        RECONVERGED.inc();
+        RECONVERGE_CYCLES_SAVED.add(saved);
+    }
     let class = classify(&outcome, &workload.golden);
     crate::warp::bank_fastpath_delta(fastpath_before, sys.fastpath_stats());
     if let Some(probe) = sys.take_probe() {
-        probe.emit_record(&class.to_string(), sys.cycles());
+        probe.emit_record(&class.to_string(), sys.cycles(), saved.is_some());
     }
     InjectionOutcome {
         spec,
@@ -588,6 +626,7 @@ fn prom_snapshot(progress: &Progress, tracker: &ConvergenceTracker) -> String {
         "L1 accesses served by line latches during injected runs.",
         crate::warp::FASTPATH_LINE_HITS.get(),
     );
+    prom_append_reconvergence(&mut w);
     crate::convergence::prom_append(&mut w, tracker);
     w.finish()
 }
@@ -814,22 +853,16 @@ pub fn run_campaign(
         }
     }
 
-    // Expected cost of a run: the golden suffix it must simulate after
-    // restoring the nearest checkpoint at or before its strike cycle (the
-    // whole run, from reset, when no checkpoints exist). Seeds the
-    // work-weighted ETA so restored short-suffix runs don't make the meter
-    // wildly optimistic about the from-reset stragglers.
-    let epochs = plan.checkpoints().map(|c| c.epochs());
+    // Planned cost of a run: the golden suffix past the nearest checkpoint
+    // at or before its strike cycle (the whole run, from reset, when no
+    // checkpoints exist). The work-weighted ETA is declared in these units
+    // and each finished run is credited with the same figure, whatever it
+    // actually simulated — the cursor and the reconvergence cut both make
+    // runs cheaper than planned, and crediting simulated cycles against a
+    // planned total would leave a finished campaign a third done.
     let expected_work = |cycle: u64| -> u64 {
-        let restored = epochs.as_ref().map_or(0, |e| {
-            let k = e.partition_point(|&c| c <= cycle);
-            if k == 0 {
-                0
-            } else {
-                e[k - 1]
-            }
-        });
-        plan.golden_cycles().saturating_sub(restored)
+        plan.golden_cycles()
+            .saturating_sub(crate::warp::baseline(plan.checkpoints(), cycle))
     };
 
     let threads = if cfg.threads == 0 {
@@ -935,7 +968,7 @@ pub fn run_campaign(
                 j.append(&verdict_line(i, &verdict));
             }
             progress.record(verdict.outcome.as_ref().map(|o| class_index(o.class)));
-            progress.record_work(verdict.sim_cycles);
+            progress.record_work(expected_work(specs[i as usize].cycle));
             RUN_SIM_CYCLES.record(verdict.sim_cycles);
             // The tracker records *after* the journal append: any sample
             // that trips the stop predicate already has its journal line,
@@ -1048,7 +1081,9 @@ pub fn run_campaign(
            "warp_prefix_cycles_saved" => crate::warp::WARP_PREFIX_CYCLES_SAVED.get(),
            "warp_advance_cycles" => crate::warp::WARP_ADVANCE_CYCLES.get(),
            "fastpath_uop_hits" => crate::warp::FASTPATH_UOP_HITS.get(),
-           "fastpath_uop_misses" => crate::warp::FASTPATH_UOP_MISSES.get());
+           "fastpath_uop_misses" => crate::warp::FASTPATH_UOP_MISSES.get(),
+           "reconverged" => RECONVERGED.get(),
+           "reconverge_cycles_saved" => RECONVERGE_CYCLES_SAVED.get());
 
     let ckpt_stats = plan.checkpoints().map(|c| c.stats());
     if let Some(s) = ckpt_stats {
@@ -1105,7 +1140,7 @@ pub fn acquire_golden_and_checkpoints(
     };
     if let Some(dir) = policy.dir.as_deref().filter(|d| d.is_dir()) {
         match CheckpointSet::load_dir(dir, chash, ghash) {
-            Ok(set) if !set.is_empty() => {
+            Ok(mut set) if !set.is_empty() => {
                 let golden = golden_run(
                     cfg.machine,
                     &workload.image,
@@ -1113,6 +1148,8 @@ pub fn acquire_golden_and_checkpoints(
                     cfg.golden_budget_cycles,
                 )
                 .map_err(CampaignError::Golden)?;
+                // The files carry machines, not how their run ended.
+                set.seal(&golden);
                 return Ok((golden, Some(set)));
             }
             Ok(_) => {}

@@ -27,10 +27,11 @@ pub mod supervisor;
 pub mod warp;
 
 pub use campaign::{
-    acquire_golden_and_checkpoints, class_index, generate_specs, record_run_cycles, run_campaign,
-    run_cycles_snapshot, run_one, verdict_line, CampaignConfig, CampaignError, CampaignPlan,
-    CampaignResult, CheckpointPolicy, ComponentResult, FaultModel, InjectionOutcome, InjectionSpec,
-    SupervisionStats, CLASS_LABELS,
+    acquire_golden_and_checkpoints, class_index, generate_specs, prom_append_reconvergence,
+    record_run_cycles, run_campaign, run_cycles_snapshot, run_one, verdict_line, CampaignConfig,
+    CampaignError, CampaignPlan, CampaignResult, CheckpointPolicy, ComponentResult, FaultModel,
+    InjectionOutcome, InjectionSpec, SupervisionStats, CLASS_LABELS, RECONVERGED,
+    RECONVERGE_CYCLES_SAVED,
 };
 pub use convergence::{ConvergenceTracker, StratumSnapshot};
 pub use sea_platform::ClassCounts;

@@ -875,7 +875,7 @@ pub fn run_one_caught(
         if let Some(hook) = cfg.supervisor.panic_hook {
             hook(index, &spec);
         }
-        crate::campaign::inject_and_run(&mut sys, workload, cfg, spec, limits)
+        crate::campaign::inject_and_run(&mut sys, workload, cfg, ckpts, spec, limits)
     }));
     let sim_cycles = sys.cycles().saturating_sub(start_cycles);
     let caught = caught.map(|out| (out, sim_cycles));

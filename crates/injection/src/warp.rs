@@ -110,15 +110,31 @@ pub fn reset_cursor() {
 
 /// Nearest checkpoint epoch at or before `cycle` — the position a fresh
 /// [`machine_toward`](crate::campaign) machine would start at.
-fn baseline(ckpts: Option<&CheckpointSet>, cycle: u64) -> u64 {
+pub(crate) fn baseline(ckpts: Option<&CheckpointSet>, cycle: u64) -> u64 {
     ckpts.map_or(0, |c| {
-        let e = c.epochs();
-        let k = e.partition_point(|&x| x <= cycle);
-        if k == 0 {
-            0
-        } else {
-            e[k - 1]
-        }
+        let e = c.epoch_cycles();
+        e[..e.partition_point(|&x| x <= cycle)]
+            .last()
+            .copied()
+            .unwrap_or(0)
+    })
+}
+
+/// True when this worker's cursor has the same live state as `sys`
+/// ([`System::converges_with`], cycle count included) and belongs to this
+/// campaign: the injected machine is still on the golden path, so its
+/// flip changed nothing any later step can read.
+pub(crate) fn cursor_converged(
+    workload: &BuiltWorkload,
+    cfg: &CampaignConfig,
+    sys: &System<Board>,
+) -> bool {
+    CURSOR.with(|slot| {
+        slot.borrow().as_ref().is_some_and(|c| {
+            // The hashes last: a live flip is rejected by a register
+            // compare before anything is hashed.
+            sys.converges_with(&c.sys) && c.key == (config_hash(cfg), golden_hash(workload))
+        })
     })
 }
 

@@ -445,6 +445,30 @@ impl Cache {
             .map(move |i| self.addr[i])
     }
 
+    /// Live-state equality (see [`crate::System::converges_with`]): every
+    /// cell this model can still consult agrees with `other`. Geometry,
+    /// `valid` and the LRU `rank` of *every* line are compared — victim
+    /// choice and the LRU `touch` read the ranks of invalid ways too — but
+    /// tag, dirty bit and data only for valid lines: every reader above
+    /// checks `valid` first, and [`Cache::fill`] overwrites all three
+    /// before it sets the bit. The provenance watch is an observer and is
+    /// ignored.
+    pub fn converges_with(&self, other: &Cache) -> bool {
+        if (self.sets, self.ways, self.line_bytes, self.writeback)
+            != (other.sets, other.ways, other.line_bytes, other.writeback)
+            || self.valid != other.valid
+            || self.rank != other.rank
+        {
+            return false;
+        }
+        let lb = self.line_bytes as usize;
+        (0..self.valid.len()).filter(|&i| self.valid[i]).all(|i| {
+            self.addr[i] == other.addr[i]
+                && self.dirty[i] == other.dirty[i]
+                && self.data[i * lb..(i + 1) * lb] == other.data[i * lb..(i + 1) * lb]
+        })
+    }
+
     // ----- fault-provenance watch -------------------------------------------
 
     /// Arm the provenance watch on `line` (the line holding an injected
@@ -718,6 +742,59 @@ mod tests {
         assert!(wb.is_none(), "clean victim expected");
         assert!(t.peek(0x000, 1).is_some());
         assert!(t.peek(0x040, 1).is_none());
+    }
+
+    /// One valid clean line (line 0, set 0) and seven invalid ones.
+    fn one_line() -> Cache {
+        let mut c = small();
+        let (idx, _) = c.evict_for(0x0);
+        assert_eq!(idx, 0);
+        c.fill(idx, 0x0, &[3u8; 16], false);
+        c
+    }
+
+    #[test]
+    fn convergence_ignores_dead_cells_of_invalid_lines() {
+        let golden = one_line();
+        let per = golden.bits_per_line();
+        // Line 1 is invalid: its data, tag and dirty cells are dead.
+        for bit in [per + 5, per + 8 * 16 + 2, per + per - 1] {
+            let mut c = golden.clone();
+            assert!(!c.flip_bit(bit).was_valid);
+            assert!(c.converges_with(&golden), "bit {bit}");
+            assert!(golden.converges_with(&c), "bit {bit}");
+        }
+        // The provenance watch is an observer.
+        let mut c = golden.clone();
+        c.set_watch(0);
+        c.probe(0x0);
+        assert!(c.converges_with(&golden));
+    }
+
+    #[test]
+    fn convergence_compares_every_live_cell() {
+        let golden = one_line();
+        let per = golden.bits_per_line();
+        let data_bits = 8 * 16;
+        // Valid clean line 0: data, tag, dirty. Then the valid bit of the
+        // valid line 0 and of the invalid line 1 (a resurrected line).
+        for bit in [
+            9,
+            data_bits + 1,
+            per - 1,
+            per - 2,
+            per + data_bits + golden.tag_bits() as u64,
+        ] {
+            let mut c = golden.clone();
+            c.flip_bit(bit);
+            assert!(!c.converges_with(&golden), "bit {bit}");
+            assert!(!golden.converges_with(&c), "bit {bit}");
+        }
+        // LRU ranks matter even where both ways are invalid: they pick the
+        // order later fills age in.
+        let mut c = golden.clone();
+        c.rank.swap(2, 3);
+        assert!(!c.converges_with(&golden));
     }
 
     #[test]

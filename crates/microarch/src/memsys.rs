@@ -336,6 +336,25 @@ impl MemSystem {
             .clean_invalidate_all(|addr, data| dram_write_line(phys, addr, data));
     }
 
+    /// Live-state equality (see [`crate::System::converges_with`]): the
+    /// small caches first, DRAM last ([`PhysMemory`] equality short-cuts
+    /// pages the two machines still share and byte-compares the rest).
+    /// The residency profiler is an observer and is ignored.
+    pub fn converges_with(&self, other: &MemSystem) -> bool {
+        (self.mode, self.lat_l1, self.lat_l2, self.lat_mem, self.line)
+            == (
+                other.mode,
+                other.lat_l1,
+                other.lat_l2,
+                other.lat_mem,
+                other.line,
+            )
+            && self.l1i.converges_with(&other.l1i)
+            && self.l1d.converges_with(&other.l1d)
+            && self.l2.converges_with(&other.l2)
+            && self.phys == other.phys
+    }
+
     /// Debug read that sees committed state top-down (L1D, then L2, then
     /// DRAM) without perturbing LRU — used by the board harness and tests
     /// to observe memory as a coherent outside agent.

@@ -178,8 +178,11 @@ impl FaultProbe {
 
     /// Emit the terminal `injection.provenance` record: the probe's whole
     /// story plus the campaign's final classification. `end_cycle` is the
-    /// machine's cycle count when the run terminated.
-    pub fn emit_record(&self, class: &str, end_cycle: u64) {
+    /// machine's cycle count when the run stopped; `reconverged` says it
+    /// stopped there because its live state had rejoined the golden run's
+    /// (`end` reads `reconverged@<cycle>`), not because it reached a
+    /// terminal state (`end` reads `terminal`).
+    pub fn emit_record(&self, class: &str, end_cycle: u64, reconverged: bool) {
         event!(Subsystem::Injection, Level::Info, "injection.provenance";
                cycle = self.flip_cycle;
                "component" => self.site.component.short_name(),
@@ -193,6 +196,11 @@ impl FaultProbe {
                "hops" => self.hops.len(),
                "residence" => self.residence.name(),
                "class" => class.to_string(),
+               "end" => if reconverged {
+                   format!("reconverged@{end_cycle}")
+               } else {
+                   "terminal".to_string()
+               },
                "total_cycles" => end_cycle.saturating_sub(self.flip_cycle));
     }
 }
@@ -510,7 +518,8 @@ mod tests {
         let _ = sys.cpu.regs.get(sea_isa::Reg::R0, Mode::Svc);
         sys.drain_probe();
         let probe = sys.take_probe().unwrap();
-        probe.emit_record("Masked", sys.cpu.counters.cycles + 100);
+        let end_cycle = sys.cpu.counters.cycles + 100;
+        probe.emit_record("Masked", end_cycle, true);
         sea_trace::flush_thread();
 
         let evs = sink.take();
@@ -531,6 +540,10 @@ mod tests {
         );
         assert!(parsed.get("act_cycles").and_then(|v| v.as_u64()).is_some());
         assert_eq!(parsed.get("class").and_then(|v| v.as_str()), Some("Masked"));
+        assert_eq!(
+            parsed.get("end").and_then(|v| v.as_str()),
+            Some(format!("reconverged@{end_cycle}").as_str())
+        );
 
         sea_trace::uninstall_sink();
         sea_trace::disable_all();

@@ -498,10 +498,15 @@ impl<D: Device> System<D> {
     /// Extended fingerprint: everything [`System::state_fingerprint`]
     /// covers, plus every architectural register word and a valid-line
     /// summary of each cache and TLB. Where the base fingerprint certifies
-    /// "the core stopped in the same place", this one certifies "the whole
-    /// machine is in the same microarchitectural state" — the equivalence
-    /// bar for checkpoint/restore (a restored run must be bit-identical to
-    /// a from-reset run, including which lines are resident).
+    /// "the core stopped in the same place", this one also certifies the
+    /// register contents and *which* cache lines and TLB entries are
+    /// resident — the bar the checkpoint/restore tests hold two runs of the
+    /// same instruction stream to.
+    ///
+    /// It is not a witness that two machines will behave alike from here
+    /// on: it omits cache data and dirty bits, LRU ranks and stamps, DRAM,
+    /// the branch predictor and the device block. Use
+    /// [`System::converges_with`] for that.
     pub fn state_fingerprint_deep(&self) -> u64 {
         let mut h = self.state_fingerprint();
         let mut mix = |v: u64| {
@@ -525,6 +530,49 @@ impl<D: Device> System<D> {
             }
         }
         h
+    }
+
+    /// Live-state equality, the witness behind the reconvergence cut:
+    /// `true` only if every cell that can influence this machine's future
+    /// agrees with `golden`, so — the simulator being deterministic — both
+    /// machines run the same instruction stream to the same terminal
+    /// state from here on.
+    ///
+    /// Compared: cycle and instruction counts, PC, status and fault
+    /// registers, the WFI latch, both register files, both TLBs, the
+    /// branch predictor, the device block, the cache hierarchy and DRAM,
+    /// and the configuration. Cheapest first, so a run that is still
+    /// diverged is rejected by its cycle count or a register in
+    /// nanoseconds.
+    ///
+    /// Ignored, because nothing reads them back into execution: tag, data
+    /// and dirty bit of invalid cache lines ([`Cache::converges_with`]);
+    /// invalid TLB entries and TLB bits `[63:44]`
+    /// ([`Tlb::converges_with`]); the performance counters other than
+    /// cycles and instructions, and the TLB hit/miss statistics (only
+    /// `MRS Cycles` reads a counter); the PC trace ring, the provenance
+    /// probe and watches, the profilers; and the fast-path and warp
+    /// memoization, which is bit-transparent by its own contract.
+    ///
+    /// [`Cache::converges_with`]: crate::Cache::converges_with
+    pub fn converges_with(&self, golden: &System<D>) -> bool
+    where
+        D: PartialEq,
+    {
+        let (a, b) = (&self.cpu, &golden.cpu);
+        a.counters.cycles == b.counters.cycles
+            && a.counters.instructions == b.counters.instructions
+            && a.pc == b.pc
+            && a.cpsr == b.cpsr
+            && (a.spsr, a.elr, a.esr, a.far, a.ttbr) == (b.spsr, b.elr, b.esr, b.far, b.ttbr)
+            && a.wfi == b.wfi
+            && a.regs.words() == b.regs.words()
+            && self.itlb.converges_with(&golden.itlb)
+            && self.dtlb.converges_with(&golden.dtlb)
+            && self.cfg == golden.cfg
+            && self.dev == golden.dev
+            && a.predictor == b.predictor
+            && self.mem.converges_with(&golden.mem)
     }
 
     // ----- translation ------------------------------------------------------
@@ -2271,5 +2319,122 @@ mod tests {
             case(&mut sys, 0x8000_0001, Shift::Ror, 32),
             (0x8000_0001, true)
         );
+    }
+
+    /// A device block with one comparable register.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Latch(u32);
+
+    impl Device for Latch {
+        fn read(&mut self, _offset: u32, _size: MemSize) -> u32 {
+            self.0
+        }
+        fn write(&mut self, _offset: u32, _size: MemSize, value: u32) {
+            self.0 = value;
+        }
+        fn poll_irq(&mut self, _now: u64) -> bool {
+            false
+        }
+    }
+
+    /// A reset machine with one valid line in each cache and one valid
+    /// entry in each TLB, so both live and dead cells exist everywhere.
+    fn warmed() -> System<Latch> {
+        use crate::config::MachineConfig;
+        let mut cfg = MachineConfig::cortex_a9_scaled();
+        cfg.mem_bytes = 1024 * 1024;
+        let mut sys = System::new(cfg, Latch(7));
+        let mut ctr = Counters::default();
+        sys.mem.fetch(0x100, &mut ctr);
+        sys.mem.read_data(0x2000, MemSize::Word, &mut ctr);
+        sys.itlb.insert(TlbEntry::new(0, 0, false, false, true));
+        sys.dtlb.insert(TlbEntry::new(2, 2, true, false, false));
+        sys
+    }
+
+    #[test]
+    fn convergence_ignores_every_cell_nothing_reads_back() {
+        use crate::fault::Component;
+        let golden = warmed();
+        assert!(golden.clone().converges_with(&golden));
+        // Flips into invalid lines and entries, and into TLB bits >= 44.
+        for (c, bit) in [
+            (Component::L1I, golden.mem.l1i.total_bits() - 9),
+            (Component::L1D, golden.mem.l1d.total_bits() - 3),
+            (Component::L2, golden.mem.l2.total_bits() - 40),
+            (Component::ITlb, 64 + 17),
+            (Component::DTlb, 64 + 39),
+            (Component::ITlb, 50),
+            (Component::DTlb, 63),
+        ] {
+            let mut sys = golden.clone();
+            // Armed like a campaign machine: memoization and the
+            // provenance probe are not machine state.
+            sys.fastpath_enable(FastPathConfig::default());
+            let site = sys.flip_bit_probed(c, bit);
+            assert!(bit < 64 || !site.was_valid, "{c:?} bit {bit}");
+            assert!(sys.converges_with(&golden), "{c:?} bit {bit}");
+            assert!(golden.converges_with(&sys), "{c:?} bit {bit}");
+        }
+        // Observer-only statistics.
+        let mut sys = golden.clone();
+        sys.cpu.counters.l1d_miss += 1;
+        sys.cpu.counters.branches += 5;
+        sys.itlb.lookups += 1;
+        sys.cpu.enable_trace(8);
+        assert!(sys.converges_with(&golden));
+    }
+
+    #[test]
+    fn convergence_compares_every_cell_that_steers_execution() {
+        use crate::fault::Component;
+        let golden = warmed();
+        let differs = |what: &str, f: &dyn Fn(&mut System<Latch>)| {
+            let mut sys = golden.clone();
+            f(&mut sys);
+            assert!(!sys.converges_with(&golden), "{what}");
+            assert!(!golden.converges_with(&sys), "{what}");
+        };
+        // The one valid line of each cache (data, then its valid bit) and
+        // the valid entry 0 of each TLB; any register-file bit.
+        for (c, cache, paddr) in [
+            (Component::L1I, &golden.mem.l1i, 0x100),
+            (Component::L1D, &golden.mem.l1d, 0x2000),
+            (Component::L2, &golden.mem.l2, 0x100),
+        ] {
+            let per = cache.bits_per_line();
+            let line = u64::from(cache.find_line(paddr).expect("warmed line"));
+            differs("valid clean line data", &|s| {
+                assert!(s.flip_bit(c, line * per + 5).was_valid);
+            });
+            differs("valid bit", &|s| {
+                s.flip_bit(c, line * per + per - 2);
+            });
+        }
+        for c in [Component::ITlb, Component::DTlb] {
+            differs("valid TLB entry", &|s| {
+                assert!(s.flip_bit(c, 21).was_valid);
+            });
+        }
+        differs("integer register", &|s| {
+            s.flip_bit(Component::RegFile, 14 * 32 + 3);
+        });
+        differs("fp register", &|s| {
+            s.flip_bit(Component::RegFile, 40 * 32);
+        });
+        differs("one DRAM byte", &|s| {
+            s.mem.phys.write(0x8_0000, MemSize::Byte, 1)
+        });
+        differs("device block", &|s| s.dev.0 ^= 1);
+        differs("cycle count", &|s| s.cpu.counters.cycles += 1);
+        differs("instruction count", &|s| s.cpu.counters.instructions += 1);
+        differs("pc", &|s| s.cpu.pc ^= 4);
+        differs("flags", &|s| s.cpu.cpsr.z = !s.cpu.cpsr.z);
+        differs("fault register", &|s| s.cpu.far ^= 1);
+        differs("wfi latch", &|s| s.cpu.wfi = !s.cpu.wfi);
+        differs("predictor", &|s| s.cpu.predictor[9] ^= 2);
+        differs("itlb clock", &|s| {
+            s.itlb.lookup(0x77);
+        });
     }
 }

@@ -26,6 +26,8 @@ impl TlbEntry {
     const WRITE: u64 = 1 << 41;
     const USER: u64 = 1 << 42;
     const EXEC: u64 = 1 << 43;
+    /// The implemented cells, `[43:0]`; no accessor reads above them.
+    const IMPLEMENTED: u64 = (1 << 44) - 1;
 
     /// Builds a valid entry.
     pub fn new(vpn: u32, ppn: u32, write: bool, user: bool, exec: bool) -> TlbEntry {
@@ -232,6 +234,26 @@ impl Tlb {
         self.entries.iter().filter(|e| e.valid()).map(|e| e.0)
     }
 
+    /// Live-state equality (see [`crate::System::converges_with`]): the
+    /// LRU clock, which slots are valid, and for valid slots the
+    /// implemented bits `[43:0]` and the LRU stamp. An invalid slot's
+    /// word and stamp are dead — lookups skip it, and
+    /// [`Tlb::insert_slot`] takes the first invalid slot without reading
+    /// its stamp, then overwrites both. Bits `[63:44]` have no reader at
+    /// all, and the `lookups`/`misses` statistics and the provenance
+    /// watch are observers.
+    pub fn converges_with(&self, other: &Tlb) -> bool {
+        self.clock == other.clock
+            && self.entries.len() == other.entries.len()
+            && (0..self.entries.len()).all(|i| {
+                let (a, b) = (self.entries[i], other.entries[i]);
+                a.valid() == b.valid()
+                    && (!a.valid()
+                        || (a.0 & TlbEntry::IMPLEMENTED == b.0 & TlbEntry::IMPLEMENTED
+                            && self.stamp[i] == other.stamp[i]))
+            })
+    }
+
     // ----- fault-provenance watch -------------------------------------------
 
     /// Which entry a flat SRAM bit index belongs to (same layout as
@@ -351,6 +373,47 @@ mod tests {
         let (is_tag, _) = t.flip_bit(0);
         assert!(!is_tag);
         assert_eq!(t.lookup(0x5).unwrap().ppn(), 0x101);
+    }
+
+    #[test]
+    fn convergence_ignores_dead_cells_and_compares_live_ones() {
+        let mut golden = Tlb::new(2);
+        golden.insert(TlbEntry::new(0x5, 0x100, true, true, false));
+        golden.lookup(0x5);
+        golden.lookup(0x9); // a miss: statistics only
+        let flipped = |bit: u64| {
+            let mut t = golden.clone();
+            t.flip_bit(bit);
+            t
+        };
+        // Slot 1 is invalid: its word is dead, as is its stamp.
+        assert!(flipped(64 + 3).converges_with(&golden));
+        assert!(flipped(64 + 25).converges_with(&golden));
+        let mut t = golden.clone();
+        t.stamp[1] = 99;
+        assert!(t.converges_with(&golden));
+        // Unimplemented cells of a valid slot absorb flips.
+        assert!(flipped(44).converges_with(&golden));
+        assert!(flipped(63).converges_with(&golden));
+        // The statistics are observers.
+        let mut t = golden.clone();
+        t.lookups += 7;
+        t.misses += 1;
+        assert!(t.converges_with(&golden));
+
+        // Every implemented cell of a valid slot is live ...
+        for bit in [0, 20, 41, 43] {
+            assert!(!flipped(bit).converges_with(&golden), "bit {bit}");
+        }
+        // ... as are both valid bits, the valid slot's stamp and the clock.
+        assert!(!flipped(40).converges_with(&golden));
+        assert!(!flipped(64 + 40).converges_with(&golden));
+        let mut t = golden.clone();
+        t.stamp[0] -= 1;
+        assert!(!t.converges_with(&golden));
+        let mut t = golden.clone();
+        t.clock += 1;
+        assert!(!t.converges_with(&golden));
     }
 
     #[test]

@@ -18,7 +18,11 @@ use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub const DEFAULT_OUTPUT_CAP: usize = 1 << 20;
 
 /// The board's device block and observation state.
-#[derive(Clone, Debug)]
+///
+/// Equality is field-for-field: every field here either steers the guest
+/// (timer, pending IRQ) or is what the harness classifies a run by, so the
+/// reconvergence cut compares the whole block.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Board {
     now: u64,
     // UART console (kernel debug channel).

@@ -29,6 +29,7 @@ use sea_snapshot::{
 use sea_trace::{event, Counter, Level, Subsystem};
 
 use crate::board::Board;
+use crate::run::{GoldenRun, RunLimits, RunOutcome};
 
 /// Process-wide count of checkpoint captures (trace metric).
 static CKPT_SAVES: Counter = Counter::new("snapshot.saves");
@@ -192,11 +193,18 @@ pub struct CheckpointStats {
 ///
 /// Interior mutex: [`System`] holds `Cell`-based provenance watches and is
 /// not `Sync`, so the checkpoint list lives behind a lock and restores hand
-/// out clones. The critical section is one COW clone — microseconds — so
-/// worker contention is negligible next to a run's simulation time.
+/// out clones. The critical section is one COW clone or one state
+/// comparison — microseconds — so worker contention is negligible next to
+/// a run's simulation time.
 #[derive(Debug, Default)]
 pub struct CheckpointSet {
     inner: Mutex<Vec<Checkpoint>>,
+    /// The capture cycles, ascending: a mirror of `inner` that needs no
+    /// lock, kept by [`CheckpointSet::push`].
+    cycles: Vec<u64>,
+    /// How the golden run behind these checkpoints ended (terminal cycle
+    /// and outcome), once [`CheckpointSet::seal`]ed.
+    golden_end: Option<(u64, RunOutcome)>,
     restores: AtomicU64,
     prefix_cycles_saved: AtomicU64,
 }
@@ -208,30 +216,69 @@ impl CheckpointSet {
     }
 
     /// Adds a checkpoint, keeping the set ordered by cycle.
-    pub fn push(&self, ckpt: Checkpoint) {
-        let mut inner = self.inner.lock().expect("checkpoint set poisoned");
-        let at = inner.partition_point(|c| c.cycle <= ckpt.cycle);
-        inner.insert(at, ckpt);
+    pub fn push(&mut self, ckpt: Checkpoint) {
+        let at = self.cycles.partition_point(|&c| c <= ckpt.cycle);
+        self.cycles.insert(at, ckpt.cycle);
+        self.inner
+            .get_mut()
+            .expect("checkpoint set poisoned")
+            .insert(at, ckpt);
     }
 
     /// Number of checkpoints held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("checkpoint set poisoned").len()
+        self.cycles.len()
     }
 
     /// True when no checkpoint has been captured.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.cycles.is_empty()
     }
 
     /// The capture cycles, ascending.
     pub fn epochs(&self) -> Vec<u64> {
-        self.inner
-            .lock()
-            .expect("checkpoint set poisoned")
-            .iter()
-            .map(|c| c.cycle)
-            .collect()
+        self.cycles.clone()
+    }
+
+    /// The capture cycles, ascending, without locking or allocating.
+    pub fn epoch_cycles(&self) -> &[u64] {
+        &self.cycles
+    }
+
+    /// Records how the golden run that produced these checkpoints ended.
+    /// This is what arms the reconvergence cut: a run that provably
+    /// rejoins the golden path is credited with this ending
+    /// ([`CheckpointSet::golden_end`]).
+    pub fn seal(&mut self, golden: &GoldenRun) {
+        self.golden_end = Some((
+            golden.cycles,
+            RunOutcome::Exited {
+                code: golden.exit_code,
+                output: golden.output.clone(),
+                overflow: false,
+            },
+        ));
+    }
+
+    /// True when `sys` stands exactly on a capture cycle and its live
+    /// state equals the golden machine captured there
+    /// ([`System::converges_with`]) — so, the simulator being
+    /// deterministic, the rest of its run is the rest of the golden run.
+    pub fn converged_at(&self, sys: &System<Board>) -> bool {
+        let Ok(at) = self.cycles.binary_search(&sys.cycles()) else {
+            return false;
+        };
+        let inner = self.inner.lock().expect("checkpoint set poisoned");
+        sys.converges_with(&inner[at].sys)
+    }
+
+    /// How a run under `limits` ends once it has rejoined the golden path:
+    /// the golden run's terminal cycle and outcome. `None` while the set is
+    /// unsealed, or when `limits` would expire before the golden exit (the
+    /// run would then end as a hang, not as the golden run).
+    pub fn golden_end(&self, limits: RunLimits) -> Option<(u64, &RunOutcome)> {
+        let (end, outcome) = self.golden_end.as_ref()?;
+        (*end <= limits.max_cycles).then_some((*end, outcome))
     }
 
     /// Restores the nearest checkpoint at or before `cycle`, or `None` if
@@ -304,7 +351,7 @@ impl CheckpointSet {
         config_hash: u64,
         golden_hash: u64,
     ) -> Result<CheckpointSet, CheckpointError> {
-        let set = CheckpointSet::new();
+        let mut set = CheckpointSet::new();
         let mut files: Vec<_> = std::fs::read_dir(dir)
             .map_err(CheckpointError::Io)?
             .collect::<Result<Vec<_>, _>>()
@@ -392,12 +439,14 @@ impl EpochRecorder {
         self.next = last.saturating_add(self.interval);
     }
 
-    /// Finishes the collection into a shareable set.
-    pub(crate) fn into_set(self) -> CheckpointSet {
-        let set = CheckpointSet::new();
+    /// Finishes the collection into a shareable set, sealed with the
+    /// ending of the golden run it was collected from.
+    pub(crate) fn into_set(self, golden: &GoldenRun) -> CheckpointSet {
+        let mut set = CheckpointSet::new();
         for ckpt in self.taken {
             set.push(ckpt);
         }
+        set.seal(golden);
         set
     }
 }
@@ -415,7 +464,7 @@ mod tests {
 
     #[test]
     fn restore_at_picks_nearest_at_or_before() {
-        let set = CheckpointSet::new();
+        let mut set = CheckpointSet::new();
         let sys = tiny_sys();
         // Fabricate epochs by capturing the same machine; cycles are all 0,
         // so push distinct cycles via capture-then-step is overkill here —
@@ -456,7 +505,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("sea_ckpt_test_{}_{}", std::process::id(), line!()));
         let _ = std::fs::remove_dir_all(&dir);
-        let set = CheckpointSet::new();
+        let mut set = CheckpointSet::new();
         set.push(Checkpoint::capture(&tiny_sys()));
         assert_eq!(set.persist(&dir, 1, 2).unwrap(), 1);
         let back = CheckpointSet::load_dir(&dir, 1, 2).unwrap();

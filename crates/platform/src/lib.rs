@@ -8,6 +8,8 @@
 //!
 //! * [`Board`] — the memory-mapped device block (UART, mailbox, timer).
 //! * [`run`] / [`RunLimits`] — step the machine to a terminal state.
+//! * [`run_until_reconverged`] — the same, ending early as the golden run
+//!   once the machine's live state equals a golden checkpoint.
 //! * [`classify`] / [`FaultClass`] — the paper's four effect classes.
 //! * [`golden_run`] — fault-free reference execution.
 //! * [`golden_run_with_checkpoints`] / [`CheckpointSet`] — epoch
@@ -30,7 +32,7 @@ pub use checkpoint::{
 };
 pub use profile::profiled_golden_run;
 pub use run::{
-    boot, classify, golden_run, golden_run_with_checkpoints, postmortem, run, watchdog_kills,
-    AppCrashKind, ClassCounts, FaultClass, GoldenError, GoldenRun, RunLimits, RunOutcome,
-    SysCrashKind,
+    boot, classify, golden_run, golden_run_with_checkpoints, postmortem, run,
+    run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass, GoldenError,
+    GoldenRun, RunLimits, RunOutcome, SysCrashKind,
 };

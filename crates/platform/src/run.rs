@@ -237,23 +237,44 @@ impl RunLimits {
 /// application exit, vector lock-up, unexpected halt, cycle budget
 /// exhaustion (split into app-hang vs kernel-hang by the tick heartbeat).
 pub fn run(sys: &mut System<Board>, limits: RunLimits) -> RunOutcome {
-    run_with_epochs(sys, limits, None)
+    run_observed(sys, limits, None, None).0
 }
 
-/// [`run`] with an optional epoch-checkpoint recorder riding along (the
-/// golden run uses this; injected runs never checkpoint).
-fn run_with_epochs(
+/// [`run`] with the reconvergence cut: whenever the machine stands exactly
+/// on a capture cycle of `golden` and its live state equals the golden
+/// machine captured there ([`CheckpointSet::converged_at`]), the run ends
+/// at once with the golden run's own terminal outcome — by determinism the
+/// rest of the run would have been the rest of the golden run, bit for
+/// bit. The second value is `Some(golden cycles left unsimulated)` when
+/// the cut was taken; the machine then stands at the cut cycle, not at
+/// `exit()`.
+///
+/// With `golden` absent, unsealed, or ending past `limits.max_cycles`,
+/// this is exactly [`run`], which stays the uncut reference.
+pub fn run_until_reconverged(
+    sys: &mut System<Board>,
+    limits: RunLimits,
+    golden: Option<&CheckpointSet>,
+) -> (RunOutcome, Option<u64>) {
+    run_observed(sys, limits, None, golden)
+}
+
+/// The run loop plus its closing trace record. At most one of the two
+/// riders is present: the golden run records `epochs`, injected runs
+/// compare against `golden`.
+fn run_observed(
     sys: &mut System<Board>,
     limits: RunLimits,
     epochs: Option<&mut EpochRecorder>,
-) -> RunOutcome {
-    let outcome = run_inner(sys, limits, epochs);
+    golden: Option<&CheckpointSet>,
+) -> (RunOutcome, Option<u64>) {
+    let (outcome, cut) = run_inner(sys, limits, epochs, golden);
     event!(Subsystem::Platform, Level::Info, "platform.run_end";
            cycle = sys.cycles();
-           "outcome" => outcome_name(&outcome),
+           "outcome" => if cut.is_some() { "reconverged" } else { outcome_name(&outcome) },
            "ticks" => sys.dev.tick_count(),
            "output_bytes" => sys.dev.output().len());
-    outcome
+    (outcome, cut)
 }
 
 /// Short stable name of a terminal state (used in trace records).
@@ -286,33 +307,57 @@ fn run_inner(
     sys: &mut System<Board>,
     limits: RunLimits,
     mut epochs: Option<&mut EpochRecorder>,
-) -> RunOutcome {
+    golden: Option<&CheckpointSet>,
+) -> (RunOutcome, Option<u64>) {
     let deadline = (limits.wall_ms > 0)
         .then(|| std::time::Instant::now() + std::time::Duration::from_millis(limits.wall_ms));
+    // The cut is armed only when the golden ending is known and reachable
+    // under `limits`; `next` is then the first capture cycle not yet
+    // behind the machine, so an unarmed or exhausted cut costs the loop
+    // one never-taken compare per step.
+    let cut = golden.and_then(|set| Some((set, set.golden_end(limits)?)));
+    let captures = cut.map_or(&[][..], |(set, _)| set.epoch_cycles());
+    let mut at = captures.partition_point(|&c| c < sys.cycles());
+    let mut next = captures.get(at).copied().unwrap_or(u64::MAX);
     let mut steps = 0u32;
-    loop {
+    let outcome = loop {
+        // Top of the loop is a clean boundary: the initial machine, or one
+        // whose last step passed every terminal check below — the same
+        // boundaries the golden run captured its checkpoints on.
+        if sys.cycles() >= next {
+            let now = sys.cycles();
+            if now == next {
+                if let Some((set, (end, golden_outcome))) = cut {
+                    if set.converged_at(sys) {
+                        return (golden_outcome.clone(), Some(end.saturating_sub(now)));
+                    }
+                }
+            }
+            at += captures[at..].partition_point(|&c| c <= now);
+            next = captures.get(at).copied().unwrap_or(u64::MAX);
+        }
         let step = sys.step();
         let now = sys.cycles();
         if let Some(code) = sys.dev.panic_code() {
-            return RunOutcome::SysCrash(SysCrashKind::Panic(code));
+            break RunOutcome::SysCrash(SysCrashKind::Panic(code));
         }
         if let Some(code) = sys.dev.signal_code() {
-            return RunOutcome::AppCrash(AppCrashKind::Signal(code));
+            break RunOutcome::AppCrash(AppCrashKind::Signal(code));
         }
         if let Some(code) = sys.dev.exit_code() {
-            return RunOutcome::Exited {
+            break RunOutcome::Exited {
                 code,
                 output: sys.dev.output().to_vec(),
                 overflow: sys.dev.output_overflowed(),
             };
         }
         match step {
-            StepOutcome::LockedUp => return RunOutcome::SysCrash(SysCrashKind::LockedUp),
-            StepOutcome::Halted => return RunOutcome::SysCrash(SysCrashKind::UnexpectedHalt),
+            StepOutcome::LockedUp => break RunOutcome::SysCrash(SysCrashKind::LockedUp),
+            StepOutcome::Halted => break RunOutcome::SysCrash(SysCrashKind::UnexpectedHalt),
             StepOutcome::Executed => {}
         }
         if now > limits.max_cycles {
-            return hang_outcome(sys, limits, now);
+            break hang_outcome(sys, limits, now);
         }
         // Epoch checkpoints are only captured on clean, non-terminal cycle
         // boundaries — a checkpoint of a machine that is about to be
@@ -330,11 +375,12 @@ fn run_inner(
                     event!(Subsystem::Platform, Level::Warn, "platform.wall_timeout";
                            cycle = now;
                            "wall_ms" => limits.wall_ms);
-                    return hang_outcome(sys, limits, now);
+                    break hang_outcome(sys, limits, now);
                 }
             }
         }
-    }
+    };
+    (outcome, None)
 }
 
 /// Builds a machine, installs the kernel and `user`, and returns it ready
@@ -439,7 +485,8 @@ pub fn golden_run_with_checkpoints(
 ) -> Result<(GoldenRun, CheckpointSet), GoldenError> {
     let mut rec = EpochRecorder::new(interval);
     let golden = golden_run_observed(machine, user, kernel, budget_cycles, Some(&mut rec))?;
-    Ok((golden, rec.into_set()))
+    let set = rec.into_set(&golden);
+    Ok((golden, set))
 }
 
 fn golden_run_observed(
@@ -461,7 +508,7 @@ fn golden_run_observed(
         wall_ms: 0,
     };
     let span = sea_trace::span(Subsystem::Platform, Level::Info, "platform.golden");
-    match run_with_epochs(&mut sys, limits, epochs) {
+    match run_observed(&mut sys, limits, epochs, None).0 {
         RunOutcome::Exited {
             code: 0,
             output,

@@ -89,9 +89,12 @@ impl Progress {
         self.total_work.store(work, Ordering::Relaxed);
     }
 
-    /// Record `work` completed work units for the current run (call next
-    /// to [`Progress::record`], with the cycles the run actually
-    /// simulated).
+    /// Credit the current run with `work` units (call next to
+    /// [`Progress::record`]). Credit what the run was *planned* at in
+    /// [`Progress::set_total_work`], not what it turned out to cost: a run
+    /// that finished cheaper than planned (served from a cursor, cut at a
+    /// reconvergence) has still retired its whole share of the total, and
+    /// crediting less leaves a finished campaign looking part-done.
     pub fn record_work(&self, work: u64) {
         self.work_done.fetch_add(work, Ordering::Relaxed);
     }
@@ -255,6 +258,31 @@ mod tests {
             (qeta - qsecs / 4.0).abs() < 0.2 * qsecs,
             "eta={qeta} secs={qsecs}"
         );
+    }
+
+    #[test]
+    fn work_eta_reaches_zero_when_runs_simulate_less_than_planned() {
+        // Ten runs planned at 100k cycles each; every one is cut short
+        // after simulating 30k. Credited with its planned share, half the
+        // runs are half the work and the last run closes the ledger.
+        // (Credited with the 30k it simulated, the finished campaign would
+        // stand at 30% with a positive ETA forever.)
+        let planned = 100_000;
+        let p = Progress::new("test", 10, &[]);
+        p.set_total_work(10 * planned);
+        for _ in 0..5 {
+            p.record(None);
+            p.record_work(planned);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let secs = p.elapsed_secs();
+        let eta = p.eta_secs(p.done(), secs, p.runs_per_sec());
+        assert!((eta - secs).abs() < 0.2 * secs, "eta={eta} secs={secs}");
+        for _ in 0..5 {
+            p.record(None);
+            p.record_work(planned);
+        }
+        assert_eq!(p.eta(), 0.0);
     }
 
     #[test]
