@@ -53,7 +53,8 @@ impl ComponentStats {
 
 /// Execution-tier residency, folded from `injection.tier` campaign-end
 /// events: which tier each campaign ran on and how much work the warp
-/// cursor, the µop fast path and the reconvergence cut absorbed.
+/// cursor, the µop fast path, dead-cell pruning and the reconvergence cut
+/// absorbed.
 #[derive(Clone, Debug, Default)]
 pub struct TierStats {
     /// Campaigns that ran with the warp cursor armed.
@@ -72,6 +73,9 @@ pub struct TierStats {
     pub fastpath_uop_hits: u64,
     /// Decoded-µop fast-path misses across all runs.
     pub fastpath_uop_misses: u64,
+    /// Runs answered at the strike: the golden run never reads the struck
+    /// cells again.
+    pub dead_pruned: u64,
     /// Runs ended as the golden run once their live state rejoined it.
     pub reconverged: u64,
     /// Golden cycles those runs left unsimulated.
@@ -155,6 +159,7 @@ impl TraceSummary {
             t.warp_advance_cycles += n("warp_advance_cycles");
             t.fastpath_uop_hits += n("fastpath_uop_hits");
             t.fastpath_uop_misses += n("fastpath_uop_misses");
+            t.dead_pruned += n("dead_pruned");
             t.reconverged += n("reconverged");
             t.reconverge_cycles_saved += n("reconverge_cycles_saved");
         }
@@ -225,7 +230,7 @@ impl TraceSummary {
         let t = &self.tier;
         if t.warp_campaigns + t.detailed_campaigns > 0 {
             out.push_str("\nexecution tiers\n");
-            let rows: [(&str, u64); 10] = [
+            let rows: [(&str, u64); 11] = [
                 ("warp campaigns", t.warp_campaigns),
                 ("detailed campaigns", t.detailed_campaigns),
                 ("warp handoffs", t.warp_handoffs),
@@ -234,6 +239,7 @@ impl TraceSummary {
                 ("cursor cycles run", t.warp_advance_cycles),
                 ("fastpath µop hits", t.fastpath_uop_hits),
                 ("fastpath µop misses", t.fastpath_uop_misses),
+                ("dead-pruned runs", t.dead_pruned),
                 ("reconverged runs", t.reconverged),
                 ("suffix cycles saved", t.reconverge_cycles_saved),
             ];
@@ -410,7 +416,7 @@ mod tests {
              \"workload\":\"crc32\",\"tier\":\"warp\",\"warp_handoffs\":40,\
              \"warp_cursor_resets\":2,\"warp_prefix_cycles_saved\":90000,\
              \"warp_advance_cycles\":4500,\"fastpath_uop_hits\":800,\
-             \"fastpath_uop_misses\":20,\"reconverged\":31,\
+             \"fastpath_uop_misses\":20,\"dead_pruned\":57,\"reconverged\":31,\
              \"reconverge_cycles_saved\":700000}",
             "{\"ev\":\"injection.tier\",\"sub\":\"injection\",\"level\":\"info\",\
              \"workload\":\"matmul\",\"tier\":\"detailed\",\"warp_handoffs\":0,\
@@ -425,12 +431,14 @@ mod tests {
         assert_eq!(s.tier.warp_handoffs, 40);
         assert_eq!(s.tier.warp_prefix_cycles_saved, 90000);
         assert_eq!(s.tier.fastpath_uop_hits, 800);
+        assert_eq!(s.tier.dead_pruned, 57);
         assert_eq!(s.tier.reconverged, 31);
         assert_eq!(s.tier.reconverge_cycles_saved, 700000);
         let out = s.render();
         assert!(out.contains("execution tiers"), "{out}");
         assert!(out.contains("warp handoffs"), "{out}");
         assert!(out.contains("prefix cycles saved"), "{out}");
+        assert!(out.contains("dead-pruned runs"), "{out}");
         assert!(out.contains("reconverged runs"), "{out}");
     }
 

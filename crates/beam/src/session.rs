@@ -305,7 +305,7 @@ fn beam_prom_snapshot(
             count,
         );
     }
-    sea_injection::prom_append_reconvergence(&mut w);
+    sea_injection::prom_append_early_exits(&mut w);
     sea_injection::convergence::prom_append(&mut w, tracker);
     w.finish()
 }

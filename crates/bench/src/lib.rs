@@ -48,7 +48,8 @@
 //! path (µop cache + translation latches) on every injected machine;
 //! `--warp` serves each run's machine from a per-worker warp cursor
 //! (amortized detailed prefix execution, byte-identical journals — see
-//! README "Performance" and the `bench_warp` binary).
+//! README "Performance"; `bash benchmark/run.sh` measures all of them end
+//! to end).
 //!
 //! Profiling flags (see README "Profiling"): `--profile-out FILE` writes a
 //! per-workload attribution report (cycle hotspots + predicted-vs-measured

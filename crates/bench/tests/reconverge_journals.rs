@@ -1,15 +1,16 @@
-//! The reconvergence cut is journal-neutral. A campaign with every speed
-//! key on — and therefore with the cut armed — must write, byte for byte,
-//! the journal the from-reset campaign writes for the same spec (no
-//! checkpoint set, so nothing is ever cut: the differential oracle), both
-//! in one process and merged out of a two-worker fleet.
+//! The early exits are journal-neutral. A campaign with every speed key on
+//! — and therefore with dead-cell pruning and the reconvergence cut armed
+//! — must write, byte for byte, the journal the from-reset campaign writes
+//! for the same spec (no checkpoint set, so nothing is ever pruned or cut:
+//! the differential oracle), both in one process and merged out of a
+//! two-worker fleet.
 //!
 //! One test function, in a file of its own: the fleet scheduler only stops
 //! on the process-wide stop flag, which must not reach any other test.
 
 use sea_core::durable::export_jsonl;
 use sea_core::injection::supervisor::journal_file;
-use sea_core::injection::{clear_stop, request_stop, run_campaign, RECONVERGED};
+use sea_core::injection::{clear_stop, request_stop, run_campaign, DEAD_PRUNED, RECONVERGED};
 use sea_core::{JournalFormat, JournalSpec, StudySpec};
 use sea_fleet::{Daemon, DaemonConfig, Registry};
 use std::sync::Arc;
@@ -40,9 +41,10 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
 
         let mut cut = spec.study.injection_config_for(w);
         cut.journal = Some(JournalSpec::new(root.join("cut")));
-        let before = RECONVERGED.get();
+        let before = (DEAD_PRUNED.get(), RECONVERGED.get());
         let b = run_campaign(w.name(), &built, &cut).unwrap();
-        assert!(RECONVERGED.get() > before, "{w}: the cut never fired");
+        assert!(DEAD_PRUNED.get() > before.0, "{w}: nothing was pruned");
+        assert!(RECONVERGED.get() > before.1, "{w}: the cut never fired");
 
         assert_eq!(a.per_component, b.per_component, "{w}");
         let (ja, jb) = (
@@ -63,6 +65,8 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
         Daemon::start(DaemonConfig {
             root: root.join("fleet"),
             workers: 2,
+            // Publishes the daemon's `/metrics` provider; nothing connects.
+            serve: Some("127.0.0.1:0".to_string()),
             worker_cmd: vec![
                 env!("CARGO_BIN_EXE_fleet").to_string(),
                 "worker".to_string(),
@@ -94,6 +98,19 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
         assert!(Instant::now() < deadline, "study {id} timed out: {doc}");
         std::thread::sleep(Duration::from_millis(50));
     }
+    // The workers ran armed: their telemetry reports pruned strikes.
+    let pruned = loop {
+        let metrics = sea_core::observe::metrics_document();
+        let pruned = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("sea_fleet_campaign_dead_pruned_total "))
+            .map_or(0.0, |v| v.trim().parse::<f64>().unwrap());
+        if pruned > 0.0 || Instant::now() > deadline {
+            break pruned;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(pruned > 0.0, "no worker pruned a strike");
     request_stop();
     scheduler.join().unwrap();
     clear_stop();

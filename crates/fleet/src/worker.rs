@@ -165,6 +165,7 @@ impl Telemetry {
             &sea_injection::warp::FASTPATH_UOP_MISSES,
             &sea_injection::warp::FASTPATH_LATCH_HITS,
             &sea_injection::warp::FASTPATH_LINE_HITS,
+            &sea_injection::DEAD_PRUNED,
             &sea_injection::RECONVERGED,
             &sea_injection::RECONVERGE_CYCLES_SAVED,
         ] {

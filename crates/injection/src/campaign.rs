@@ -4,10 +4,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use sea_kernel::KernelConfig;
-use sea_microarch::{ArrayKind, Component, MachineConfig, System};
+use sea_microarch::{ArrayKind, Component, FaultProbe, MachineConfig, RunEnd, System};
 use sea_platform::{
-    boot, classify, golden_run, golden_run_with_checkpoints, run_until_reconverged, Board,
-    CheckpointSet, CheckpointStats, ClassCounts, FaultClass, GoldenRun, RunLimits,
+    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints,
+    run_until_reconverged, Board, CheckpointSet, CheckpointStats, ClassCounts, FaultClass,
+    GoldenRun, RunLimits,
 };
 use sea_snapshot::CheckpointMeta;
 use sea_trace::json::{Json, ObjWriter};
@@ -31,6 +32,10 @@ pub const CLASS_LABELS: [&str; 4] = ["masked", "sdc", "app", "sys"];
 /// Feeds the work-weighted ETA and the Prometheus campaign snapshot.
 static RUN_SIM_CYCLES: Histogram = Histogram::new("inject.run_sim_cycles");
 
+/// Injected runs answered at the strike cycle by dead-cell pruning: the
+/// golden run never reads the struck cells again, so they were credited
+/// with the golden ending without being simulated at all.
+pub static DEAD_PRUNED: Counter = Counter::new("campaign.dead_pruned");
 /// Injected runs ended early by the reconvergence cut: their live state
 /// equalled the golden run's at the same cycle, so they were credited with
 /// the golden ending instead of being simulated to `exit()`.
@@ -38,9 +43,15 @@ pub static RECONVERGED: Counter = Counter::new("campaign.reconverged");
 /// Golden cycles those runs left unsimulated (golden end − cut cycle).
 pub static RECONVERGE_CYCLES_SAVED: Counter = Counter::new("campaign.reconverge_cycles_saved");
 
-/// Appends the reconvergence-cut counters to a Prometheus document (shared
-/// by the campaign and beam-session snapshots).
-pub fn prom_append_reconvergence(w: &mut sea_profile::PromWriter) {
+/// Appends the early-exit counters (dead-cell pruning, reconvergence cut)
+/// to a Prometheus document (shared by the campaign and beam-session
+/// snapshots).
+pub fn prom_append_early_exits(w: &mut sea_profile::PromWriter) {
+    w.counter(
+        "sea_dead_pruned_total",
+        "Injected runs answered at the strike: the golden run never reads the struck cells again.",
+        DEAD_PRUNED.get(),
+    );
     w.counter(
         "sea_reconverged_total",
         "Injected runs ended as the golden run once their live state rejoined it.",
@@ -350,10 +361,17 @@ pub(crate) fn machine_toward(
     ckpts: Option<&CheckpointSet>,
     cycle: u64,
 ) -> System<Board> {
-    if let Some(policy) = &cfg.warp {
-        if let Some(sys) = crate::warp::cursor_machine_toward(workload, cfg, ckpts, cycle, policy) {
-            return sys;
+    // The handoff: a clone of this worker's cursor, which inherits its
+    // armed fast path — exactly what is armed below, already warm.
+    let handoff = crate::warp::with_cursor_at(workload, cfg, ckpts, cycle, |cursor| {
+        let mut sys = cursor.clone();
+        if !cfg.fast_path {
+            sys.fastpath_disable();
         }
+        sys
+    });
+    if let Some(sys) = handoff {
+        return sys;
     }
     let mut sys = match ckpts.and_then(|c| c.restore_at(cycle)) {
         Some(sys) => sys,
@@ -373,8 +391,10 @@ pub(crate) fn machine_toward(
 
 /// Runs one injected execution: boots a fresh machine (or restores the
 /// nearest checkpoint), advances it to `spec.cycle`, flips the bit, and
-/// runs to a terminal state — or, with `ckpts`, to the first golden
-/// checkpoint it has provably rejoined. `ckpts: None` is the uncut,
+/// runs to a terminal state — or, with `ckpts`, only as far as one of the
+/// three early exits needs: none at all when the golden run never reads
+/// the struck cells again ([`dead_pruned`]), else to the first golden
+/// checkpoint the run has provably rejoined. `ckpts: None` is the uncut,
 /// from-reset reference every accelerated path is diffed against.
 pub fn run_one(
     workload: &BuiltWorkload,
@@ -383,13 +403,75 @@ pub fn run_one(
     spec: InjectionSpec,
     limits: RunLimits,
 ) -> InjectionOutcome {
+    if let Some(outcome) = dead_pruned(workload, cfg, ckpts, spec, limits) {
+        return outcome;
+    }
     let mut sys = machine_toward(workload, cfg, ckpts, spec.cycle);
     inject_and_run(&mut sys, workload, cfg, ckpts, spec, limits)
 }
 
+/// The cells one strike flips: `width` adjacent cells of the component
+/// starting at `spec.bit`. A strike starting near the array's last cell
+/// wraps onto the first cells (the flat bit index is a ring), so every
+/// model always flips its full width.
+fn struck_bits(cfg: &CampaignConfig, spec: InjectionSpec, bits: u64) -> impl Iterator<Item = u64> {
+    (0..cfg.fault_model.width()).map(move |k| (spec.bit + k) % bits)
+}
+
+/// Dead-cell pruning, the first of the three early exits: when the sealed
+/// golden run reads none of the struck cells in any step from the strike
+/// on ([`sea_microarch::ReadHorizon`]), the struck machine can only finish
+/// as the golden run does, and the verdict is known without a flip, a
+/// suffix or a state comparison. `None` when the filter is unarmed (no
+/// sealed horizon, or limits that expire before the golden exit) or any
+/// struck cell is still live.
+///
+/// The journal line still records what the struck cell held (`array`,
+/// `was_valid`), which only the golden machine at the strike boundary
+/// knows: it is read off this worker's cursor where it stands — no clone —
+/// or, without a cursor, off a restored machine stepped there.
+pub(crate) fn dead_pruned(
+    workload: &BuiltWorkload,
+    cfg: &CampaignConfig,
+    ckpts: Option<&CheckpointSet>,
+    spec: InjectionSpec,
+    limits: RunLimits,
+) -> Option<InjectionOutcome> {
+    let (_, golden) = ckpts?.golden_end(limits)?;
+    let horizon = ckpts?.horizon()?;
+    let bits = horizon.component_bits(spec.component);
+    if struck_bits(cfg, spec, bits).any(|b| horizon.reads_from(spec.component, b, spec.cycle)) {
+        return None;
+    }
+    let strike = |sys: &System<Board>| {
+        let site = sys.site_of(spec.component, spec.bit);
+        FaultProbe::dead(site, sys.cycles(), sys.cpu.cpsr.mode)
+    };
+    let probe = crate::warp::with_cursor_at(workload, cfg, ckpts, spec.cycle, strike)
+        .unwrap_or_else(|| {
+            let mut sys = machine_toward(workload, cfg, ckpts, spec.cycle);
+            while sys.cycles() < spec.cycle {
+                sys.step();
+            }
+            strike(&sys)
+        });
+    DEAD_PRUNED.inc();
+    let class = classify(golden, &workload.golden);
+    if sea_trace::enabled(Subsystem::Injection, Level::Info) {
+        probe.emit_record(&class.to_string(), probe.flip_cycle, RunEnd::Dead);
+    }
+    Some(InjectionOutcome {
+        spec,
+        array: probe.site.array,
+        was_valid: probe.site.was_valid,
+        class,
+    })
+}
+
 /// The injection body shared by [`run_one`] and the supervised path
 /// (`supervisor::run_one_caught`, which boots outside the panic boundary
-/// so the machine survives an unwind for the post-mortem).
+/// so the machine survives an unwind for the post-mortem), for strikes
+/// [`dead_pruned`] could not answer.
 pub(crate) fn inject_and_run(
     sys: &mut System<Board>,
     workload: &BuiltWorkload,
@@ -413,13 +495,8 @@ pub(crate) fn inject_and_run(
     } else {
         sys.flip_bit(spec.component, spec.bit)
     };
-    // Multi-bit models upset the adjacent cells of the same array. A strike
-    // starting near the array's last cell wraps onto the first cells (the
-    // flat bit index is a ring), so every model always flips its full
-    // width — previously the out-of-range remainder was silently dropped,
-    // under-injecting boundary strikes.
-    for extra in 1..cfg.fault_model.width() {
-        let b = (spec.bit + extra) % bits;
+    // Multi-bit models upset the adjacent cells of the same array.
+    for b in struck_bits(cfg, spec, bits).skip(1) {
         sys.flip_bit(spec.component, b);
         event!(Subsystem::Injection, Level::Debug, "injection.multibit";
                cycle = spec.cycle;
@@ -445,7 +522,12 @@ pub(crate) fn inject_and_run(
     let class = classify(&outcome, &workload.golden);
     crate::warp::bank_fastpath_delta(fastpath_before, sys.fastpath_stats());
     if let Some(probe) = sys.take_probe() {
-        probe.emit_record(&class.to_string(), sys.cycles(), saved.is_some());
+        let end = if saved.is_some() {
+            RunEnd::Reconverged
+        } else {
+            RunEnd::Terminal
+        };
+        probe.emit_record(&class.to_string(), sys.cycles(), end);
     }
     InjectionOutcome {
         spec,
@@ -626,7 +708,7 @@ fn prom_snapshot(progress: &Progress, tracker: &ConvergenceTracker) -> String {
         "L1 accesses served by line latches during injected runs.",
         crate::warp::FASTPATH_LINE_HITS.get(),
     );
-    prom_append_reconvergence(&mut w);
+    prom_append_early_exits(&mut w);
     crate::convergence::prom_append(&mut w, tracker);
     w.finish()
 }
@@ -1082,6 +1164,7 @@ pub fn run_campaign(
            "warp_advance_cycles" => crate::warp::WARP_ADVANCE_CYCLES.get(),
            "fastpath_uop_hits" => crate::warp::FASTPATH_UOP_HITS.get(),
            "fastpath_uop_misses" => crate::warp::FASTPATH_UOP_MISSES.get(),
+           "dead_pruned" => DEAD_PRUNED.get(),
            "reconverged" => RECONVERGED.get(),
            "reconverge_cycles_saved" => RECONVERGE_CYCLES_SAVED.get());
 
@@ -1141,15 +1224,16 @@ pub fn acquire_golden_and_checkpoints(
     if let Some(dir) = policy.dir.as_deref().filter(|d| d.is_dir()) {
         match CheckpointSet::load_dir(dir, chash, ghash) {
             Ok(mut set) if !set.is_empty() => {
-                let golden = golden_run(
+                let (golden, horizon) = golden_run_tracked(
                     cfg.machine,
                     &workload.image,
                     &cfg.kernel,
                     cfg.golden_budget_cycles,
                 )
                 .map_err(CampaignError::Golden)?;
-                // The files carry machines, not how their run ended.
-                set.seal(&golden);
+                // The files carry machines, not how their run ended or
+                // what it read.
+                set.seal(&golden, Some(horizon));
                 return Ok((golden, Some(set)));
             }
             Ok(_) => {}

@@ -27,10 +27,10 @@ pub mod supervisor;
 pub mod warp;
 
 pub use campaign::{
-    acquire_golden_and_checkpoints, class_index, generate_specs, prom_append_reconvergence,
+    acquire_golden_and_checkpoints, class_index, generate_specs, prom_append_early_exits,
     record_run_cycles, run_campaign, run_cycles_snapshot, run_one, verdict_line, CampaignConfig,
     CampaignError, CampaignPlan, CampaignResult, CheckpointPolicy, ComponentResult, FaultModel,
-    InjectionOutcome, InjectionSpec, SupervisionStats, CLASS_LABELS, RECONVERGED,
+    InjectionOutcome, InjectionSpec, SupervisionStats, CLASS_LABELS, DEAD_PRUNED, RECONVERGED,
     RECONVERGE_CYCLES_SAVED,
 };
 pub use convergence::{ConvergenceTracker, StratumSnapshot};

@@ -869,17 +869,33 @@ pub fn run_one_caught(
     spec: InjectionSpec,
     limits: RunLimits,
 ) -> Result<(InjectionOutcome, u64), CaughtPanic> {
-    let mut sys = crate::campaign::machine_toward(workload, cfg, ckpts, spec.cycle);
-    let start_cycles = sys.cycles();
+    // The machine to strike — or, for a strike dead-cell pruning answers,
+    // the verdict, which needs none.
+    let mut run = match crate::campaign::dead_pruned(workload, cfg, ckpts, spec, limits) {
+        Some(outcome) => Err(outcome),
+        None => Ok(crate::campaign::machine_toward(
+            workload, cfg, ckpts, spec.cycle,
+        )),
+    };
+    let start_cycles = run.as_ref().map_or(0, |sys| sys.cycles());
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if let Some(hook) = cfg.supervisor.panic_hook {
             hook(index, &spec);
         }
-        crate::campaign::inject_and_run(&mut sys, workload, cfg, ckpts, spec, limits)
+        match &mut run {
+            Ok(sys) => crate::campaign::inject_and_run(sys, workload, cfg, ckpts, spec, limits),
+            Err(outcome) => *outcome,
+        }
     }));
-    let sim_cycles = sys.cycles().saturating_sub(start_cycles);
+    let sim_cycles = run
+        .as_ref()
+        .map_or(0, |sys| sys.cycles().saturating_sub(start_cycles));
     let caught = caught.map(|out| (out, sim_cycles));
     caught.map_err(|payload| {
+        // Only the test hook can panic on a pruned strike; its post-mortem
+        // gets the machine the strike would have started from.
+        let sys = run
+            .unwrap_or_else(|_| crate::campaign::machine_toward(workload, cfg, ckpts, spec.cycle));
         let message = panic_message(payload.as_ref());
         let pm = format!(
             "{}state_fingerprint={:#018x}\n",

@@ -37,7 +37,8 @@ use sea_workloads::BuiltWorkload;
 use crate::campaign::CampaignConfig;
 use crate::supervisor::{config_hash, golden_hash};
 
-/// Runs handed a cursor clone instead of a fresh restore/boot.
+/// Runs whose prefix the cursor served instead of a fresh restore/boot: a
+/// clone of it, or — for a dead-pruned strike — just a look at it.
 pub static WARP_HANDOFFS: Counter = Counter::new("campaign.warp_handoffs");
 /// Cursors discarded and re-seeded (target behind the cursor, a checkpoint
 /// ahead of it, or a different campaign on the same thread).
@@ -138,16 +139,18 @@ pub(crate) fn cursor_converged(
     })
 }
 
-/// A machine on the golden path at (or just past the step straddling)
-/// `cycle`, served from this worker's cursor. Returns `None` when the
-/// policy says this run should bypass the cursor.
-pub(crate) fn cursor_machine_toward(
+/// Runs `f` on this worker's cursor, advanced to the golden path's step
+/// boundary at (or just past the step straddling) `cycle`. Returns `None`
+/// when the campaign runs without a cursor or the policy says this run
+/// should bypass it.
+pub(crate) fn with_cursor_at<R>(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
     ckpts: Option<&CheckpointSet>,
     cycle: u64,
-    policy: &WarpPolicy,
-) -> Option<System<Board>> {
+    f: impl FnOnce(&System<Board>) -> R,
+) -> Option<R> {
+    let policy = cfg.warp.as_ref()?;
     let key = (config_hash(cfg), golden_hash(workload));
     let base = baseline(ckpts, cycle);
     CURSOR.with(|slot| {
@@ -190,14 +193,7 @@ pub(crate) fn cursor_machine_toward(
         WARP_ADVANCE_CYCLES.add(cursor.sys.cycles() - start);
         WARP_PREFIX_CYCLES_SAVED.add(start.saturating_sub(base));
         WARP_HANDOFFS.inc();
-        let mut sys = cursor.sys.clone();
-        if cfg.fast_path {
-            // The clone inherits the cursor's armed fast path — exactly
-            // what `machine_toward` would have armed, already warm.
-        } else {
-            sys.fastpath_disable();
-        }
-        Some(sys)
+        Some(f(&cursor.sys))
     })
 }
 

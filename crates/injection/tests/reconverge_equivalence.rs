@@ -157,7 +157,8 @@ fn cut_fires_on_dead_cell_flips_and_respects_the_cycle_budget() {
     assert_eq!(saved, Some(f.golden.cycles - at));
 
     // Checkpoint files carry machines, not how their run ended: a loaded
-    // set is unarmed until it is sealed with the golden run.
+    // set is unarmed until it is sealed with the golden run. Sealed without
+    // a read horizon, it arms this cut alone.
     let dir = std::env::temp_dir().join(format!("sea_reconverge_eq_{}", std::process::id()));
     f.ckpts.persist(&dir, 1, 2).unwrap();
     let mut loaded = CheckpointSet::load_dir(&dir, 1, 2).unwrap();
@@ -166,7 +167,7 @@ fn cut_fires_on_dead_cell_flips_and_respects_the_cycle_budget() {
     flipped.flip_bit(Component::L2, bit);
     let (outcome, saved) = run_until_reconverged(&mut flipped.clone(), f.limits, Some(&loaded));
     assert_eq!((outcome, saved), (golden_exit(f), None));
-    loaded.seal(&f.golden);
+    loaded.seal(&f.golden, None);
     let (outcome, saved) = run_until_reconverged(&mut flipped, f.limits, Some(&loaded));
     assert_eq!(
         (outcome, saved),
@@ -183,7 +184,7 @@ fn cut_fires_on_dead_cell_flips_and_respects_the_cycle_budget() {
         bit,
         cycle: f.golden.cycles / 2,
     };
-    run_one(&f.built, &cfg, Some(&f.ckpts), spec, f.limits);
+    run_one(&f.built, &cfg, Some(&loaded), spec, f.limits);
     assert!(sea_injection::RECONVERGED.get() > before.0);
     assert!(sea_injection::RECONVERGE_CYCLES_SAVED.get() > before.1);
 }

@@ -153,6 +153,11 @@ impl Cache {
         self.sets * self.ways
     }
 
+    /// Associativity: line `idx` belongs to set `idx / ways()`.
+    pub fn ways(&self) -> u32 {
+        self.ways
+    }
+
     fn set_of(&self, paddr: u32) -> u32 {
         (paddr >> self.off_bits) & (self.sets - 1)
     }
@@ -373,6 +378,29 @@ impl Cache {
         self.lines() as u64 * self.bits_per_line()
     }
 
+    /// What [`Cache::flip_bit`] would report for `bit`, without flipping
+    /// it: the array it belongs to and whether its line is valid now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= total_bits()`.
+    pub fn bit_info(&self, bit: u64) -> FlipInfo {
+        assert!(bit < self.total_bits(), "cache bit index out of range");
+        let per = self.bits_per_line();
+        let within = bit % per;
+        let data_bits = 8 * self.line_bytes as u64;
+        FlipInfo {
+            array: if within < data_bits {
+                ArrayKind::Data
+            } else if within < data_bits + self.tag_bits() as u64 {
+                ArrayKind::Tag
+            } else {
+                ArrayKind::State
+            },
+            was_valid: self.valid[(bit / per) as usize],
+        }
+    }
+
     /// Flips one SRAM bit, addressed uniformly over the whole array.
     ///
     /// Bit index layout per line: `[0, 8·line)` data, then tag bits (LSB
@@ -383,39 +411,26 @@ impl Cache {
     ///
     /// Panics if `bit >= total_bits()`.
     pub fn flip_bit(&mut self, bit: u64) -> FlipInfo {
-        assert!(bit < self.total_bits(), "cache bit index out of range");
+        let info = self.bit_info(bit);
         let per = self.bits_per_line();
         let line = (bit / per) as usize;
         let within = bit % per;
         let data_bits = 8 * self.line_bytes as u64;
-        let was_valid = self.valid[line];
-        if within < data_bits {
-            let byte = line * self.line_bytes as usize + (within / 8) as usize;
-            self.data[byte] ^= 1 << (within % 8);
-            FlipInfo {
-                array: ArrayKind::Data,
-                was_valid,
+        match info.array {
+            ArrayKind::Data => {
+                let byte = line * self.line_bytes as usize + (within / 8) as usize;
+                self.data[byte] ^= 1 << (within % 8);
             }
-        } else if within < data_bits + self.tag_bits() as u64 {
-            let tagbit = (within - data_bits) as u32;
-            self.addr[line] ^= 1 << (self.set_bits + self.off_bits + tagbit);
-            FlipInfo {
-                array: ArrayKind::Tag,
-                was_valid,
+            ArrayKind::Tag => {
+                let tagbit = (within - data_bits) as u32;
+                self.addr[line] ^= 1 << (self.set_bits + self.off_bits + tagbit);
             }
-        } else if within == data_bits + self.tag_bits() as u64 {
-            self.valid[line] = !self.valid[line];
-            FlipInfo {
-                array: ArrayKind::State,
-                was_valid,
+            ArrayKind::State if within == data_bits + self.tag_bits() as u64 => {
+                self.valid[line] = !self.valid[line];
             }
-        } else {
-            self.dirty[line] = !self.dirty[line];
-            FlipInfo {
-                array: ArrayKind::State,
-                was_valid,
-            }
+            ArrayKind::State => self.dirty[line] = !self.dirty[line],
         }
+        info
     }
 
     /// Non-mutating probe + read, for debug observers: returns the value if

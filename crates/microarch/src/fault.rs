@@ -97,6 +97,44 @@ impl<D: Device> System<D> {
         Component::ALL.iter().map(|&c| self.component_bits(c)).sum()
     }
 
+    /// What [`System::flip_bit`] would report for (`c`, `bit`) on this
+    /// machine as it stands, without flipping anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= component_bits(c)`.
+    pub fn site_of(&self, c: Component, bit: u64) -> InjectionSite {
+        let tlb_site = |(is_tag, was_valid): (bool, bool)| {
+            let array = if is_tag {
+                ArrayKind::Tag
+            } else {
+                ArrayKind::Data
+            };
+            (array, was_valid)
+        };
+        let cache_site = |i: crate::cache::FlipInfo| (i.array, i.was_valid);
+        let (array, was_valid) = match c {
+            Component::RegFile => {
+                assert!(
+                    bit < self.cpu.regs.total_bits(),
+                    "register-file bit index out of range"
+                );
+                (ArrayKind::Data, true)
+            }
+            Component::L1I => cache_site(self.mem.l1i.bit_info(bit)),
+            Component::L1D => cache_site(self.mem.l1d.bit_info(bit)),
+            Component::L2 => cache_site(self.mem.l2.bit_info(bit)),
+            Component::ITlb => tlb_site(self.itlb.bit_info(bit)),
+            Component::DTlb => tlb_site(self.dtlb.bit_info(bit)),
+        };
+        InjectionSite {
+            component: c,
+            bit,
+            array,
+            was_valid,
+        }
+    }
+
     /// Flips one bit of `c`, returning the injection site description.
     ///
     /// If the execution fast path is armed, all of its memoized state
@@ -112,52 +150,16 @@ impl<D: Device> System<D> {
     pub fn flip_bit(&mut self, c: Component, bit: u64) -> InjectionSite {
         self.fastpath_invalidate();
         self.warp_invalidate();
-        let (array, was_valid) = match c {
-            Component::RegFile => {
-                self.cpu.regs.flip_bit(bit);
-                (ArrayKind::Data, true)
-            }
-            Component::L1I => {
-                let i = self.mem.l1i.flip_bit(bit);
-                (i.array, i.was_valid)
-            }
-            Component::L1D => {
-                let i = self.mem.l1d.flip_bit(bit);
-                (i.array, i.was_valid)
-            }
-            Component::L2 => {
-                let i = self.mem.l2.flip_bit(bit);
-                (i.array, i.was_valid)
-            }
-            Component::ITlb => {
-                let (is_tag, was_valid) = self.itlb.flip_bit(bit);
-                (
-                    if is_tag {
-                        ArrayKind::Tag
-                    } else {
-                        ArrayKind::Data
-                    },
-                    was_valid,
-                )
-            }
-            Component::DTlb => {
-                let (is_tag, was_valid) = self.dtlb.flip_bit(bit);
-                (
-                    if is_tag {
-                        ArrayKind::Tag
-                    } else {
-                        ArrayKind::Data
-                    },
-                    was_valid,
-                )
-            }
-        };
-        InjectionSite {
-            component: c,
-            bit,
-            array,
-            was_valid,
+        let site = self.site_of(c, bit);
+        match c {
+            Component::RegFile => self.cpu.regs.flip_bit(bit),
+            Component::L1I => _ = self.mem.l1i.flip_bit(bit),
+            Component::L1D => _ = self.mem.l1d.flip_bit(bit),
+            Component::L2 => _ = self.mem.l2.flip_bit(bit),
+            Component::ITlb => _ = self.itlb.flip_bit(bit),
+            Component::DTlb => _ = self.dtlb.flip_bit(bit),
         }
+        site
     }
 }
 

@@ -36,6 +36,7 @@ mod counters;
 mod exception;
 mod fastpath;
 mod fault;
+mod horizon;
 mod mem;
 mod memsys;
 mod mmu;
@@ -55,14 +56,14 @@ pub use exception::{
 };
 pub use fastpath::{FastPathConfig, FastPathStats};
 pub use fault::{Component, InjectionSite};
+pub use horizon::ReadHorizon;
 pub use mem::{Device, NullDevice, PhysMemory, DEVICE_BASE};
 pub use memsys::MemSystem;
 pub use mmu::{
     decode_pte, l1_entry, l1_entry_addr, l2_entry_addr, pte, split_vaddr, PteView, L1_ENTRIES,
     L2_ENTRIES, PAGE_BYTES, PAGE_SHIFT, PTE_EXEC, PTE_USER, PTE_VALID, PTE_WRITE,
 };
-pub use profiler::{MemProfiler, SysProfiler};
-pub use provenance::{FaultProbe, Hop, HopKind, Residence};
+pub use provenance::{FaultProbe, Hop, HopKind, Residence, RunEnd};
 pub use regfile::{Cpsr, Mode, RegFile, REGFILE_BITS};
 pub use system::{Cpu, StepOutcome, System};
 pub use tlb::{Tlb, TlbEntry};

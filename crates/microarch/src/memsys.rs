@@ -7,7 +7,7 @@ use crate::cache::{Cache, Probe};
 use crate::config::{ExecMode, MachineConfig};
 use crate::counters::Counters;
 use crate::mem::PhysMemory;
-use crate::profiler::MemProfiler;
+use crate::profiler::{MemProfiler, Observers};
 
 /// The memory system below the core.
 #[derive(Clone, Debug)]
@@ -25,9 +25,9 @@ pub struct MemSystem {
     lat_l2: u32,
     lat_mem: u32,
     line: u32,
-    /// Cache-line residency trackers; `None` (the fast path) unless a
-    /// profiled run attached them. Never snapshotted.
-    pub(crate) prof: Option<Box<MemProfiler>>,
+    /// Cache-line observers; `None` (the fast path) unless a golden run
+    /// attached them. Never snapshotted, never cloned.
+    pub(crate) prof: Observers<MemProfiler>,
 }
 
 /// DRAM line write with a bus-error guard: a write-back whose (possibly
@@ -62,7 +62,7 @@ impl MemSystem {
             lat_l2: cfg.lat.l2_hit,
             lat_mem: cfg.lat.mem,
             line: cfg.l1d.line_bytes,
-            prof: None,
+            prof: Observers::DETACHED,
         }
     }
 
@@ -75,7 +75,7 @@ impl MemSystem {
         match self.l2.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.touch(idx as usize, ctr.cycles);
+                    p.l2.hit(idx, ctr.cycles, p.now);
                 }
                 self.l2.read_full_line(idx, buf);
                 self.lat_l2
@@ -84,7 +84,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.fill(idx as usize, ctr.cycles, wb.is_some());
+                    p.l2.miss(idx, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, data)) = wb {
                     dram_write_line(&mut self.phys, addr, &data);
@@ -104,7 +104,7 @@ impl MemSystem {
         match self.l2.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.touch(idx as usize, ctr.cycles);
+                    p.l2.hit(idx, ctr.cycles, p.now);
                 }
                 self.l2.write_full_line(idx, data);
                 self.lat_l2
@@ -113,7 +113,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.fill(idx as usize, ctr.cycles, wb.is_some());
+                    p.l2.miss(idx, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, old)) = wb {
                     dram_write_line(&mut self.phys, addr, &old);
@@ -150,7 +150,7 @@ impl MemSystem {
         match self.l1d.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.touch(idx as usize, ctr.cycles);
+                    p.l1d.hit(idx, ctr.cycles, p.now);
                 }
                 (self.l1d.read(idx, paddr, size.bytes()), self.lat_l1)
             }
@@ -159,7 +159,7 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.fill(idx as usize, ctr.cycles, wb.is_some());
+                    p.l1d.miss(idx, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, data)) = wb {
                     extra += self.l2_write_line(addr, &data, ctr);
@@ -183,7 +183,7 @@ impl MemSystem {
         match self.l1d.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.touch(idx as usize, ctr.cycles);
+                    p.l1d.hit(idx, ctr.cycles, p.now);
                 }
                 self.l1d.write(idx, paddr, size.bytes(), value);
                 self.lat_l1
@@ -193,7 +193,7 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.fill(idx as usize, ctr.cycles, wb.is_some());
+                    p.l1d.miss(idx, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, data)) = wb {
                     extra += self.l2_write_line(addr, &data, ctr);
@@ -218,7 +218,7 @@ impl MemSystem {
         match self.l1i.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1i.touch(idx as usize, ctr.cycles);
+                    p.l1i.hit(idx, ctr.cycles, p.now);
                 }
                 (self.l1i.read(idx, paddr, 4), self.lat_l1)
             }
@@ -226,7 +226,7 @@ impl MemSystem {
                 ctr.l1i_miss += 1;
                 let (idx, _) = self.l1i.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1i.fill(idx as usize, ctr.cycles, false);
+                    p.l1i.miss(idx, false, ctr.cycles, p.now);
                 }
                 let mut buf = vec![0u8; self.line as usize];
                 let lat = self.l2_read_line(paddr, &mut buf, ctr);
@@ -249,7 +249,7 @@ impl MemSystem {
         }
         ctr.l1i_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1i.touch(idx as usize, ctr.cycles);
+            p.l1i.hit(idx, ctr.cycles, p.now);
         }
         Some((self.l1i.read(idx, paddr, 4), self.lat_l1))
     }
@@ -268,7 +268,7 @@ impl MemSystem {
         }
         ctr.l1d_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1d.touch(idx as usize, ctr.cycles);
+            p.l1d.hit(idx, ctr.cycles, p.now);
         }
         Some((self.l1d.read(idx, paddr, size.bytes()), self.lat_l1))
     }
@@ -288,7 +288,7 @@ impl MemSystem {
         }
         ctr.l1d_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1d.touch(idx as usize, ctr.cycles);
+            p.l1d.hit(idx, ctr.cycles, p.now);
         }
         self.l1d.write(idx, paddr, size.bytes(), value);
         Some(self.lat_l1)
@@ -319,9 +319,9 @@ impl MemSystem {
     /// Cleans (writes back) and invalidates every cache level, top down.
     pub fn clean_invalidate_all(&mut self) {
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1i.flush_all();
-            p.l1d.flush_all();
-            p.l2.flush_all();
+            p.l1i.flush_all(p.now);
+            p.l1d.flush_all(p.now);
+            p.l2.flush_all(p.now);
         }
         let mut l1_spill: Vec<(u32, Vec<u8>)> = Vec::new();
         self.l1d
@@ -403,7 +403,7 @@ impl Snapshot for MemSystem {
             lat_l2: r.u32()?,
             lat_mem: r.u32()?,
             line: r.u32()?,
-            prof: None,
+            prof: Observers::DETACHED,
         })
     }
 }

@@ -42,6 +42,18 @@ pub enum Residence {
 }
 
 impl Residence {
+    /// Where a flip into `c` leaves the corruption.
+    fn of(c: Component) -> Residence {
+        match c {
+            Component::RegFile => Residence::Reg,
+            Component::L1I => Residence::L1I,
+            Component::L1D => Residence::L1D,
+            Component::L2 => Residence::L2,
+            Component::ITlb => Residence::ITlb,
+            Component::DTlb => Residence::DTlb,
+        }
+    }
+
     /// Stable lowercase name (used in trace records).
     pub fn name(self) -> &'static str {
         match self {
@@ -101,6 +113,20 @@ pub struct Hop {
     pub cycle: u64,
 }
 
+/// Why an injected run stopped where it did (the `end` field of its
+/// `injection.provenance` record).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunEnd {
+    /// It reached a terminal state (`terminal`).
+    Terminal,
+    /// Its live state had rejoined the golden run's at this cycle
+    /// (`reconverged@<cycle>`).
+    Reconverged,
+    /// It was never simulated past the strike: the golden run never reads
+    /// the struck cells again (`dead@<cycle>`).
+    Dead,
+}
+
 /// The provenance record of one injected bit flip, updated as the machine
 /// runs and drained by the campaign at classification time.
 #[derive(Clone, Debug)]
@@ -136,6 +162,13 @@ impl FaultProbe {
             kernel_touch: false,
             hops: Vec::new(),
         }
+    }
+
+    /// The record of a strike that dead-cell pruning answered without
+    /// flipping anything: never activated, never touched — what the
+    /// simulated run would have reported, since nothing reads the cell.
+    pub fn dead(site: InjectionSite, cycle: u64, mode: Mode) -> FaultProbe {
+        FaultProbe::new(site, cycle, mode, Residence::of(site.component))
     }
 
     /// Was the corrupted cell ever read?
@@ -178,11 +211,9 @@ impl FaultProbe {
 
     /// Emit the terminal `injection.provenance` record: the probe's whole
     /// story plus the campaign's final classification. `end_cycle` is the
-    /// machine's cycle count when the run stopped; `reconverged` says it
-    /// stopped there because its live state had rejoined the golden run's
-    /// (`end` reads `reconverged@<cycle>`), not because it reached a
-    /// terminal state (`end` reads `terminal`).
-    pub fn emit_record(&self, class: &str, end_cycle: u64, reconverged: bool) {
+    /// machine's cycle count when the run stopped, and `end` says why it
+    /// stopped there.
+    pub fn emit_record(&self, class: &str, end_cycle: u64, end: RunEnd) {
         event!(Subsystem::Injection, Level::Info, "injection.provenance";
                cycle = self.flip_cycle;
                "component" => self.site.component.short_name(),
@@ -196,10 +227,10 @@ impl FaultProbe {
                "hops" => self.hops.len(),
                "residence" => self.residence.name(),
                "class" => class.to_string(),
-               "end" => if reconverged {
-                   format!("reconverged@{end_cycle}")
-               } else {
-                   "terminal".to_string()
+               "end" => match end {
+                   RunEnd::Terminal => "terminal".to_string(),
+                   RunEnd::Reconverged => format!("reconverged@{end_cycle}"),
+                   RunEnd::Dead => format!("dead@{end_cycle}"),
                },
                "total_cycles" => end_cycle.saturating_sub(self.flip_cycle));
     }
@@ -211,37 +242,15 @@ impl<D: Device> System<D> {
     /// steps; drain it with [`System::take_probe`] at classification time.
     pub fn flip_bit_probed(&mut self, c: Component, bit: u64) -> InjectionSite {
         let site = self.flip_bit(c, bit);
-        let residence = match c {
-            Component::RegFile => {
-                self.cpu.regs.set_watch(RegFile::word_of_bit(bit));
-                Residence::Reg
-            }
-            Component::L1I => {
-                let line = self.mem.l1i.line_of_bit(bit);
-                self.mem.l1i.set_watch(line);
-                Residence::L1I
-            }
-            Component::L1D => {
-                let line = self.mem.l1d.line_of_bit(bit);
-                self.mem.l1d.set_watch(line);
-                Residence::L1D
-            }
-            Component::L2 => {
-                let line = self.mem.l2.line_of_bit(bit);
-                self.mem.l2.set_watch(line);
-                Residence::L2
-            }
-            Component::ITlb => {
-                let e = self.itlb.entry_of_bit(bit);
-                self.itlb.set_watch(e);
-                Residence::ITlb
-            }
-            Component::DTlb => {
-                let e = self.dtlb.entry_of_bit(bit);
-                self.dtlb.set_watch(e);
-                Residence::DTlb
-            }
-        };
+        match c {
+            Component::RegFile => self.cpu.regs.set_watch(RegFile::word_of_bit(bit)),
+            Component::L1I => self.mem.l1i.set_watch(self.mem.l1i.line_of_bit(bit)),
+            Component::L1D => self.mem.l1d.set_watch(self.mem.l1d.line_of_bit(bit)),
+            Component::L2 => self.mem.l2.set_watch(self.mem.l2.line_of_bit(bit)),
+            Component::ITlb => self.itlb.set_watch(self.itlb.entry_of_bit(bit)),
+            Component::DTlb => self.dtlb.set_watch(self.dtlb.entry_of_bit(bit)),
+        }
+        let residence = Residence::of(c);
         let cycle = self.cpu.counters.cycles;
         let mode = self.cpu.cpsr.mode;
         event!(Subsystem::Microarch, Level::Debug, "provenance.armed";
@@ -519,7 +528,7 @@ mod tests {
         sys.drain_probe();
         let probe = sys.take_probe().unwrap();
         let end_cycle = sys.cpu.counters.cycles + 100;
-        probe.emit_record("Masked", end_cycle, true);
+        probe.emit_record("Masked", end_cycle, RunEnd::Reconverged);
         sea_trace::flush_thread();
 
         let evs = sink.take();
@@ -543,6 +552,26 @@ mod tests {
         assert_eq!(
             parsed.get("end").and_then(|v| v.as_str()),
             Some(format!("reconverged@{end_cycle}").as_str())
+        );
+
+        // A dead-pruned strike was never flipped, let alone read.
+        let site = sys.site_of(crate::fault::Component::RegFile, 40 * 32);
+        let dead = FaultProbe::dead(site, 77, Mode::User);
+        dead.emit_record("Masked", dead.flip_cycle, RunEnd::Dead);
+        sea_trace::flush_thread();
+        let evs = sink.take();
+        let mut line = String::new();
+        sea_trace::json::write_event(&evs[0], &mut line);
+        let parsed = sea_trace::json::parse(&line).expect("valid JSON");
+        assert_eq!(parsed.get("end").and_then(|v| v.as_str()), Some("dead@77"));
+        assert_eq!(
+            parsed.get("activated").and_then(|v| v.as_bool()),
+            Some(false)
+        );
+        assert_eq!(parsed.get("touches").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(
+            parsed.get("residence").and_then(|v| v.as_str()),
+            Some("regfile")
         );
 
         sea_trace::uninstall_sink();

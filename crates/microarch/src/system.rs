@@ -11,10 +11,11 @@ use crate::config::{ExecMode, MachineConfig};
 use crate::counters::Counters;
 use crate::exception::{AbortCause, Exception, VECTOR_BASE};
 use crate::fastpath::{FastPath, FastPathConfig, FastPathStats};
+use crate::horizon::ReadHorizon;
 use crate::mem::{Device, DEVICE_BASE};
 use crate::memsys::MemSystem;
 use crate::mmu;
-use crate::profiler::{sample_counters, MemProfiler, SysProfiler};
+use crate::profiler::{sample_counters, MemProfiler, Observers, SysProfiler};
 use crate::provenance::FaultProbe;
 use crate::regfile::{Cpsr, Mode, RegFile};
 use crate::tlb::{Tlb, TlbEntry};
@@ -272,10 +273,11 @@ pub struct System<D> {
     pub dev: D,
     /// Fault-provenance probe, armed by [`System::flip_bit_probed`].
     pub(crate) probe: Option<Box<FaultProbe>>,
-    /// Residency + per-PC profilers, attached by
-    /// [`System::profile_attach`]. `None` (the fast path) on every
-    /// campaign machine; never snapshotted.
-    pub(crate) prof: Option<Box<SysProfiler>>,
+    /// Observers of the register file and TLBs, attached by
+    /// [`System::profile_attach`] or [`System::horizon_attach`]. `None`
+    /// (the fast path) on every campaign machine; never snapshotted,
+    /// never cloned.
+    pub(crate) prof: Observers<SysProfiler>,
     /// Execution fast path (µop cache + translation latches), armed by
     /// [`System::fastpath_enable`]. Pure memoization — never snapshotted,
     /// and dropping it is always equivalence-preserving.
@@ -302,7 +304,7 @@ impl<D: Device> System<D> {
             dev,
             cfg,
             probe: None,
-            prof: None,
+            prof: Observers::DETACHED,
             fast: None,
             warp: None,
         }
@@ -420,42 +422,71 @@ impl<D: Device> System<D> {
         self.warp_flush();
     }
 
-    // ----- profiling --------------------------------------------------------
+    // ----- observers -------------------------------------------------------
 
-    /// Attach residency trackers and the per-PC sampler to this machine
-    /// (golden runs only — profilers must be detached with
-    /// [`System::profile_take`] before the machine is snapshotted).
-    pub fn profile_attach(&mut self) {
-        self.prof = Some(Box::new(SysProfiler::new(&self.cfg)));
-        self.mem.prof = Some(Box::new(MemProfiler::new(
+    fn observers_attach(&mut self, horizon: bool) {
+        *self.prof = Some(Box::new(SysProfiler::new(&self.cfg, horizon)));
+        *self.mem.prof = Some(Box::new(MemProfiler::new(
             &self.mem.l1i,
             &self.mem.l1d,
             &self.mem.l2,
+            horizon,
         )));
+    }
+
+    /// Attach residency trackers and the per-PC sampler to this machine
+    /// (golden runs only), replacing any observers already attached.
+    /// Detach with [`System::profile_take`].
+    pub fn profile_attach(&mut self) {
+        self.observers_attach(false);
     }
 
     /// Detach the profilers and fold them into a [`ProfileData`]: the
     /// per-PC profile plus one residency report per structure, in the
     /// paper's component order (RF, L1I$, L1D$, L2$, ITLB, DTLB). Returns
-    /// `None` when nothing was attached.
+    /// `None` when no profiler was attached.
     pub fn profile_take(&mut self) -> Option<ProfileData> {
         let sysp = *self.prof.take()?;
         let memp = *self.mem.prof.take()?;
         let end = self.cpu.counters.cycles;
-        let [l1i, l1d, l2] = memp.finalize(end);
-        let structures = vec![
-            sysp.regs.into_inner().finalize(end),
-            l1i,
-            l1d,
-            l2,
-            sysp.itlb.finalize(end),
-            sysp.dtlb.finalize(end),
-        ];
         Some(ProfileData {
             total_cycles: end,
             instructions: self.cpu.counters.instructions,
-            pc: sysp.pc.finish(),
-            structures,
+            pc: sysp.pc?.finish(),
+            structures: vec![
+                sysp.regs.report(end)?,
+                memp.l1i.report(end)?,
+                memp.l1d.report(end)?,
+                memp.l2.report(end)?,
+                sysp.itlb.report(end)?,
+                sysp.dtlb.report(end)?,
+            ],
+        })
+    }
+
+    /// Attach the read-horizon recorder (see [`ReadHorizon`]) to this
+    /// machine, replacing any observers already attached. Attach before
+    /// the first step of a fault-free run and detach with
+    /// [`System::horizon_take`] after its last. Like the profilers, the
+    /// recorder forces the reference tier and costs unobserved machines
+    /// nothing.
+    pub fn horizon_attach(&mut self) {
+        self.observers_attach(true);
+    }
+
+    /// Detach the recorder and seal what it saw into a [`ReadHorizon`].
+    /// Returns `None` when no recorder was attached.
+    pub fn horizon_take(&mut self) -> Option<ReadHorizon> {
+        let sysp = *self.prof.take()?;
+        let memp = *self.mem.prof.take()?;
+        Some(ReadHorizon {
+            regs: sysp.regs.horizon?,
+            l1i: memp.l1i.horizon?,
+            l1d: memp.l1d.horizon?,
+            l2: memp.l2.horizon?,
+            itlb: sysp.itlb.horizon?,
+            dtlb: sysp.dtlb.horizon?,
+            last_step: sysp.now,
         })
     }
 
@@ -629,21 +660,19 @@ impl<D: Device> System<D> {
         } else {
             self.dtlb.lookup_slot(vpn)
         };
+        if MODE == tier::REF {
+            let cyc = self.cpu.counters.cycles;
+            if let Some(p) = self.prof.as_deref_mut() {
+                let tlb = if is_fetch { &mut p.itlb } else { &mut p.dtlb };
+                match hit {
+                    Some((slot, _)) => tlb.hit(slot, cyc, p.now),
+                    None => tlb.miss(p.now),
+                }
+            }
+        }
         let mut lat = 0;
         let (slot, entry) = match hit {
-            Some((slot, e)) => {
-                if MODE == tier::REF {
-                    let cyc = self.cpu.counters.cycles;
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        if is_fetch {
-                            p.itlb.touch(slot, cyc);
-                        } else {
-                            p.dtlb.touch(slot, cyc);
-                        }
-                    }
-                }
-                (slot, e)
-            }
+            Some(hit) => hit,
             None => {
                 if is_fetch {
                     self.cpu.counters.itlb_miss += 1;
@@ -661,9 +690,9 @@ impl<D: Device> System<D> {
                     let cyc = self.cpu.counters.cycles;
                     if let Some(p) = self.prof.as_deref_mut() {
                         if is_fetch {
-                            p.itlb.fill(slot, cyc, false);
+                            p.itlb.fill(slot, cyc);
                         } else {
-                            p.dtlb.fill(slot, cyc, false);
+                            p.dtlb.fill(slot, cyc);
                         }
                     }
                 }
@@ -929,7 +958,7 @@ impl<D: Device> System<D> {
     /// more carries out the sign bit; ROR carries out bit 31 of the
     /// rotated result (which covers every non-zero amount, including
     /// multiples of 32).
-    fn eval_op2<const MODE: u8>(&self, op2: Operand2) -> Result<(u32, bool), Exception> {
+    fn eval_op2<const MODE: u8>(&mut self, op2: Operand2) -> Result<(u32, bool), Exception> {
         match op2 {
             Operand2::Imm { .. } => Ok((op2.imm_value().unwrap(), self.cpu.cpsr.c)),
             Operand2::Reg(sr) => {
@@ -950,7 +979,30 @@ impl<D: Device> System<D> {
         }
     }
 
-    fn reg_read<const MODE: u8>(&self, r: sea_isa::Reg) -> Result<u32, Exception> {
+    /// Observer hook: register-file word `word` (flat
+    /// [`RegFile::flip_bit`] layout) is read by the step in flight. Every
+    /// register read of the step function goes through here or through an
+    /// accessor below that does.
+    #[inline]
+    fn note_reg_read<const MODE: u8>(&mut self, word: usize) {
+        if MODE == tier::REF {
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.regs.read(word, self.cpu.counters.cycles, p.now);
+            }
+        }
+    }
+
+    /// Observer hook: register-file word `word` is overwritten.
+    #[inline]
+    fn note_reg_write<const MODE: u8>(&mut self, word: usize) {
+        if MODE == tier::REF {
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.regs.write(word, self.cpu.counters.cycles);
+            }
+        }
+    }
+
+    fn reg_read<const MODE: u8>(&mut self, r: sea_isa::Reg) -> Result<u32, Exception> {
         if r == sea_isa::Reg::Pc {
             // AR32 forbids pc as a data operand; a bit flip that turns a
             // register field into r15 therefore faults, like a corrupted
@@ -958,12 +1010,8 @@ impl<D: Device> System<D> {
             return Err(Exception::Undefined { word: 0xFFFF });
         }
         if MODE == tier::REF {
-            if let Some(p) = self.prof.as_deref() {
-                p.regs.borrow_mut().touch(
-                    RegFile::word_index(r, self.cpu.cpsr.mode),
-                    self.cpu.counters.cycles,
-                );
-            }
+            // Tested here too so the other tiers never compute the index.
+            self.note_reg_read::<MODE>(RegFile::word_index(r, self.cpu.cpsr.mode));
         }
         Ok(self.cpu.regs.get(r, self.cpu.cpsr.mode))
     }
@@ -973,18 +1021,30 @@ impl<D: Device> System<D> {
             return Err(Exception::Undefined { word: 0xFFFF });
         }
         if MODE == tier::REF {
-            if let Some(p) = self.prof.as_deref() {
-                // A write is a def: it closes the old value's interval (its
-                // last read bounds its ACE time) and opens a new one.
-                p.regs.borrow_mut().fill(
-                    RegFile::word_index(r, self.cpu.cpsr.mode),
-                    self.cpu.counters.cycles,
-                    false,
-                );
-            }
+            self.note_reg_write::<MODE>(RegFile::word_index(r, self.cpu.cpsr.mode));
         }
         self.cpu.regs.set(r, self.cpu.cpsr.mode, v);
         Ok(())
+    }
+
+    fn freg_read<const MODE: u8>(&mut self, r: sea_isa::FReg) -> f32 {
+        self.note_reg_read::<MODE>(16 + r.index());
+        self.cpu.regs.fget(r)
+    }
+
+    fn freg_read_bits<const MODE: u8>(&mut self, r: sea_isa::FReg) -> u32 {
+        self.note_reg_read::<MODE>(16 + r.index());
+        self.cpu.regs.fget_bits(r)
+    }
+
+    fn freg_write<const MODE: u8>(&mut self, r: sea_isa::FReg, v: f32) {
+        self.note_reg_write::<MODE>(16 + r.index());
+        self.cpu.regs.fset(r, v);
+    }
+
+    fn freg_write_bits<const MODE: u8>(&mut self, r: sea_isa::FReg, bits: u32) {
+        self.note_reg_write::<MODE>(16 + r.index());
+        self.cpu.regs.fset_bits(r, bits);
     }
 
     fn require_svc(&self, word: u32) -> Result<(), Exception> {
@@ -1009,19 +1069,35 @@ impl<D: Device> System<D> {
         let out = if self.fast.is_some() && self.prof.is_none() && self.cpu.trace.is_none() {
             self.step_exec::<{ tier::FAST }>()
         } else {
-            self.step_exec::<{ tier::REF }>()
+            self.step_ref()
         };
         // Same zero-cost-when-off shape as sea-trace: one relaxed atomic
         // load, and the profiler slot is `None` on campaign machines.
         if sea_profile::enabled() {
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.pc.step(pc, sample_counters(&self.cpu.counters));
+            if let Some(pcs) = self.prof.as_deref_mut().and_then(|p| p.pc.as_mut()) {
+                pcs.step(pc, sample_counters(&self.cpu.counters));
             }
         }
         if self.probe.is_some() {
             self.drain_probe();
         }
         out
+    }
+
+    /// One step on the reference tier. Kept out of line so that nothing an
+    /// observer hook adds to this build can perturb the code generated for
+    /// the fast tier, which [`System::step`] inlines.
+    #[inline(never)]
+    fn step_ref(&mut self) -> StepOutcome {
+        // What the read horizon stamps this step's reads with. (Both
+        // observer boxes are attached and taken together.)
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.now = self.cpu.counters.cycles + 1;
+            if let Some(m) = self.mem.prof.as_deref_mut() {
+                m.now = p.now;
+            }
+        }
+        self.step_exec::<{ tier::REF }>()
     }
 
     /// The interrupt stage, shared by both execution tiers: WFI idling
@@ -1910,23 +1986,23 @@ impl<D: Device> System<D> {
                 Ok(Flow::Jump(target))
             }
             Insn::FpArith { op, sd, sn, sm, .. } => {
-                let a = self.cpu.regs.fget(sn);
-                let b = self.cpu.regs.fget(sm);
+                let a = self.freg_read::<MODE>(sn);
+                let b = self.freg_read::<MODE>(sm);
                 let (v, cyc) = match op {
                     FpArithOp::Add => (a + b, fp_lat),
                     FpArithOp::Sub => (a - b, fp_lat),
                     FpArithOp::Mul => (a * b, fp_lat),
                     FpArithOp::Div => (a / b, fdiv_lat),
-                    FpArithOp::Mac => (self.cpu.regs.fget(sd) + a * b, fp_lat + 1),
+                    FpArithOp::Mac => (self.freg_read::<MODE>(sd) + a * b, fp_lat + 1),
                     FpArithOp::Min => (a.min(b), fp_lat),
                     FpArithOp::Max => (a.max(b), fp_lat),
                 };
                 self.cpu.counters.cycles += cyc as u64;
-                self.cpu.regs.fset(sd, v);
+                self.freg_write::<MODE>(sd, v);
                 Ok(Flow::Next)
             }
             Insn::FpUnary { op, sd, sm, .. } => {
-                let a = self.cpu.regs.fget(sm);
+                let a = self.freg_read::<MODE>(sm);
                 let (v, cyc) = match op {
                     FpUnaryOp::Abs => (a.abs(), fp_lat),
                     FpUnaryOp::Neg => (-a, fp_lat),
@@ -1934,13 +2010,13 @@ impl<D: Device> System<D> {
                     FpUnaryOp::Mov => (a, 1),
                 };
                 self.cpu.counters.cycles += cyc as u64;
-                self.cpu.regs.fset(sd, v);
+                self.freg_write::<MODE>(sd, v);
                 Ok(Flow::Next)
             }
             Insn::FpCmp { sn, sm, .. } => {
                 self.cpu.counters.cycles += fp_lat as u64;
-                let a = self.cpu.regs.fget(sn);
-                let b = self.cpu.regs.fget(sm);
+                let a = self.freg_read::<MODE>(sn);
+                let b = self.freg_read::<MODE>(sm);
                 // VCMP + VMRS flag mapping.
                 let (n, z, c, v) = match a.partial_cmp(&b) {
                     Some(std::cmp::Ordering::Less) => (true, false, false, false),
@@ -1956,7 +2032,7 @@ impl<D: Device> System<D> {
             }
             Insn::FpToInt { rd, sm, .. } => {
                 self.cpu.counters.cycles += fp_lat as u64;
-                let a = self.cpu.regs.fget(sm);
+                let a = self.freg_read::<MODE>(sm);
                 let v = if a.is_nan() {
                     0
                 } else {
@@ -1968,19 +2044,19 @@ impl<D: Device> System<D> {
             Insn::IntToFp { sd, rm, .. } => {
                 self.cpu.counters.cycles += fp_lat as u64;
                 let v = self.reg_read::<MODE>(rm)? as i32;
-                self.cpu.regs.fset(sd, v as f32);
+                self.freg_write::<MODE>(sd, v as f32);
                 Ok(Flow::Next)
             }
             Insn::FpToCore { rd, sn, .. } => {
                 self.cpu.counters.cycles += 1;
-                let bits = self.cpu.regs.fget_bits(sn);
+                let bits = self.freg_read_bits::<MODE>(sn);
                 self.reg_write::<MODE>(rd, bits)?;
                 Ok(Flow::Next)
             }
             Insn::CoreToFp { sd, rn, .. } => {
                 self.cpu.counters.cycles += 1;
                 let bits = self.reg_read::<MODE>(rn)?;
-                self.cpu.regs.fset_bits(sd, bits);
+                self.freg_write_bits::<MODE>(sd, bits);
                 Ok(Flow::Next)
             }
             Insn::FpMem {
@@ -1991,9 +2067,9 @@ impl<D: Device> System<D> {
                 let vaddr = base.wrapping_add(4 * imm6 as u32);
                 if load {
                     let v = self.read_mem::<MODE>(vaddr, MemSize::Word)?;
-                    self.cpu.regs.fset_bits(sd, v);
+                    self.freg_write_bits::<MODE>(sd, v);
                 } else {
-                    let v = self.cpu.regs.fget_bits(sd);
+                    let v = self.freg_read_bits::<MODE>(sd);
                     self.write_mem::<MODE>(vaddr, MemSize::Word, v)?;
                 }
                 Ok(Flow::Next)
@@ -2016,7 +2092,13 @@ impl<D: Device> System<D> {
                     SysReg::Esr => self.cpu.esr,
                     SysReg::Far => self.cpu.far,
                     SysReg::Ttbr => self.cpu.ttbr,
-                    SysReg::SpUsr => self.cpu.regs.sp_usr(),
+                    SysReg::SpUsr => {
+                        self.note_reg_read::<MODE>(RegFile::word_index(
+                            sea_isa::Reg::Sp,
+                            Mode::User,
+                        ));
+                        self.cpu.regs.sp_usr()
+                    }
                     SysReg::CacheOp => 0,
                 };
                 self.reg_write::<MODE>(rd, v)?;
@@ -2050,7 +2132,13 @@ impl<D: Device> System<D> {
                             }
                         }
                     }
-                    SysReg::SpUsr => self.cpu.regs.set_sp_usr(v),
+                    SysReg::SpUsr => {
+                        self.note_reg_write::<MODE>(RegFile::word_index(
+                            sea_isa::Reg::Sp,
+                            Mode::User,
+                        ));
+                        self.cpu.regs.set_sp_usr(v);
+                    }
                     SysReg::CacheOp => {
                         if v & 1 != 0 {
                             self.mem.clean_invalidate_all();
@@ -2149,7 +2237,7 @@ impl<D: Device + Snapshot> Snapshot for System<D> {
             dtlb: Tlb::load(r)?,
             dev: D::load(r)?,
             probe: None,
-            prof: None,
+            prof: Observers::DETACHED,
             fast: None,
             warp: None,
         })

@@ -211,15 +211,23 @@ impl Tlb {
         self.entries.len() as u64 * 64
     }
 
+    /// What [`Tlb::flip_bit`] would report for `bit`, without flipping it:
+    /// whether it lies in the tag (VPN) region and whether its entry is
+    /// valid now.
+    pub fn bit_info(&self, bit: u64) -> (bool, bool) {
+        assert!(bit < self.total_bits(), "TLB bit index out of range");
+        (
+            TlbEntry::bit_is_tag((bit % 64) as u32),
+            self.entries[(bit / 64) as usize].valid(),
+        )
+    }
+
     /// Flips one bit; returns whether it fell in the tag (VPN) region and
     /// whether the entry was valid.
     pub fn flip_bit(&mut self, bit: u64) -> (bool, bool) {
-        assert!(bit < self.total_bits(), "TLB bit index out of range");
-        let idx = (bit / 64) as usize;
-        let within = (bit % 64) as u32;
-        let was_valid = self.entries[idx].valid();
-        self.entries[idx].0 ^= 1 << within;
-        (TlbEntry::bit_is_tag(within), was_valid)
+        let info = self.bit_info(bit);
+        self.entries[(bit / 64) as usize].0 ^= 1 << (bit % 64);
+        info
     }
 
     /// Number of valid entries.

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sea_microarch::System;
+use sea_microarch::{ReadHorizon, System};
 use sea_snapshot::{
     decode_checkpoint, encode_checkpoint, CheckpointMeta, SnapError, SnapReader, SnapWriter,
     Snapshot,
@@ -205,6 +205,9 @@ pub struct CheckpointSet {
     /// How the golden run behind these checkpoints ended (terminal cycle
     /// and outcome), once [`CheckpointSet::seal`]ed.
     golden_end: Option<(u64, RunOutcome)>,
+    /// What that golden run read, and when for the last time — sealed in
+    /// with its ending.
+    horizon: Option<ReadHorizon>,
     restores: AtomicU64,
     prefix_cycles_saved: AtomicU64,
 }
@@ -248,8 +251,11 @@ impl CheckpointSet {
     /// Records how the golden run that produced these checkpoints ended.
     /// This is what arms the reconvergence cut: a run that provably
     /// rejoins the golden path is credited with this ending
-    /// ([`CheckpointSet::golden_end`]).
-    pub fn seal(&mut self, golden: &GoldenRun) {
+    /// ([`CheckpointSet::golden_end`]). With the run's read `horizon`
+    /// ([`crate::golden_run_tracked`]) it also arms dead-cell pruning
+    /// ([`CheckpointSet::horizon`]); `None` leaves that filter off.
+    pub fn seal(&mut self, golden: &GoldenRun, horizon: Option<ReadHorizon>) {
+        self.horizon = horizon;
         self.golden_end = Some((
             golden.cycles,
             RunOutcome::Exited {
@@ -279,6 +285,14 @@ impl CheckpointSet {
     pub fn golden_end(&self, limits: RunLimits) -> Option<(u64, &RunOutcome)> {
         let (end, outcome) = self.golden_end.as_ref()?;
         (*end <= limits.max_cycles).then_some((*end, outcome))
+    }
+
+    /// The sealed golden run's read horizon: a strike that flips only
+    /// cells it reports unread from the strike cycle on leaves a machine
+    /// that finishes exactly as the golden run does
+    /// ([`CheckpointSet::golden_end`]) — there is nothing to simulate.
+    pub fn horizon(&self) -> Option<&ReadHorizon> {
+        self.horizon.as_ref()
     }
 
     /// Restores the nearest checkpoint at or before `cycle`, or `None` if
@@ -440,13 +454,18 @@ impl EpochRecorder {
     }
 
     /// Finishes the collection into a shareable set, sealed with the
-    /// ending of the golden run it was collected from.
-    pub(crate) fn into_set(self, golden: &GoldenRun) -> CheckpointSet {
+    /// ending and the read horizon of the golden run it was collected
+    /// from.
+    pub(crate) fn into_set(
+        self,
+        golden: &GoldenRun,
+        horizon: Option<ReadHorizon>,
+    ) -> CheckpointSet {
         let mut set = CheckpointSet::new();
         for ckpt in self.taken {
             set.push(ckpt);
         }
-        set.seal(golden);
+        set.seal(golden, horizon);
         set
     }
 }
@@ -498,6 +517,21 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_checkpoint_of_an_observed_machine_carries_no_tracker() {
+        let mut sys = tiny_sys();
+        sys.horizon_attach();
+        let ckpt = Checkpoint::capture(&sys);
+        assert!(ckpt.restore().horizon_take().is_none());
+        // ... so it can be serialized: `save` insists observers are detached.
+        let bytes = ckpt.encode(1, 2);
+        assert!(Checkpoint::decode(&bytes, 1, 2).is_ok());
+        assert!(
+            sys.horizon_take().is_some(),
+            "the live machine keeps its own"
+        );
     }
 
     #[test]

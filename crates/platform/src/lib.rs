@@ -11,7 +11,8 @@
 //! * [`run_until_reconverged`] — the same, ending early as the golden run
 //!   once the machine's live state equals a golden checkpoint.
 //! * [`classify`] / [`FaultClass`] — the paper's four effect classes.
-//! * [`golden_run`] — fault-free reference execution.
+//! * [`golden_run`] — fault-free reference execution;
+//!   [`golden_run_tracked`] also records what it read last, and when.
 //! * [`golden_run_with_checkpoints`] / [`CheckpointSet`] — epoch
 //!   checkpoints of the reference run, restored by injection campaigns to
 //!   skip the fault-free prefix (the gem5-checkpoint workflow of the
@@ -32,7 +33,7 @@ pub use checkpoint::{
 };
 pub use profile::profiled_golden_run;
 pub use run::{
-    boot, classify, golden_run, golden_run_with_checkpoints, postmortem, run,
+    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints, postmortem, run,
     run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass, GoldenError,
     GoldenRun, RunLimits, RunOutcome, SysCrashKind,
 };

@@ -5,7 +5,7 @@ use std::fmt;
 
 use sea_isa::Image;
 use sea_kernel::{install, BootInfo, InstallError, KernelConfig};
-use sea_microarch::{MachineConfig, StepOutcome, System};
+use sea_microarch::{MachineConfig, ReadHorizon, StepOutcome, System};
 use sea_trace::{event, Counter, Level, Subsystem};
 
 use crate::board::Board;
@@ -462,11 +462,34 @@ pub fn golden_run(
     kernel: &KernelConfig,
     budget_cycles: u64,
 ) -> Result<GoldenRun, GoldenError> {
-    golden_run_observed(machine, user, kernel, budget_cycles, None)
+    Ok(golden_run_observed(machine, user, kernel, budget_cycles, None, false)?.0)
+}
+
+/// [`golden_run`] that additionally records the run's read horizon
+/// ([`ReadHorizon`]): for every injectable cell, the last step that read
+/// it. The recorder is a pure observer on the reference tier, so the
+/// returned [`GoldenRun`] is exactly [`golden_run`]'s.
+///
+/// # Errors
+///
+/// Same failure modes as [`golden_run`].
+pub fn golden_run_tracked(
+    machine: MachineConfig,
+    user: &Image,
+    kernel: &KernelConfig,
+    budget_cycles: u64,
+) -> Result<(GoldenRun, ReadHorizon), GoldenError> {
+    let (golden, horizon) = golden_run_observed(machine, user, kernel, budget_cycles, None, true)?;
+    Ok((
+        golden,
+        horizon.expect("recorder attached for the whole run"),
+    ))
 }
 
 /// [`golden_run`] that additionally captures epoch checkpoints while the
-/// reference execution runs, for prefix-sharing injection campaigns.
+/// reference execution runs, for prefix-sharing injection campaigns, and
+/// seals the set with the run's ending and read horizon (as
+/// [`golden_run_tracked`] records it).
 ///
 /// `interval` is the initial epoch stride in cycles (0 = auto). The stride
 /// adapts to the run's actual length, so the set stays small whatever the
@@ -484,8 +507,9 @@ pub fn golden_run_with_checkpoints(
     interval: u64,
 ) -> Result<(GoldenRun, CheckpointSet), GoldenError> {
     let mut rec = EpochRecorder::new(interval);
-    let golden = golden_run_observed(machine, user, kernel, budget_cycles, Some(&mut rec))?;
-    let set = rec.into_set(&golden);
+    let (golden, horizon) =
+        golden_run_observed(machine, user, kernel, budget_cycles, Some(&mut rec), true)?;
+    let set = rec.into_set(&golden, horizon);
     Ok((golden, set))
 }
 
@@ -495,12 +519,16 @@ fn golden_run_observed(
     kernel: &KernelConfig,
     budget_cycles: u64,
     mut epochs: Option<&mut EpochRecorder>,
-) -> Result<GoldenRun, GoldenError> {
+    track_reads: bool,
+) -> Result<(GoldenRun, Option<ReadHorizon>), GoldenError> {
     let (mut sys, boot) = boot(machine, user, kernel).map_err(GoldenError::Install)?;
     if let Some(rec) = epochs.as_deref_mut() {
         // The post-install, pre-run machine: the floor checkpoint every
         // injection cycle can fall back to.
         rec.epoch_zero(&sys);
+    }
+    if track_reads {
+        sys.horizon_attach();
     }
     let limits = RunLimits {
         max_cycles: budget_cycles,
@@ -508,7 +536,9 @@ fn golden_run_observed(
         wall_ms: 0,
     };
     let span = sea_trace::span(Subsystem::Platform, Level::Info, "platform.golden");
-    match run_observed(&mut sys, limits, epochs, None).0 {
+    let outcome = run_observed(&mut sys, limits, epochs, None).0;
+    let horizon = sys.horizon_take();
+    match outcome {
         RunOutcome::Exited {
             code: 0,
             output,
@@ -519,14 +549,15 @@ fn golden_run_observed(
                 s.field("instructions", sys.cpu.counters.instructions);
                 s.field("output_bytes", output.len());
             }
-            Ok(GoldenRun {
+            let golden = GoldenRun {
                 output,
                 exit_code: 0,
                 cycles: sys.cycles(),
                 instructions: sys.cpu.counters.instructions,
                 counters: sys.cpu.counters,
                 boot,
-            })
+            };
+            Ok((golden, horizon))
         }
         other => Err(GoldenError::NotClean(other)),
     }

@@ -5,17 +5,33 @@
 
 use sea_trace::{event, Level, Subsystem};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Counted per thread: the two tests below are serialized by a lock, but
+// libtest's own threads are not, and a process-wide count would let their
+// allocations land inside a measured window. Const-initialized, so reading
+// it never allocates itself; `try_with` because the allocator also runs
+// while a thread's locals are being torn down.
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// The one unsafe block in the workspace's test code: delegating the global
-// allocator to `System` while counting calls.
+fn count_one() {
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call is delegated unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; counting touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -24,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,14 +58,14 @@ fn disabled_tracing_allocates_nothing_per_event() {
     // Warm anything lazily initialized on the first check.
     event!(Subsystem::Microarch, Level::Debug, "warmup"; "k" => 1u64);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for i in 0..10_000u64 {
         event!(Subsystem::Microarch, Level::Debug, "hot.path";
                cycle = i;
                "bit" => i, "component" => "L1D", "owned_would_alloc" => i * 3);
         event!(Subsystem::Injection, Level::Info, "hot.path2"; "x" => i);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -70,12 +86,12 @@ fn enabled_without_sink_still_cheap_per_event_type() {
         event!(Subsystem::Harness, Level::Trace, "warm.ring"; "i" => i);
     }
     sea_trace::flush_thread();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for i in 0..1000u64 {
         event!(Subsystem::Harness, Level::Trace, "steady.ring"; "i" => i);
     }
     sea_trace::flush_thread();
-    let per_event = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / 1000.0;
+    let per_event = (thread_allocations() - before) as f64 / 1000.0;
     // One Vec-of-fields allocation per event is expected; the ring and
     // delivery must add nothing that scales.
     assert!(

@@ -131,3 +131,29 @@ fn predicted_vs_measured_avf_table_renders() {
     assert!(report.contains("hot PCs"), "{report}");
     assert!(report.contains("structure traffic"), "{report}");
 }
+
+/// The predicted RF AVF counts the FP words: FFT keeps FP values live, so
+/// the 48 tracked words together are resident for longer than the 16
+/// integer words could be even if every one of them were live for the
+/// whole run — every cycle beyond that is an interval a hooked FP def
+/// opened and hooked FP reads extend. CRC32 never touches an FP register
+/// and stays under that bound.
+#[test]
+fn predicted_rf_avf_counts_fp_words() {
+    let rf_of = |w: Workload| {
+        let built = w.build(Scale::Tiny);
+        let (_, profile) = profiled_golden_run(
+            machine(),
+            &built.image,
+            &KernelConfig::default(),
+            500_000_000,
+        )
+        .expect("profiled golden");
+        profile.structures[0].clone()
+    };
+    let (fft, crc) = (rf_of(Workload::Fft), rf_of(Workload::Crc32));
+    assert_eq!((fft.name.as_str(), fft.slots), ("RF", 48));
+    assert!(fft.resident_cycles > 16 * fft.total_cycles, "{fft:?}");
+    assert!(crc.resident_cycles <= 16 * crc.total_cycles, "{crc:?}");
+    assert!(fft.predicted_avf() > 0.0 && fft.predicted_avf() < 1.0);
+}
