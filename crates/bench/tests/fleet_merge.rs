@@ -220,10 +220,10 @@ fn killing_a_worker_mid_campaign_still_merges_byte_identical() {
     let mut victim = fleet.spawn_worker();
     let survivor = fleet.spawn_worker();
 
-    // Kill the victim as soon as any shard journal holds a record, i.e.
-    // genuinely mid-campaign (falls back to an immediate kill if the study
-    // somehow finishes first — the merge contract must hold either way).
+    // Kill the victim as soon as any shard journal exists, i.e. genuinely
+    // mid-campaign.
     let study_dir = root.join("fleet").join(&id);
+    let merged_path = study_dir.join("merged").join(format!("{SLUG}.inject.seaj"));
     let deadline = Instant::now() + Duration::from_secs(60);
     while Instant::now() < deadline {
         let journaled = shard_dirs(&study_dir)
@@ -236,12 +236,15 @@ fn killing_a_worker_mid_campaign_still_merges_byte_identical() {
     }
     victim.kill().unwrap();
     let _ = victim.wait();
+    assert!(
+        !merged_path.exists(),
+        "the kill landed after the merge, so it tested nothing; raise samples"
+    );
 
     fleet.wait_done(&id, Duration::from_secs(120));
     let mut survivor = survivor;
     let _ = survivor.wait();
 
-    let merged_path = study_dir.join("merged").join(format!("{SLUG}.inject.seaj"));
     let merged = std::fs::read(&merged_path).unwrap();
     assert_eq!(
         merged, reference,

@@ -16,6 +16,14 @@
 //! index space is covered (or its margins converge), the deterministic
 //! merge that folds the shard journals into one file — byte-identical to
 //! a single-process campaign's when coverage was exhaustive.
+//!
+//! Nothing here sleeps on a fixed interval. The active-study state carries
+//! a condition variable that every completion, requeue, margin stop,
+//! departing worker, drain, submit and phase change notifies. A `claim`
+//! (or `hello`) with nothing to hand out is held open on it — a long poll
+//! of at most [`LONG_POLL`] — and answered the moment a block frees up or
+//! the study ends; the scheduler wakes on it to merge as soon as the
+//! ledger completes; the drain wakes on it as workers say goodbye.
 
 use crate::ledger::Ledger;
 use crate::merge::{merge_shard_journals, scan_done};
@@ -27,7 +35,9 @@ use sea_core::{FaultClass, StudySpec};
 use sea_injection::convergence::strata_json;
 use sea_injection::stats::Z_99;
 use sea_injection::supervisor::fnv1a;
-use sea_injection::{stop_requested, ConvergenceTracker, JournalFormat};
+use sea_injection::{
+    open_journal, stop_requested, CampaignPlan, ConvergenceTracker, JournalFormat, JournalSpec,
+};
 use sea_microarch::{NullDevice, System};
 use sea_profile::PromWriter;
 use sea_trace::json::ObjWriter;
@@ -39,11 +49,24 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Scheduler poll interval (stall sweep, child reaping, completion check).
-const POLL: Duration = Duration::from_millis(50);
+/// Longest the scheduler waits on [`Shared::changed`]. Completions,
+/// requeues, margin stops and submits all notify it; the bound only
+/// covers what raises no event — the process-wide stop flag, a child
+/// process exiting, the stall watchdog.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Longest a `hello` or `claim` with nothing to hand out is held open
+/// before it is answered `wait` (and the worker asks again at once). It
+/// bounds how late a worker sees its own stop flag.
+const LONG_POLL: Duration = Duration::from_millis(200);
+
+/// How often `wind_down` re-checks a worker that has already said
+/// goodbye: its process exits a moment after its socket closes, and that
+/// exit raises no event.
+const REAP_TICK: Duration = Duration::from_millis(2);
 
 /// How long `wind_down` waits for workers to exit cleanly before killing.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
@@ -129,13 +152,18 @@ struct Active {
 }
 
 /// State shared between the scheduler, worker connections and the HTTP
-/// surface. Lock order where both are held: `studies` before `active`.
+/// surface. Lock order where both are held: `active` before `studies`.
 struct Shared {
     cfg: DaemonConfig,
     reg: Registry,
     addr: SocketAddr,
     studies: Mutex<Vec<StudyRec>>,
     active: Mutex<Option<Active>>,
+    /// Paired with `active`; notified on every change a waiter may be
+    /// blocked on: ledger progress or completion, a requeue, a margin
+    /// stop, a worker leaving, the draining flag, a submit or phase change.
+    /// Long-polled claims, the scheduler and the drain all wait on it.
+    changed: Condvar,
     /// Telemetry aggregation (leaf lock; see `telemetry` module docs).
     board: TelemetryBoard,
     draining: AtomicBool,
@@ -180,7 +208,89 @@ fn ack(id: &str, state: &str) -> String {
 }
 
 impl Shared {
+    // ---- change notification ---------------------------------------------
+
+    /// Wake every thread waiting on [`Shared::changed`]. The `active` lock
+    /// is taken first, so a waiter that checked its condition under it
+    /// cannot miss the change. Callers must not hold `studies`.
+    fn wake(&self) {
+        let _held = lock(&self.active);
+        self.changed.notify_all();
+    }
+
+    /// Wait on [`Shared::changed`] for at most `timeout`.
+    fn wait<'a>(
+        &self,
+        guard: MutexGuard<'a, Option<Active>>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, Option<Active>> {
+        match self.changed.wait_timeout(guard, timeout) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        }
+    }
+
+    /// Replace the active workload and wake everyone waiting on it.
+    fn set_active(&self, next: Option<Active>) {
+        *lock(&self.active) = next;
+        self.changed.notify_all();
+    }
+
+    /// True when no study is queued or running: a welcomed worker then
+    /// has nothing left to wait for.
+    fn idle(&self) -> bool {
+        !lock(&self.studies)
+            .iter()
+            .any(|s| matches!(s.phase, Phase::Queued | Phase::Running(_)))
+    }
+
     // ---- worker socket ---------------------------------------------------
+
+    /// Long-poll: answer with `decide`'s reply as soon as it has one,
+    /// asking again after every change to the active-study state. After
+    /// [`LONG_POLL`] with nothing to hand out, tell the worker to ask
+    /// again at once.
+    fn long_poll(
+        &self,
+        mut decide: impl FnMut(&mut Option<Active>) -> Option<ToWorker>,
+    ) -> ToWorker {
+        let deadline = Instant::now() + LONG_POLL;
+        let mut active = lock(&self.active);
+        loop {
+            if let Some(reply) = decide(&mut active) {
+                return reply;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return ToWorker::Wait { ms: 0 };
+            }
+            active = self.wait(active, left);
+        }
+    }
+
+    /// The answer to shard `k`'s claim right now, or `None` while there is
+    /// nothing to grant yet (everything granted, or between workloads).
+    fn try_claim(&self, active: &mut Option<Active>, k: u32, study: &str) -> Option<ToWorker> {
+        match active.as_mut() {
+            None => {
+                (self.draining.load(Ordering::Acquire) || self.idle()).then_some(ToWorker::Exit)
+            }
+            // A worker welcomed under an earlier study must not execute
+            // grants of a different one — its journal dir and plan would
+            // be wrong.
+            Some(a) if a.study_id != study => Some(ToWorker::Exit),
+            Some(a) if a.stopped => Some(ToWorker::Exit),
+            Some(a) => {
+                let (start, end) = a.ledger.claim(k, u64::from(self.cfg.workers.max(1)))?;
+                self.blocks_granted.fetch_add(1, Ordering::Relaxed);
+                Some(ToWorker::Grant {
+                    wl: a.wl,
+                    start,
+                    end,
+                })
+            }
+        }
+    }
 
     /// Serve one worker connection until EOF/`bye`. Any abrupt end
     /// requeues everything granted to the connection's shard.
@@ -196,89 +306,29 @@ impl Shared {
                 break;
             };
             let reply = match msg {
-                ToDaemon::Hello => {
+                ToDaemon::Hello => self.long_poll(|active| {
                     if self.draining.load(Ordering::Acquire) {
-                        ToWorker::Exit
-                    } else {
-                        match lock(&self.active).as_ref() {
-                            Some(a) => {
-                                let k = self.next_shard.fetch_add(1, Ordering::AcqRel);
-                                shard = Some(k);
-                                study = a.study_id.clone();
-                                ToWorker::Welcome {
-                                    shard: k,
-                                    dir: a.dir.display().to_string(),
-                                    spec: a.canonical.clone(),
-                                }
-                            }
-                            // Nothing to hand out yet; the worker retries
-                            // its hello without burning a shard number.
-                            None => ToWorker::Wait { ms: 200 },
-                        }
+                        return Some(ToWorker::Exit);
                     }
-                }
+                    // With nothing to hand out yet, the worker waits
+                    // without burning a shard number.
+                    let a = active.as_ref()?;
+                    let k = self.next_shard.fetch_add(1, Ordering::AcqRel);
+                    shard = Some(k);
+                    study = a.study_id.clone();
+                    Some(ToWorker::Welcome {
+                        shard: k,
+                        dir: a.dir.display().to_string(),
+                        spec: a.canonical.clone(),
+                    })
+                }),
                 ToDaemon::Claim => {
                     let Some(k) = shard else {
                         // Protocol violation; cut the worker loose.
                         let _ = proto::send(&mut w, &ToWorker::Exit.encode());
                         break;
                     };
-                    // With no study queued or running, a welcomed worker
-                    // has nothing left to wait for.
-                    let idle = {
-                        let studies = lock(&self.studies);
-                        !studies
-                            .iter()
-                            .any(|s| matches!(s.phase, Phase::Queued | Phase::Running(_)))
-                    };
-                    let mut active = lock(&self.active);
-                    match active.as_mut() {
-                        None => {
-                            if self.draining.load(Ordering::Acquire) || idle {
-                                ToWorker::Exit
-                            } else {
-                                ToWorker::Wait { ms: 200 }
-                            }
-                        }
-                        // A worker welcomed under an earlier study must
-                        // not execute grants of a different one — its
-                        // journal dir and plan would be wrong.
-                        Some(a) if a.study_id != study => ToWorker::Exit,
-                        Some(a) => {
-                            // Fleet-wide convergence early stop: once every
-                            // stratum's adjusted margin is under the spec's
-                            // threshold, stop granting — workers drain via
-                            // `exit` and the scheduler merges what exists.
-                            if !a.stopped
-                                && a.stop_at_margin.is_some_and(|m| a.tracker.converged(m))
-                            {
-                                a.stopped = true;
-                                event!(Subsystem::Harness, Level::Info, "fleet.margin_stop";
-                                       "study" => a.study_id.clone(),
-                                       "workload" => a.workload.clone(),
-                                       "done" => a.ledger.done_count(),
-                                       "total" => a.ledger.total(),
-                                       "margin_adjusted" => a.tracker.max_adjusted_margin());
-                            }
-                            if a.stopped {
-                                ToWorker::Exit
-                            } else if a.ledger.complete() {
-                                ToWorker::Wait { ms: 100 }
-                            } else {
-                                match a.ledger.claim(k, u64::from(self.cfg.workers.max(1))) {
-                                    Some((start, end)) => {
-                                        self.blocks_granted.fetch_add(1, Ordering::Relaxed);
-                                        ToWorker::Grant {
-                                            wl: a.wl,
-                                            start,
-                                            end,
-                                        }
-                                    }
-                                    None => ToWorker::Wait { ms: 150 },
-                                }
-                            }
-                        }
-                    }
+                    self.long_poll(|active| self.try_claim(active, k, &study))
                 }
                 ToDaemon::Done {
                     wl,
@@ -304,6 +354,8 @@ impl Shared {
                                             }
                                         }
                                     }
+                                    margin_stop(a);
+                                    self.changed.notify_all();
                                 }
                             }
                         }
@@ -357,29 +409,34 @@ impl Shared {
         }
         if let Some(k) = shard {
             self.board.mark_gone(k, clean);
-            let mut active = lock(&self.active);
-            if let Some(a) = active.as_mut() {
-                if a.study_id == study {
-                    let n = a.ledger.requeue_shard(k);
-                    if n > 0 {
-                        self.requeued_death.fetch_add(n, Ordering::Relaxed);
-                        event!(Subsystem::Harness, Level::Warn, "fleet.shard_requeued";
-                               "shard" => u64::from(k),
-                               "indices" => n,
-                               "clean_bye" => clean);
-                    }
+        }
+        // A worker leaving wakes the drain as well as any claim that can
+        // now steal its requeued blocks.
+        let mut active = lock(&self.active);
+        if let (Some(k), Some(a)) = (shard, active.as_mut()) {
+            if a.study_id == study {
+                let n = a.ledger.requeue_shard(k);
+                if n > 0 {
+                    self.requeued_death.fetch_add(n, Ordering::Relaxed);
+                    event!(Subsystem::Harness, Level::Warn, "fleet.shard_requeued";
+                           "shard" => u64::from(k),
+                           "indices" => n,
+                           "clean_bye" => clean);
                 }
             }
         }
+        self.changed.notify_all();
     }
 
     // ---- scheduler -------------------------------------------------------
 
     fn set_phase(&self, id: &str, phase: Phase) {
-        let mut studies = lock(&self.studies);
-        if let Some(s) = studies.iter_mut().find(|s| s.id == id) {
+        if let Some(s) = lock(&self.studies).iter_mut().find(|s| s.id == id) {
             s.phase = phase;
         }
+        // A held claim with no active workload answers `exit` once no
+        // study is left queued or running.
+        self.wake();
     }
 
     fn spawn_one(&self) -> std::io::Result<Child> {
@@ -446,23 +503,51 @@ impl Shared {
         }
     }
 
-    /// Drain the fleet: flip the draining flag (claims and hellos now get
-    /// `exit`), give workers [`DRAIN_TIMEOUT`] to leave, kill stragglers.
+    /// Drain the fleet: flip the draining flag (claims and hellos, held
+    /// or new, now get `exit`), give workers [`DRAIN_TIMEOUT`] to leave,
+    /// kill stragglers.
     fn wind_down(&self, mut children: Vec<Child>) {
         self.draining.store(true, Ordering::Release);
+        self.wake();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while Instant::now() < deadline {
+        let mut active = lock(&self.active);
+        loop {
             children.retain_mut(|c| !matches!(c.try_wait(), Ok(Some(_))));
-            if children.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if children.is_empty() || left.is_zero() {
                 break;
             }
-            std::thread::sleep(POLL);
+            active = self.wait(active, left.min(REAP_TICK));
         }
+        drop(active);
         for c in &mut children {
             let _ = c.kill();
             let _ = c.wait();
         }
         self.draining.store(false, Ordering::Release);
+    }
+
+    /// A workload that plans no runs gets no grant, so no worker opens a
+    /// shard journal for it. The daemon opens one as a shard of its own —
+    /// header only, the bytes a single-process campaign of zero runs
+    /// writes — so the merge has the identity header to emit.
+    fn empty_shard(&self, id: &str, spec: &StudySpec, w: Workload) -> Result<(), String> {
+        let built = w.build(spec.study.scale);
+        let cfg = spec.study.injection_config_for(w);
+        let plan =
+            CampaignPlan::new(w.name(), &built, &cfg).map_err(|e| format!("plan for {w}: {e}"))?;
+        let jspec = JournalSpec {
+            dir: self
+                .reg
+                .shard_dir(id, self.next_shard.fetch_add(1, Ordering::AcqRel)),
+            resume: false,
+            format: JournalFormat::Binary,
+            fsync: spec.study.journal_fsync,
+        };
+        let (journal, _) =
+            open_journal(&jspec, &plan.header()).map_err(|e| format!("journal: {e}"))?;
+        journal.sync();
+        Ok(())
     }
 
     /// Drive one study to completion (or to a stop-flag pause / failure).
@@ -500,7 +585,7 @@ impl Shared {
                         .map(|&c| (c.short_name().to_string(), probe.component_bits(c))),
                 );
                 self.set_phase(id, Phase::Running(k as u32));
-                *lock(&self.active) = Some(Active {
+                self.set_active(Some(Active {
                     study_id: id.to_string(),
                     canonical: canonical.to_string(),
                     dir: self.reg.study_dir(id),
@@ -511,18 +596,17 @@ impl Shared {
                     shard_runs: BTreeMap::new(),
                     stop_at_margin: spec.study.stop_at_margin,
                     stopped: false,
-                });
+                }));
                 if !spawned {
                     self.spawn_fleet(&mut children);
                     spawned = true;
                 }
                 let mut margin_stopped = false;
                 loop {
-                    std::thread::sleep(POLL);
                     if stop_requested() {
                         // Pause, resumable: shard journals keep the done
                         // set; the study re-queues on the next daemon run.
-                        *lock(&self.active) = None;
+                        self.set_active(None);
                         self.wind_down(children);
                         self.set_phase(id, Phase::Queued);
                         event!(Subsystem::Harness, Level::Warn, "fleet.study_paused";
@@ -539,6 +623,7 @@ impl Shared {
                                 event!(Subsystem::Harness, Level::Warn, "fleet.stall_requeued";
                                        "workload" => w.name(),
                                        "indices" => stale);
+                                self.changed.notify_all();
                             }
                             if a.stopped {
                                 margin_stopped = true;
@@ -548,10 +633,11 @@ impl Shared {
                                 break;
                             }
                         }
+                        drop(self.wait(active, TICK));
                     }
                     self.reap(&mut children, &mut respawn_budget);
                 }
-                *lock(&self.active) = None;
+                self.set_active(None);
                 if margin_stopped {
                     // Drain the fleet before merging: exiting workers
                     // fsync and close their shard journals, so the merge
@@ -561,7 +647,15 @@ impl Shared {
                     spawned = false;
                 }
             }
-            match merge_shard_journals(&self.reg.shard_journals(id, w.name()), &merged) {
+            let header = match total {
+                0 => self.empty_shard(id, spec, w),
+                _ => Ok(()),
+            };
+            let merge = header.and_then(|()| {
+                merge_shard_journals(&self.reg.shard_journals(id, w.name()), &merged)
+                    .map_err(|e| e.to_string())
+            });
+            match merge {
                 Ok(audit) => {
                     event!(Subsystem::Harness, Level::Info, "fleet.merged";
                            "workload" => w.name(),
@@ -572,11 +666,11 @@ impl Shared {
                            "torn_bytes" => audit.torn_bytes);
                 }
                 Err(e) => {
-                    self.set_phase(id, Phase::Failed(e.to_string()));
                     event!(Subsystem::Harness, Level::Error, "fleet.merge_failed";
                            "id" => id.to_string(),
                            "workload" => w.name(),
-                           "error" => e.to_string());
+                           "error" => e.clone());
+                    self.set_phase(id, Phase::Failed(e));
                     self.wind_down(children);
                     return;
                 }
@@ -693,6 +787,21 @@ impl Shared {
     }
 }
 
+/// Fleet-wide convergence early stop: once every stratum's adjusted
+/// margin is under the spec's threshold, latch `stopped` — claims get
+/// `exit` from then on and the scheduler merges what exists.
+fn margin_stop(a: &mut Active) {
+    if !a.stopped && a.stop_at_margin.is_some_and(|m| a.tracker.converged(m)) {
+        a.stopped = true;
+        event!(Subsystem::Harness, Level::Info, "fleet.margin_stop";
+               "study" => a.study_id.clone(),
+               "workload" => a.workload.clone(),
+               "done" => a.ledger.done_count(),
+               "total" => a.ledger.total(),
+               "margin_adjusted" => a.tracker.max_adjusted_margin());
+    }
+}
+
 /// Live detail of the active workload (the `active` member of study and
 /// daemon status documents).
 fn active_json(a: &Active) -> String {
@@ -741,6 +850,8 @@ impl sea_observe::StudyApi for Shared {
             spec,
             phase: Phase::Queued,
         });
+        drop(studies);
+        self.wake(); // an idle scheduler picks the study up at once
         Ok(ack(&id, "queued"))
     }
 
@@ -848,6 +959,21 @@ impl sea_observe::StudyApi for Shared {
     }
 }
 
+/// Hand every accepted worker connection to `serve`, with Nagle's
+/// algorithm off: a reply must not wait out the worker's delayed ACK.
+/// Returns once the stop flag is up at an accept.
+pub(crate) fn accept_workers(listener: TcpListener, mut serve: impl FnMut(TcpStream)) {
+    for conn in listener.incoming() {
+        if stop_requested() {
+            break;
+        }
+        let Ok(c) = conn else { continue };
+        // A socket that refuses the option is served anyway, just slower.
+        let _ = c.set_nodelay(true);
+        serve(c);
+    }
+}
+
 /// A running fleet daemon.
 pub struct Daemon {
     shared: Arc<Shared>,
@@ -873,6 +999,7 @@ impl Daemon {
             addr,
             studies: Mutex::new(Vec::new()),
             active: Mutex::new(None),
+            changed: Condvar::new(),
             board: TelemetryBoard::new(),
             draining: AtomicBool::new(false),
             next_shard: AtomicU32::new(0),
@@ -913,16 +1040,12 @@ impl Daemon {
         std::thread::Builder::new()
             .name("fleet-accept".into())
             .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_requested() {
-                        break;
-                    }
-                    let Ok(c) = conn else { continue };
+                accept_workers(listener, |c| {
                     let shared = accept.clone();
                     let _ = std::thread::Builder::new()
                         .name("fleet-conn".into())
                         .spawn(move || shared.serve_worker(c));
-                }
+                })
             })?;
 
         let http = match &shared.cfg.serve {
@@ -974,28 +1097,28 @@ impl Daemon {
     /// Run the scheduler until the process-wide stop flag fires: pick the
     /// first queued study, drive it to completion, repeat. Blocks.
     pub fn run(&self) {
-        loop {
-            if stop_requested() {
-                break;
-            }
-            let next = {
-                let studies = lock(&self.shared.studies);
-                studies
-                    .iter()
-                    .find(|s| matches!(s.phase, Phase::Queued))
-                    .map(|s| (s.id.clone(), s.canonical.clone(), s.spec.clone()))
-            };
+        let shared = &self.shared;
+        while !stop_requested() {
+            // Looked for under the `active` lock, so a submit between the
+            // look and the wait still wakes the wait.
+            let active = lock(&shared.active);
+            let next = lock(&shared.studies)
+                .iter()
+                .find(|s| matches!(s.phase, Phase::Queued))
+                .map(|s| (s.id.clone(), s.canonical.clone(), s.spec.clone()));
             match next {
                 Some((id, canonical, spec)) => {
-                    self.shared.process_study(&id, &canonical, &spec);
+                    drop(active);
+                    shared.process_study(&id, &canonical, &spec);
                 }
-                None => std::thread::sleep(Duration::from_millis(100)),
+                None => drop(shared.wait(active, TICK)),
             }
         }
         // Let any connected workers drain cleanly before the process goes.
-        self.shared.draining.store(true, Ordering::Release);
+        shared.draining.store(true, Ordering::Release);
+        shared.wake();
         event!(Subsystem::Harness, Level::Info, "fleet.daemon_down";
-               "runs_done" => self.shared.runs_done.load(Ordering::Relaxed));
+               "runs_done" => shared.runs_done.load(Ordering::Relaxed));
     }
 }
 
@@ -1008,6 +1131,52 @@ mod tests {
 
     fn tiny_spec() -> &'static str {
         r#"{"scale":"tiny","samples_per_component":3,"threads":1,"suite":["CRC32"]}"#
+    }
+
+    /// The study id out of a submit acknowledgement.
+    fn ack_id(ack: &str) -> String {
+        sea_trace::json::parse(ack)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    }
+
+    /// The single-process, one-thread journal of a one-workload spec,
+    /// written under `dir`.
+    fn reference_journal(spec_json: &str, dir: &std::path::Path) -> Vec<u8> {
+        let spec = StudySpec::from_json(spec_json).unwrap();
+        let w = spec.suite[0];
+        let built = w.build(spec.study.scale);
+        let mut icfg = spec.study.injection_config_for(w);
+        icfg.journal = Some(JournalSpec {
+            dir: dir.to_path_buf(),
+            resume: false,
+            format: JournalFormat::Binary,
+            fsync: Default::default(),
+        });
+        run_campaign(w.name(), &built, &icfg).unwrap();
+        std::fs::read(sea_injection::supervisor::journal_file(
+            dir,
+            "inject",
+            w.name(),
+            JournalFormat::Binary,
+        ))
+        .unwrap()
+    }
+
+    /// Wait (bounded) for a study to reach `done`; its status document.
+    fn await_done(shared: &Shared, id: &str) -> String {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let status = sea_observe::StudyApi::status(shared, id).unwrap();
+            if status.contains("\"state\":\"done\"") || Instant::now() > deadline {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]
@@ -1029,14 +1198,7 @@ mod tests {
         let b = d.submit(tiny_spec()).unwrap();
         assert_eq!(a, b, "resubmission is idempotent");
         assert!(a.contains("\"state\":\"queued\""), "{a}");
-        let id = sea_trace::json::parse(&a)
-            .unwrap()
-            .get("id")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let st = d.study_status(&id).unwrap();
+        let st = d.study_status(&ack_id(&a)).unwrap();
         assert!(st.contains("\"state\":\"queued\""), "{st}");
         assert!(d.study_status("ffffffffffffffff").is_none());
         std::fs::remove_dir_all(&root).unwrap();
@@ -1055,14 +1217,8 @@ mod tests {
             ..DaemonConfig::default()
         };
         let d = Daemon::start(cfg).unwrap();
-        let ackd = d.submit(tiny_spec()).unwrap();
-        let id = sea_trace::json::parse(&ackd)
-            .unwrap()
-            .get("id")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
+        let id = ack_id(&d.submit(tiny_spec()).unwrap());
+        let shared = d.shared.clone();
         let addr = d.worker_addr().to_string();
         let daemon = std::thread::spawn(move || d.run());
         let ws: Vec<_> = (0..2)
@@ -1075,34 +1231,10 @@ mod tests {
             w.join().unwrap().unwrap();
         }
 
-        // Reference: the same spec, single process, one thread.
-        let spec = StudySpec::from_json(tiny_spec()).unwrap();
-        let w = spec.suite[0];
-        let built = w.build(spec.study.scale);
-        let mut icfg = spec.study.injection_config_for(w);
-        icfg.journal = Some(sea_injection::JournalSpec {
-            dir: root.join("ref"),
-            resume: false,
-            format: JournalFormat::Binary,
-            fsync: Default::default(),
-        });
-        run_campaign(w.name(), &built, &icfg).unwrap();
-        let reference = std::fs::read(sea_injection::supervisor::journal_file(
-            &root.join("ref"),
-            "inject",
-            w.name(),
-            JournalFormat::Binary,
-        ))
-        .unwrap();
-
+        let reference = reference_journal(tiny_spec(), &root.join("ref"));
+        await_done(&shared, &id);
         let reg = Registry::new(root.join("fleet"));
-        let merged_path = reg.merged_path(&id, w.name());
-        for _ in 0..600 {
-            if merged_path.exists() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        let merged_path = reg.merged_path(&id, "CRC32");
         let merged = std::fs::read(&merged_path).expect("merged journal exists");
         assert_eq!(
             merged, reference,
@@ -1142,14 +1274,7 @@ mod tests {
             r#"{"scale":"tiny","samples_per_component":40,"threads":1,"#,
             r#""suite":["CRC32"],"stop_at_margin":0.5}"#
         );
-        let ack = d.submit(spec_json).unwrap();
-        let id = sea_trace::json::parse(&ack)
-            .unwrap()
-            .get("id")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
+        let id = ack_id(&d.submit(spec_json).unwrap());
         let shared = d.shared.clone();
         let addr = d.worker_addr().to_string();
         let daemon = std::thread::spawn(move || d.run());
@@ -1163,15 +1288,9 @@ mod tests {
             w.join().unwrap().unwrap();
         }
 
+        let status = await_done(&shared, &id);
         let reg = Registry::new(root.join("fleet"));
-        let merged_path = reg.merged_path(&id, "crc32");
-        for _ in 0..600 {
-            if merged_path.exists() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let done = scan_done(&merged_path);
+        let done = scan_done(&reg.merged_path(&id, "crc32"));
         assert!(!done.is_empty(), "early stop still journals something");
         assert!(
             (done.len() as u64) < 240,
@@ -1186,7 +1305,6 @@ mod tests {
         // The telemetry plane saw the fleet: the study status carries a
         // per-worker array, and the stitched trace parses as a chrome doc
         // with one thread-name metadata record per worker.
-        let status = sea_observe::StudyApi::status(&*shared, &id).unwrap();
         let doc = sea_trace::json::parse(&status).unwrap();
         assert_eq!(doc.get("state").and_then(|s| s.as_str()), Some("done"));
         let workers = doc.get("workers").expect("status lists workers");
@@ -1211,6 +1329,95 @@ mod tests {
             panic!("traceEvents is not an array");
         }
 
+        request_stop();
+        daemon.join().unwrap();
+        clear_stop();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_study_that_plans_no_runs_merges_a_header_only_journal() {
+        let _guard = sea_trace::test_lock();
+        clear_stop();
+        let root = std::env::temp_dir().join(format!("sea-fleet-empty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let d = Daemon::start(DaemonConfig {
+            root: root.join("fleet"),
+            workers: 0, // no worker ever connects: there is nothing to run
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let spec_json =
+            r#"{"scale":"tiny","samples_per_component":0,"threads":1,"suite":["CRC32"]}"#;
+        let id = ack_id(&d.submit(spec_json).unwrap());
+        let shared = d.shared.clone();
+        let daemon = std::thread::spawn(move || d.run());
+
+        let status = await_done(&shared, &id);
+        assert!(status.contains("\"state\":\"done\""), "{status}");
+        let merged = Registry::new(root.join("fleet")).merged_path(&id, "CRC32");
+        assert_eq!(
+            std::fs::read(&merged).unwrap(),
+            reference_journal(spec_json, &root.join("ref")),
+            "header-only merge == single-process --samples 0 journal"
+        );
+        assert!(scan_done(&merged).is_empty());
+
+        request_stop();
+        daemon.join().unwrap();
+        clear_stop();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn claim_round_trips_do_not_wait_for_delayed_acks() {
+        let _guard = sea_trace::test_lock();
+        clear_stop();
+        let root = std::env::temp_dir().join(format!("sea-fleet-rtt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let d = Daemon::start(DaemonConfig {
+            root: root.join("fleet"),
+            workers: 0, // the test is the only worker
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        // 60,000 indices: grants of 64 for far more than 500 claims.
+        d.submit(r#"{"scale":"tiny","samples_per_component":10000,"threads":1,"suite":["CRC32"]}"#)
+            .unwrap();
+        let addr = d.worker_addr().to_string();
+        let daemon = std::thread::spawn(move || d.run());
+
+        let mut link = crate::worker::Link::dial(&addr).unwrap();
+        link.send(&ToDaemon::Hello).unwrap();
+        assert!(matches!(link.recv().unwrap(), ToWorker::Welcome { .. }));
+        let started = Instant::now();
+        let mut last = None;
+        for _ in 0..500 {
+            // `done` and `claim` back to back, as a worker sends them: the
+            // pair Nagle's algorithm would hold for the daemon's delayed
+            // ACK, about 40 ms a round.
+            if let Some((wl, start, end)) = last {
+                link.send(&ToDaemon::Done {
+                    wl,
+                    start,
+                    end,
+                    obs: Vec::new(),
+                })
+                .unwrap();
+            }
+            link.send(&ToDaemon::Claim).unwrap();
+            match link.recv().unwrap() {
+                ToWorker::Grant { wl, start, end } => last = Some((wl, start, end)),
+                other => panic!("expected a grant, got {other:?}"),
+            }
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "500 claim->grant round trips took {took:?}"
+        );
+
+        link.send(&ToDaemon::Bye).unwrap();
         request_stop();
         daemon.join().unwrap();
         clear_stop();

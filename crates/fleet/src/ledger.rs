@@ -97,8 +97,8 @@ impl Ledger {
     /// ungranted work divided across the worker fleet (like the in-process
     /// supervisor: big blocks early for locality, small blocks late so the
     /// tail spreads), capped at [`MAX_BLOCK`]. `None` when everything is
-    /// granted or done — the caller answers `wait` and the worker polls
-    /// again (it may steal requeued work next time).
+    /// granted or done — the caller holds the claim until a completion or
+    /// requeue changes that (it may steal requeued work then).
     pub fn claim(&mut self, shard: u32, workers: u64) -> Option<(u64, u64)> {
         let (start, end) = self.pending.pop_front()?;
         let remaining: u64 = (end - start) + self.pending.iter().map(|&(s, e)| e - s).sum::<u64>();

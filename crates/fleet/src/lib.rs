@@ -20,6 +20,12 @@
 //! blocks re-execute elsewhere and produce *byte-identical duplicate*
 //! records, which the merge deduplicates.
 //!
+//! The protocol adds no latency of its own: every message leaves in one
+//! write on a `TCP_NODELAY` socket, and a claim with nothing to grant is
+//! long-polled — held by the daemon until a block frees up or the study
+//! ends — instead of answered with a retry delay, so neither side ever
+//! sleeps on a fixed timer (see [`proto`] and the `daemon` module).
+//!
 //! When a workload's index space is covered, the daemon performs the
 //! **deterministic merge** ([`merge_shard_journals`]): identity headers
 //! validated across shards, records stably sorted by spec index,

@@ -16,9 +16,27 @@
 //! Framing is one JSON object per `\n`-terminated line in each direction;
 //! a closed socket (EOF) is itself a protocol event — the daemon treats
 //! it as worker death and requeues every block granted to that shard.
+//!
+//! Latency model: every message leaves in a single `write` on a socket
+//! with `TCP_NODELAY` set, so no message waits for the peer's delayed ACK
+//! (with Nagle's algorithm on, a message split across two writes, or two
+//! messages sent back to back, stall about 40 ms each). Both sides read
+//! through [`recv`], which is total: a line longer than [`MAX_LINE`], a
+//! line that is not UTF-8 or one cut off by EOF is an error, never a
+//! panic, and nothing is buffered past the cap.
 
 use sea_trace::json::{self, Json, ObjWriter};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
+
+/// Longest line [`recv`] accepts, newline excluded. Real messages stay
+/// far below it: the largest, a telemetry frame, relays at most 64 trace
+/// events.
+pub const MAX_LINE: usize = 1 << 20;
+
+/// Deepest `[`/`{` nesting a message may have. Real messages nest at most
+/// five deep; the cap keeps the recursive JSON parser off deep inputs that
+/// would overflow the connection thread's stack.
+const MAX_DEPTH: usize = 32;
 
 /// Messages a worker sends to the daemon.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,7 +116,9 @@ pub enum ToWorker {
         /// One past the last injection index.
         end: u64,
     },
-    /// Nothing grantable right now; ask again in `ms` milliseconds.
+    /// Nothing to hand out: the daemon held the `claim` (or `hello`) open
+    /// for up to its long-poll window and nothing changed. Ask again after
+    /// `ms` milliseconds — the daemon sends 0, "at once".
     Wait {
         /// Suggested retry delay.
         ms: u64,
@@ -119,6 +139,45 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// Parse one message line: nesting bounded by [`MAX_DEPTH`] before the
+/// recursive parser sees it. The scan tracks strings exactly as the parser
+/// does, so no prefix the parser accepts nests deeper than the scan saw.
+fn parse_line(line: &str) -> Result<Json, ProtoError> {
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    for &b in line.as_bytes() {
+        if in_str {
+            match (escaped, b) {
+                (true, _) => escaped = false,
+                (false, b'\\') => escaped = true,
+                (false, b'"') => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_str = true,
+            b'[' | b'{' => {
+                depth += 1;
+                if depth > MAX_DEPTH {
+                    return Err(ProtoError(format!("nested deeper than {MAX_DEPTH}")));
+                }
+            }
+            b']' | b'}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    json::parse(line.trim()).map_err(|e| ProtoError(e.to_string()))
+}
+
+/// A `[start, end)` range out of a decoded message; `end < start` is
+/// malformed rather than something for the receiver to underflow on.
+fn range(op: &str, start: u64, end: u64) -> Result<(u64, u64), ProtoError> {
+    if end < start {
+        return Err(ProtoError(format!("{op}: end {end} before start {start}")));
+    }
+    Ok((start, end))
+}
 
 fn obs_json(obs: &[(u32, u32)]) -> String {
     let mut out = String::from("[");
@@ -211,7 +270,7 @@ impl ToDaemon {
     ///
     /// [`ProtoError`] on malformed JSON or an unknown/incomplete message.
     pub fn decode(line: &str) -> Result<ToDaemon, ProtoError> {
-        let j = json::parse(line.trim()).map_err(|e| ProtoError(e.to_string()))?;
+        let j = parse_line(line)?;
         let op = j
             .get("op")
             .and_then(Json::as_str)
@@ -244,10 +303,11 @@ impl ToDaemon {
                     }
                     _ => return Err(ProtoError("done: missing obs".into())),
                 };
+                let (start, end) = range("done", field("start")?, field("end")?)?;
                 Ok(ToDaemon::Done {
                     wl: field("wl")? as u32,
-                    start: field("start")?,
-                    end: field("end")?,
+                    start,
+                    end,
                     obs,
                 })
             }
@@ -351,7 +411,7 @@ impl ToWorker {
     ///
     /// [`ProtoError`] on malformed JSON or an unknown/incomplete message.
     pub fn decode(line: &str) -> Result<ToWorker, ProtoError> {
-        let j = json::parse(line.trim()).map_err(|e| ProtoError(e.to_string()))?;
+        let j = parse_line(line)?;
         let op = j
             .get("op")
             .and_then(Json::as_str)
@@ -380,11 +440,14 @@ impl ToWorker {
                     spec: json::render(spec),
                 })
             }
-            "grant" => Ok(ToWorker::Grant {
-                wl: field("wl")? as u32,
-                start: field("start")?,
-                end: field("end")?,
-            }),
+            "grant" => {
+                let (start, end) = range("grant", field("start")?, field("end")?)?;
+                Ok(ToWorker::Grant {
+                    wl: field("wl")? as u32,
+                    start,
+                    end,
+                })
+            }
             "wait" => Ok(ToWorker::Wait { ms: field("ms")? }),
             "exit" => Ok(ToWorker::Exit),
             other => Err(ProtoError(format!("unknown daemon op '{other}'"))),
@@ -392,28 +455,75 @@ impl ToWorker {
     }
 }
 
-/// Write one message line to a stream (appends the newline and flushes).
+/// Write one message line to a stream: line and newline in a single
+/// write, then flush. Two writes would let Nagle's algorithm hold the
+/// newline back until the peer's delayed ACK.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error (a dead peer).
 pub fn send(w: &mut impl Write, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Read one message line from a buffered stream. `Ok(None)` is clean EOF.
+/// Read one message line (newline stripped) from a buffered stream.
+/// `Ok(None)` is clean EOF.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error.
+/// The underlying I/O error; [`ErrorKind::InvalidData`] for a line longer
+/// than [`MAX_LINE`] or not UTF-8; [`ErrorKind::UnexpectedEof`] for a
+/// final line without its newline.
 pub fn recv(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
+    recv_capped(r, MAX_LINE)
+}
+
+/// [`recv`] with the line cap as a parameter. The line buffer never holds
+/// more than `cap` bytes: its capacity grows geometrically but is clamped
+/// to the cap, and an over-long line is refused before it is copied.
+fn recv_capped(r: &mut impl BufRead, cap: usize) -> std::io::Result<Option<String>> {
+    let mut line: Vec<u8> = Vec::new();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if line.is_empty() {
+                return Ok(None);
+            }
+            return Err(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "fleet protocol line cut off by EOF",
+            ));
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        let want = line.len() + body.len();
+        if want > cap {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                "fleet protocol line over the length cap",
+            ));
+        }
+        if want > line.capacity() {
+            line.reserve_exact(want.max(2 * line.capacity()).min(cap) - line.len());
+        }
+        line.extend_from_slice(body);
+        let used = body.len() + usize::from(newline.is_some());
+        r.consume(used);
+        if newline.is_some() {
+            break;
+        }
     }
-    Ok(Some(line))
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "fleet protocol line not UTF-8"))
 }
 
 #[cfg(test)]
@@ -511,6 +621,93 @@ mod tests {
             assert!(ToDaemon::decode(bad).is_err() || ToWorker::decode(bad).is_err());
         }
         assert!(ToDaemon::decode(r#"{"op":"grant","wl":0,"start":0,"end":1}"#).is_err());
+        // Backwards ranges would underflow the receiver's block arithmetic.
+        assert!(ToWorker::decode(r#"{"op":"grant","wl":0,"start":5,"end":4}"#).is_err());
+        assert!(ToDaemon::decode(r#"{"op":"done","wl":0,"start":5,"end":4,"obs":[]}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_before_the_recursive_parser() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        assert!(ToDaemon::decode(&deep).is_err());
+        assert!(ToWorker::decode(&deep).is_err());
+        // Brackets inside strings (escaped quotes included) do not count.
+        let quoted = format!(r#"{{"op":"claim","x":"\"{}"}}"#, "[".repeat(100));
+        assert_eq!(ToDaemon::decode(&quoted).unwrap(), ToDaemon::Claim);
+        let nested = format!(
+            r#"{{"op":"claim","x":{}1{}}}"#,
+            "[".repeat(31),
+            "]".repeat(31)
+        );
+        assert_eq!(ToDaemon::decode(&nested).unwrap(), ToDaemon::Claim);
+    }
+
+    /// A `Write` that records how many `write` calls it saw.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_makes_exactly_one_write_per_message() {
+        let mut w = CountingWrite::default();
+        let msgs = [
+            ToDaemon::Claim.encode(),
+            ToWorker::Grant {
+                wl: 0,
+                start: 0,
+                end: 64,
+            }
+            .encode(),
+            String::new(),
+        ];
+        for (k, m) in msgs.iter().enumerate() {
+            send(&mut w, m).unwrap();
+            assert_eq!(w.writes, k + 1, "one write for {m:?}");
+        }
+        let wire: String = msgs.iter().map(|m| format!("{m}\n")).collect();
+        assert_eq!(w.bytes, wire.as_bytes());
+    }
+
+    #[test]
+    fn recv_is_total_and_bounded() {
+        use std::io::BufReader;
+        let read_all = |bytes: &[u8], cap: usize, chunk: usize| {
+            let mut r = BufReader::with_capacity(chunk, bytes);
+            let mut out = Vec::new();
+            loop {
+                match recv_capped(&mut r, cap) {
+                    Ok(Some(line)) => out.push(line),
+                    Ok(None) => return Ok(out),
+                    Err(e) => return Err(e.kind()),
+                }
+            }
+        };
+        for chunk in [1, 3, 8192] {
+            assert_eq!(
+                read_all(b"ab\n\ncd\n", 4, chunk),
+                Ok(vec!["ab".into(), String::new(), "cd".into()])
+            );
+            assert_eq!(read_all(b"abcd\n", 4, chunk), Ok(vec!["abcd".into()]));
+            assert_eq!(read_all(b"abcde\n", 4, chunk), Err(ErrorKind::InvalidData));
+            assert_eq!(read_all(b"abcdefgh", 4, chunk), Err(ErrorKind::InvalidData));
+            assert_eq!(read_all(b"ab\xff\n", 4, chunk), Err(ErrorKind::InvalidData));
+            assert_eq!(read_all(b"ok\nab", 4, chunk), Err(ErrorKind::UnexpectedEof));
+            assert_eq!(read_all(b"", 4, chunk), Ok(vec![]));
+        }
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub fn install_stop_signals() {
 /// Minimum interval between telemetry frames. Frames piggyback on
 /// protocol round-trips (claims, dones, wait heartbeats), so this is a
 /// throttle, not a timer — an idle worker still heartbeats because the
-/// claim loop keeps polling.
+/// daemon answers a held claim with `wait` at least every long-poll
+/// window, and the worker claims again.
 const TELEMETRY_MIN_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Trace events retained for relay between two frames.
@@ -215,17 +216,29 @@ impl Telemetry {
     }
 }
 
-struct Link {
+/// A worker's connection to the daemon.
+pub(crate) struct Link {
     r: BufReader<TcpStream>,
     w: TcpStream,
 }
 
 impl Link {
-    fn send(&mut self, m: &ToDaemon) -> Result<(), WorkerError> {
+    /// Connect to the daemon with Nagle's algorithm off: a `done` or a
+    /// telemetry frame followed straight by a `claim` must not wait out
+    /// the daemon's delayed ACK.
+    pub(crate) fn dial(connect: &str) -> Result<Link, WorkerError> {
+        let sock = TcpStream::connect(connect)
+            .map_err(|e| fail(format!("cannot connect to daemon at {connect}: {e}")))?;
+        sock.set_nodelay(true).map_err(|e| fail(e.to_string()))?;
+        let r = BufReader::new(sock.try_clone().map_err(|e| fail(e.to_string()))?);
+        Ok(Link { r, w: sock })
+    }
+
+    pub(crate) fn send(&mut self, m: &ToDaemon) -> Result<(), WorkerError> {
         proto::send(&mut self.w, &m.encode()).map_err(|e| fail(format!("daemon gone: {e}")))
     }
 
-    fn recv(&mut self) -> Result<ToWorker, WorkerError> {
+    pub(crate) fn recv(&mut self) -> Result<ToWorker, WorkerError> {
         let line = proto::recv(&mut self.r)
             .map_err(|e| fail(format!("daemon gone: {e}")))?
             .ok_or_else(|| fail("daemon closed the connection"))?;
@@ -239,9 +252,17 @@ enum Next {
     Exit,
 }
 
+/// Honour a `wait`: the daemon long-polls before sending one and asks
+/// for 0 ms, so this is normally no pause at all.
+fn pause(ms: u64) {
+    if ms > 0 {
+        std::thread::sleep(Duration::from_millis(ms.min(2_000)));
+    }
+}
+
 /// Claim until the daemon grants, tells us to exit, or the stop flag
 /// fires. Each round trip piggybacks a (throttled) telemetry frame, so a
-/// worker stuck on `wait` still heartbeats.
+/// worker whose claims end in `wait` still heartbeats.
 fn next_grant(link: &mut Link, tel: &mut Telemetry) -> Result<Next, WorkerError> {
     loop {
         if stop_requested() {
@@ -251,9 +272,7 @@ fn next_grant(link: &mut Link, tel: &mut Telemetry) -> Result<Next, WorkerError>
         link.send(&ToDaemon::Claim)?;
         match link.recv()? {
             ToWorker::Grant { wl, start, end } => return Ok(Next::Grant { wl, start, end }),
-            ToWorker::Wait { ms } => {
-                std::thread::sleep(std::time::Duration::from_millis(ms.clamp(10, 2_000)));
-            }
+            ToWorker::Wait { ms } => pause(ms),
             ToWorker::Exit => return Ok(Next::Exit),
             ToWorker::Welcome { .. } => return Err(fail("unexpected welcome")),
         }
@@ -270,19 +289,14 @@ fn next_grant(link: &mut Link, tel: &mut Telemetry) -> Result<Next, WorkerError>
 /// spec, or a poisoned (unwritable) shard journal.
 pub fn run_worker(connect: &str) -> Result<(), WorkerError> {
     install_stop_signals();
-    let sock = TcpStream::connect(connect)
-        .map_err(|e| fail(format!("cannot connect to daemon at {connect}: {e}")))?;
-    let r = BufReader::new(sock.try_clone().map_err(|e| fail(e.to_string()))?);
-    let mut link = Link { r, w: sock };
+    let mut link = Link::dial(connect)?;
 
     // Hello → Welcome (the daemon may ask us to wait while it spins up).
     let (shard, dir, spec_text) = loop {
         link.send(&ToDaemon::Hello)?;
         match link.recv()? {
             ToWorker::Welcome { shard, dir, spec } => break (shard, dir, spec),
-            ToWorker::Wait { ms } => {
-                std::thread::sleep(std::time::Duration::from_millis(ms.clamp(10, 2_000)))
-            }
+            ToWorker::Wait { ms } => pause(ms),
             ToWorker::Exit => return Ok(()),
             ToWorker::Grant { .. } => return Err(fail("grant before welcome")),
         }
@@ -336,7 +350,8 @@ pub fn run_worker(connect: &str) -> Result<(), WorkerError> {
         // Execute grants for this workload until the daemon switches us to
         // another one (or tells us to stop).
         loop {
-            let mut obs: Vec<(u32, u32)> = Vec::with_capacity((end - start) as usize);
+            let runs = end.min(plan.total()).saturating_sub(start);
+            let mut obs: Vec<(u32, u32)> = Vec::with_capacity(runs as usize);
             let mut block_runs = 0u64;
             {
                 let mut block_span = span(Subsystem::Harness, Level::Info, "fleet.block");
@@ -421,4 +436,31 @@ pub fn canonicalize_spec(text: &str) -> Result<(String, StudySpec), String> {
     );
     let _ = json::parse(&canonical).expect("canonical spec is valid JSON");
     Ok((canonical, spec))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::accept_workers;
+    use sea_injection::{clear_stop, request_stop};
+
+    #[test]
+    fn both_ends_of_a_worker_connection_have_nagle_off() {
+        let _guard = sea_trace::test_lock();
+        clear_stop();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let acceptor = std::thread::spawn(move || {
+            accept_workers(listener, |c| tx.send(c.nodelay().unwrap()).unwrap())
+        });
+        let link = Link::dial(&addr).unwrap();
+        assert!(link.w.nodelay().unwrap(), "worker-connected socket");
+        assert!(rx.recv().unwrap(), "daemon-accepted socket");
+        // The acceptor checks the stop flag at its next accept.
+        request_stop();
+        drop(TcpStream::connect(&addr));
+        acceptor.join().unwrap();
+        clear_stop();
+    }
 }
