@@ -27,5 +27,6 @@ pub use config::{
 };
 pub use raw_fit::{measure_fit_raw, RawFitResult};
 pub use session::{
-    measure_kernel_residency, run_session, BeamError, BeamResult, StrikeOrigin, StrikeOutcome,
+    measure_kernel_residency, run_session, BeamError, BeamPlan, BeamResult, Strike, StrikeOrigin,
+    StrikeOutcome,
 };

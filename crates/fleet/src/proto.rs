@@ -33,11 +33,6 @@ use std::io::{BufRead, ErrorKind, Write};
 /// events.
 pub const MAX_LINE: usize = 1 << 20;
 
-/// Deepest `[`/`{` nesting a message may have. Real messages nest at most
-/// five deep; the cap keeps the recursive JSON parser off deep inputs that
-/// would overflow the connection thread's stack.
-const MAX_DEPTH: usize = 32;
-
 /// Messages a worker sends to the daemon.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ToDaemon {
@@ -140,33 +135,10 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Parse one message line: nesting bounded by [`MAX_DEPTH`] before the
-/// recursive parser sees it. The scan tracks strings exactly as the parser
-/// does, so no prefix the parser accepts nests deeper than the scan saw.
+/// Parse one message line. The parser caps nesting itself
+/// ([`json::MAX_DEPTH`]), so a deeply nested line is an error, not a stack
+/// overflow on the connection thread.
 fn parse_line(line: &str) -> Result<Json, ProtoError> {
-    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
-    for &b in line.as_bytes() {
-        if in_str {
-            match (escaped, b) {
-                (true, _) => escaped = false,
-                (false, b'\\') => escaped = true,
-                (false, b'"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' | b'{' => {
-                depth += 1;
-                if depth > MAX_DEPTH {
-                    return Err(ProtoError(format!("nested deeper than {MAX_DEPTH}")));
-                }
-            }
-            b']' | b'}' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
     json::parse(line.trim()).map_err(|e| ProtoError(e.to_string()))
 }
 

@@ -21,8 +21,8 @@ use sea_injection::supervisor::{
     WORKER_RESPAWNS,
 };
 use sea_injection::{
-    class_index, open_journal, record_run_cycles, run_cycles_snapshot, stop_requested,
-    verdict_line, CampaignPlan, JournalFormat, JournalSpec,
+    class_index, open_journal, run_cycles_snapshot, stop_requested, verdict_line, CampaignPlan,
+    JournalFormat, JournalSpec,
 };
 use sea_observe::TailSink;
 use sea_trace::json::{self, Json};
@@ -360,7 +360,6 @@ pub fn run_worker(connect: &str) -> Result<(), WorkerError> {
                         continue; // resumed: our own journal already has it
                     }
                     let verdict = plan.run_index(i);
-                    record_run_cycles(verdict.sim_cycles);
                     journal.append(&verdict_line(i, &verdict));
                     if journal.poisoned() {
                         return Err(fail(format!(

@@ -12,24 +12,22 @@ use sea_platform::{
 };
 use sea_snapshot::CheckpointMeta;
 use sea_trace::json::{Json, ObjWriter};
-use sea_trace::{event, Counter, Histogram, Level, Progress, Subsystem};
+use sea_trace::{event, Counter, Histogram, Level, Subsystem};
 use sea_workloads::BuiltWorkload;
 
-use std::sync::Arc;
-
-use crate::convergence::ConvergenceTracker;
+use crate::drive::{drive, record_line, Live, RunPlan};
 use crate::supervisor::{
-    attempt_run, config_hash, golden_hash, journal_file, open_journal, run_supervised_until,
-    Journal, JournalAudit, JournalError, JournalHeader, JournalSpec, PoolStats, Quarantine,
-    RunAnomaly, RunIdentity, RunVerdict, SupervisorConfig,
+    config_hash, golden_hash, run_one_caught, CaughtPanic, JournalAudit, JournalError,
+    JournalHeader, JournalSpec, Quarantine, RunAnomaly, RunIdentity, RunVerdict, SupervisorConfig,
 };
 
 /// Class-name labels for progress meters, index-aligned with
 /// [`FaultClass::ALL`].
 pub const CLASS_LABELS: [&str; 4] = ["masked", "sdc", "app", "sys"];
 
-/// Cycles actually simulated per injection run (the post-restore suffix).
-/// Feeds the work-weighted ETA and the Prometheus campaign snapshot.
+/// Cycles actually simulated per injection run (the post-restore suffix),
+/// recorded by [`CampaignPlan::attempt`] for the Prometheus campaign
+/// snapshot and fleet telemetry.
 static RUN_SIM_CYCLES: Histogram = Histogram::new("inject.run_sim_cycles");
 
 /// Injected runs answered at the strike cycle by dead-cell pruning: the
@@ -42,35 +40,6 @@ pub static DEAD_PRUNED: Counter = Counter::new("campaign.dead_pruned");
 pub static RECONVERGED: Counter = Counter::new("campaign.reconverged");
 /// Golden cycles those runs left unsimulated (golden end − cut cycle).
 pub static RECONVERGE_CYCLES_SAVED: Counter = Counter::new("campaign.reconverge_cycles_saved");
-
-/// Appends the early-exit counters (dead-cell pruning, reconvergence cut)
-/// to a Prometheus document (shared by the campaign and beam-session
-/// snapshots).
-pub fn prom_append_early_exits(w: &mut sea_profile::PromWriter) {
-    w.counter(
-        "sea_dead_pruned_total",
-        "Injected runs answered at the strike: the golden run never reads the struck cells again.",
-        DEAD_PRUNED.get(),
-    );
-    w.counter(
-        "sea_reconverged_total",
-        "Injected runs ended as the golden run once their live state rejoined it.",
-        RECONVERGED.get(),
-    );
-    w.counter(
-        "sea_reconverge_cycles_saved_total",
-        "Golden cycles left unsimulated by reconverged runs.",
-        RECONVERGE_CYCLES_SAVED.get(),
-    );
-}
-
-/// Record one run's simulated-cycle count into the process-wide
-/// [`RUN_SIM_CYCLES`] histogram. `run_campaign` does this itself; callers
-/// that drive [`CampaignPlan::run_index`] directly (the fleet worker) use
-/// this so their telemetry histograms match the supervised path.
-pub fn record_run_cycles(cycles: u64) {
-    RUN_SIM_CYCLES.record(cycles);
-}
 
 /// Snapshot of the process-wide per-run simulated-cycle histogram, for
 /// telemetry push and cross-process merge.
@@ -329,13 +298,13 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Campaign-level error.
+/// Error of a campaign or a beam session.
 #[derive(Debug)]
 pub enum CampaignError {
     /// The fault-free run failed; the workload/setup is broken.
     Golden(sea_platform::GoldenError),
     /// The outcome journal could not be opened or does not match this
-    /// campaign.
+    /// campaign or session.
     Journal(JournalError),
 }
 
@@ -542,64 +511,7 @@ pub(crate) fn inject_and_run(
 /// single-process campaign journals — this function *is* the byte contract
 /// the deterministic merge relies on.
 pub fn verdict_line(i: u64, v: &RunVerdict) -> String {
-    let mut w = ObjWriter::new();
-    w.u64_field("i", i);
-    match (&v.outcome, &v.anomaly) {
-        (Some(o), anomaly) => {
-            w.str_field("class", &o.class.to_string())
-                .str_field("array", o.array.name())
-                .bool_field("valid", o.was_valid);
-            if anomaly.is_some() {
-                // Flaky: panicked, then a retry succeeded. The outcome is
-                // authoritative; the anomaly lives in the quarantine file.
-                w.bool_field("flaky", true);
-            }
-        }
-        (None, Some(a)) => {
-            w.bool_field("anomaly", true)
-                .bool_field("deterministic", a.deterministic)
-                .u64_field("attempts", a.attempts as u64)
-                .str_field("panic", &a.panic_msg);
-        }
-        (None, None) => unreachable!("attempt_run yields an outcome or an anomaly"),
-    }
-    w.finish()
-}
-
-/// Decodes one journal entry back into a completed-run record. The spec is
-/// regenerated from the seed, so only the index and the classification
-/// travel through the journal.
-fn decode_entry(
-    j: &Json,
-    specs: &[InjectionSpec],
-    id: &RunIdentity,
-) -> Option<(usize, Option<InjectionOutcome>, Option<RunAnomaly>)> {
-    let i = j.get("i")?.as_u64()? as usize;
-    let spec = *specs.get(i)?;
-    if j.get("anomaly").and_then(Json::as_bool) == Some(true) {
-        let anomaly = RunAnomaly {
-            index: i as u64,
-            spec,
-            workload: id.workload.clone(),
-            seed: id.seed,
-            config_hash: id.config_hash,
-            golden_hash: id.golden_hash,
-            attempts: j.get("attempts")?.as_u64()? as u32,
-            deterministic: j.get("deterministic")?.as_bool()?,
-            panic_msg: j.get("panic")?.as_str()?.to_string(),
-            // The snapshot lives in the quarantine file, not the journal.
-            postmortem: String::new(),
-        };
-        Some((i, None, Some(anomaly)))
-    } else {
-        let outcome = InjectionOutcome {
-            spec,
-            array: ArrayKind::from_name(j.get("array")?.as_str()?)?,
-            was_valid: j.get("valid")?.as_bool()?,
-            class: FaultClass::from_name(j.get("class")?.as_str()?)?,
-        };
-        Some((i, Some(outcome), None))
-    }
+    record_line(i, v, <CampaignPlan as RunPlan>::write_outcome)
 }
 
 /// Generates the campaign's deterministic spec sequence (shared with the
@@ -628,105 +540,19 @@ pub fn generate_specs(cfg: &CampaignConfig, golden_cycles: u64) -> Vec<Injection
     specs
 }
 
-/// Renders the live campaign state as a Prometheus text-exposition
-/// document. Rewritten (atomically, throttled) to the `--prom-out` target
-/// while a campaign runs, so a textfile collector or plain `watch cat`
-/// gives a live dashboard of a long campaign.
-fn prom_snapshot(progress: &Progress, tracker: &ConvergenceTracker) -> String {
-    let mut w = sea_profile::PromWriter::new();
-    w.gauge(
-        "sea_campaign_runs_done",
-        "Injection runs completed this session.",
-        progress.done() as f64,
-    );
-    w.gauge(
-        "sea_campaign_runs_per_sec",
-        "Current campaign throughput.",
-        progress.runs_per_sec(),
-    );
-    for (label, count) in CLASS_LABELS.iter().zip(progress.class_counts()) {
-        w.counter(
-            &format!("sea_campaign_class_{label}_total"),
-            "Runs classified into this fault-effect class.",
-            count,
-        );
-    }
-    let (saves, restores, prefix_saved) = sea_platform::snapshot_metrics();
-    w.counter("sea_checkpoint_saves_total", "Checkpoints captured.", saves);
-    w.counter(
-        "sea_checkpoint_restores_total",
-        "Injection runs started from a restored checkpoint.",
-        restores,
-    );
-    w.counter(
-        "sea_checkpoint_prefix_cycles_saved_total",
-        "Fault-free prefix cycles skipped by checkpoint restores.",
-        prefix_saved,
-    );
-    w.histogram(
-        "sea_campaign_run_sim_cycles",
-        "Cycles simulated per injection run (post-restore suffix).",
-        &RUN_SIM_CYCLES.snapshot(),
-    );
-    w.counter(
-        "sea_warp_handoffs_total",
-        "Runs served from a warp-cursor clone.",
-        crate::warp::WARP_HANDOFFS.get(),
-    );
-    w.counter(
-        "sea_warp_cursor_resets_total",
-        "Warp cursors discarded and re-seeded.",
-        crate::warp::WARP_CURSOR_RESETS.get(),
-    );
-    w.counter(
-        "sea_warp_prefix_cycles_saved_total",
-        "Fault-free prefix cycles skipped by warp-cursor handoffs.",
-        crate::warp::WARP_PREFIX_CYCLES_SAVED.get(),
-    );
-    w.counter(
-        "sea_warp_advance_cycles_total",
-        "Detailed cycles stepped on warp cursors toward strike cycles.",
-        crate::warp::WARP_ADVANCE_CYCLES.get(),
-    );
-    w.counter(
-        "sea_fastpath_uop_hits_total",
-        "Fetched words decoded from the µop cache during injected runs.",
-        crate::warp::FASTPATH_UOP_HITS.get(),
-    );
-    w.counter(
-        "sea_fastpath_uop_misses_total",
-        "Fetched words fully decoded during injected runs.",
-        crate::warp::FASTPATH_UOP_MISSES.get(),
-    );
-    w.counter(
-        "sea_fastpath_latch_hits_total",
-        "Translations served by page latches during injected runs.",
-        crate::warp::FASTPATH_LATCH_HITS.get(),
-    );
-    w.counter(
-        "sea_fastpath_line_hits_total",
-        "L1 accesses served by line latches during injected runs.",
-        crate::warp::FASTPATH_LINE_HITS.get(),
-    );
-    prom_append_early_exits(&mut w);
-    crate::convergence::prom_append(&mut w, tracker);
-    w.finish()
-}
-
 /// The deterministic execution plan of a campaign: golden run (plus any
 /// checkpoints), run limits, the seeded spec sequence, identity hashes,
 /// and quarantine — everything needed to execute an arbitrary spec index
 /// exactly as a single-process campaign would.
 ///
-/// [`run_campaign`] builds one and drains it through the supervised pool;
-/// fleet shard workers build the *same* plan independently in their own
-/// process (same workload + config ⇒ same hashes, same golden run, same
-/// spec sequence) and execute only the index blocks the daemon grants
-/// them, which is what makes the merged shard journals byte-identical to
-/// a single-process run.
+/// [`run_campaign`] builds one and [`drive`]s it; fleet shard workers
+/// build the *same* plan independently in their own process (same
+/// workload + config ⇒ same hashes, same golden run, same spec sequence)
+/// and execute only the index blocks the daemon grants them, which is what
+/// makes the merged shard journals byte-identical to a single-process run.
 pub struct CampaignPlan<'a> {
     workload: &'a BuiltWorkload,
-    cfg: &'a CampaignConfig,
+    cfg: CampaignConfig,
     golden: GoldenRun,
     ckpts: Option<CheckpointSet>,
     limits: RunLimits,
@@ -750,12 +576,33 @@ impl<'a> CampaignPlan<'a> {
         workload: &'a BuiltWorkload,
         cfg: &'a CampaignConfig,
     ) -> Result<Self, CampaignError> {
-        let chash = config_hash(cfg);
-        let ghash = golden_hash(workload);
-        let (golden, ckpts) = acquire_golden_and_checkpoints(workload, cfg, chash, ghash)?;
+        let id = RunIdentity {
+            workload: name.to_string(),
+            seed: cfg.seed,
+            config_hash: config_hash(cfg),
+            golden_hash: golden_hash(workload),
+        };
+        CampaignPlan::with_identity(workload, cfg.clone(), id)
+    }
+
+    /// [`CampaignPlan::new`] under an identity of the caller's: the
+    /// checkpoint provenance, journal header and anomaly records carry
+    /// `id`. A beam session replays its SRAM strikes on such a plan, built
+    /// with no components, hence no specs of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`CampaignPlan::new`].
+    pub fn with_identity(
+        workload: &'a BuiltWorkload,
+        cfg: CampaignConfig,
+        id: RunIdentity,
+    ) -> Result<Self, CampaignError> {
+        let (golden, ckpts) =
+            acquire_golden_and_checkpoints(workload, &cfg, id.config_hash, id.golden_hash)?;
         let limits = RunLimits::from_golden(golden.cycles, cfg.kernel.tick_period)
             .with_wall_ms(cfg.supervisor.run_wall_ms);
-        let specs = generate_specs(cfg, golden.cycles);
+        let specs = generate_specs(&cfg, golden.cycles);
         let stratum_of = specs
             .iter()
             .map(|s| {
@@ -778,15 +625,21 @@ impl<'a> CampaignPlan<'a> {
             ckpts,
             limits,
             specs,
-            id: RunIdentity {
-                workload: name.to_string(),
-                seed: cfg.seed,
-                config_hash: chash,
-                golden_hash: ghash,
-            },
+            id,
             quarantine,
             stratum_of,
         })
+    }
+
+    /// The configuration every run executes under; its runtime knobs
+    /// (threads, journal, serve, stop) also steer [`drive`].
+    pub(crate) fn config(&self) -> &CampaignConfig {
+        &self.cfg
+    }
+
+    /// The fault-free reference run.
+    pub fn golden(&self) -> &GoldenRun {
+        &self.golden
     }
 
     /// Cycles of the fault-free reference run.
@@ -822,7 +675,10 @@ impl<'a> CampaignPlan<'a> {
 
     /// The journal identity header every process sharing this plan writes
     /// — shard journals carry the full-campaign `total`, so identity
-    /// validation and the deterministic merge work across processes.
+    /// validation and the deterministic merge work across processes. The
+    /// checkpoint provenance is stamped whether or not checkpointing is on
+    /// (its value is interval-independent), so checkpointed and from-reset
+    /// campaigns write byte-identical journals.
     pub fn header(&self) -> JournalHeader {
         JournalHeader {
             kind: "inject",
@@ -838,16 +694,193 @@ impl<'a> CampaignPlan<'a> {
     /// Executes spec `i` under the full supervision policy (panic
     /// isolation, bounded retry, quarantine).
     pub fn run_index(&self, i: u64) -> RunVerdict {
-        attempt_run(
-            self.workload,
-            self.cfg,
-            &self.id,
-            self.ckpts.as_ref(),
-            i,
-            self.specs[i as usize],
-            self.limits,
-            self.quarantine.as_ref(),
-        )
+        self.attempt(i, self.specs[i as usize])
+    }
+
+    /// Executes `spec` as index `i` under the full supervision policy:
+    /// panic isolation plus bounded retry, quarantining any anomaly. What
+    /// the successful attempt simulated lands in the per-run cycle
+    /// histogram.
+    pub fn attempt(&self, i: u64, spec: InjectionSpec) -> RunVerdict {
+        let max_attempts = self.cfg.supervisor.max_attempts.max(1);
+        let mut last_panic: Option<CaughtPanic> = None;
+        let mut attempts = 0u32;
+        let mut outcome = None;
+        let mut sim_cycles = 0u64;
+        while attempts < max_attempts {
+            attempts += 1;
+            let ckpts = self.ckpts.as_ref();
+            match run_one_caught(self.workload, &self.cfg, ckpts, i, spec, self.limits) {
+                Ok((out, sim)) => {
+                    outcome = Some(out);
+                    sim_cycles = sim;
+                    break;
+                }
+                Err(p) => last_panic = Some(p),
+            }
+        }
+        let anomaly = last_panic.map(|p| {
+            let a = RunAnomaly {
+                index: i,
+                spec,
+                workload: self.id.workload.clone(),
+                seed: self.id.seed,
+                config_hash: self.id.config_hash,
+                golden_hash: self.id.golden_hash,
+                attempts,
+                deterministic: outcome.is_none(),
+                panic_msg: p.message,
+                postmortem: p.postmortem,
+            };
+            if let Some(q) = &self.quarantine {
+                q.record(&a);
+            }
+            a
+        });
+        RUN_SIM_CYCLES.record(sim_cycles);
+        RunVerdict {
+            outcome,
+            anomaly,
+            sim_cycles,
+        }
+    }
+
+    /// Planned cost of a strike at `cycle`: the golden suffix past the
+    /// nearest checkpoint at or before it (the whole run, from reset,
+    /// without checkpoints).
+    pub(crate) fn strike_work(&self, cycle: u64) -> u64 {
+        self.golden
+            .cycles
+            .saturating_sub(crate::warp::baseline(self.checkpoints(), cycle))
+    }
+}
+
+impl RunPlan for CampaignPlan<'_> {
+    type Outcome = InjectionOutcome;
+    /// The prefix tier `/status` reports.
+    type Gauges = &'static str;
+
+    fn campaign(&self) -> &CampaignPlan<'_> {
+        self
+    }
+
+    fn header(&self) -> JournalHeader {
+        CampaignPlan::header(self)
+    }
+
+    fn run_index(&self, i: u64) -> RunVerdict {
+        CampaignPlan::run_index(self, i)
+    }
+
+    fn spec(&self, i: u64) -> Option<InjectionSpec> {
+        self.specs.get(i as usize).copied()
+    }
+
+    /// One stratum per targeted component (§IV-C live margins).
+    fn strata(&self) -> Vec<(String, u64)> {
+        let probe = System::new(self.cfg.machine, sea_microarch::NullDevice);
+        self.cfg
+            .components
+            .iter()
+            .map(|&c| (c.short_name().to_string(), probe.component_bits(c)))
+            .collect()
+    }
+
+    fn stratum_of(&self, i: u64) -> usize {
+        CampaignPlan::stratum_of(self, i)
+    }
+
+    fn class(o: &InjectionOutcome) -> FaultClass {
+        o.class
+    }
+
+    fn write_outcome(o: &InjectionOutcome, w: &mut ObjWriter) {
+        w.str_field("class", &o.class.to_string())
+            .str_field("array", o.array.name())
+            .bool_field("valid", o.was_valid);
+    }
+
+    fn read_outcome(&self, i: u64, j: &Json) -> Option<InjectionOutcome> {
+        Some(InjectionOutcome {
+            spec: self.spec(i)?,
+            array: ArrayKind::from_name(j.get("array")?.as_str()?)?,
+            was_valid: j.get("valid")?.as_bool()?,
+            class: FaultClass::from_name(j.get("class")?.as_str()?)?,
+        })
+    }
+
+    fn gauges(&self) -> &'static str {
+        if self.cfg.warp.is_some() {
+            "warp"
+        } else {
+            "detailed"
+        }
+    }
+
+    /// Checkpoint restores, the per-run cycle histogram, and what the warp
+    /// cursor and the fast path served.
+    fn prom(_: &&'static str, _: &Live, w: &mut sea_profile::PromWriter) {
+        let (saves, restores, prefix_saved) = sea_platform::snapshot_metrics();
+        w.counter("sea_checkpoint_saves_total", "Checkpoints captured.", saves);
+        w.counter(
+            "sea_checkpoint_restores_total",
+            "Injection runs started from a restored checkpoint.",
+            restores,
+        );
+        w.counter(
+            "sea_checkpoint_prefix_cycles_saved_total",
+            "Fault-free prefix cycles skipped by checkpoint restores.",
+            prefix_saved,
+        );
+        w.histogram(
+            "sea_campaign_run_sim_cycles",
+            "Cycles simulated per injection run (post-restore suffix).",
+            &RUN_SIM_CYCLES.snapshot(),
+        );
+        w.counter(
+            "sea_warp_handoffs_total",
+            "Runs served from a warp-cursor clone.",
+            crate::warp::WARP_HANDOFFS.get(),
+        );
+        w.counter(
+            "sea_warp_cursor_resets_total",
+            "Warp cursors discarded and re-seeded.",
+            crate::warp::WARP_CURSOR_RESETS.get(),
+        );
+        w.counter(
+            "sea_warp_prefix_cycles_saved_total",
+            "Fault-free prefix cycles skipped by warp-cursor handoffs.",
+            crate::warp::WARP_PREFIX_CYCLES_SAVED.get(),
+        );
+        w.counter(
+            "sea_warp_advance_cycles_total",
+            "Detailed cycles stepped on warp cursors toward strike cycles.",
+            crate::warp::WARP_ADVANCE_CYCLES.get(),
+        );
+        w.counter(
+            "sea_fastpath_uop_hits_total",
+            "Fetched words decoded from the µop cache during injected runs.",
+            crate::warp::FASTPATH_UOP_HITS.get(),
+        );
+        w.counter(
+            "sea_fastpath_uop_misses_total",
+            "Fetched words fully decoded during injected runs.",
+            crate::warp::FASTPATH_UOP_MISSES.get(),
+        );
+        w.counter(
+            "sea_fastpath_latch_hits_total",
+            "Translations served by page latches during injected runs.",
+            crate::warp::FASTPATH_LATCH_HITS.get(),
+        );
+        w.counter(
+            "sea_fastpath_line_hits_total",
+            "L1 accesses served by line latches during injected runs.",
+            crate::warp::FASTPATH_LINE_HITS.get(),
+        );
+    }
+
+    fn status_extras(tier: &&'static str, _: &Live) -> Vec<(&'static str, String)> {
+        vec![("tier", format!("\"{tier}\""))]
     }
 }
 
@@ -883,273 +916,37 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, CampaignError> {
     let plan = CampaignPlan::new(name, workload, cfg)?;
+    let run = drive(&plan).map_err(CampaignError::Journal)?;
+
     let probe = System::new(cfg.machine, sea_microarch::NullDevice);
-    let specs = plan.specs();
-    let id = plan.identity();
-
-    // Journal: open (or resume, skipping already-completed runs).
-    let mut outcome_by_idx: Vec<Option<InjectionOutcome>> = vec![None; specs.len()];
-    let mut anomalies: Vec<RunAnomaly> = Vec::new();
-    let mut done = vec![false; specs.len()];
-    let mut resumed = 0u64;
-    let journal: Option<Journal> = match &cfg.journal {
-        Some(spec) => {
-            // The header is stamped whether or not checkpointing is on
-            // (the provenance value is interval-independent), so
-            // checkpointed and from-reset campaigns write byte-identical
-            // journals.
-            let header = plan.header();
-            let (journal, entries) = open_journal(spec, &header).map_err(CampaignError::Journal)?;
-            for e in &entries {
-                let Some((i, outcome, anomaly)) = decode_entry(e, specs, id) else {
-                    continue;
-                };
-                if done[i] {
-                    continue;
+    let per_component = cfg
+        .components
+        .iter()
+        .map(|&component| {
+            let mut counts = ClassCounts::default();
+            let mut tag_counts = ClassCounts::default();
+            let outcomes: Vec<InjectionOutcome> = run
+                .outcomes
+                .iter()
+                .flatten()
+                .filter(|o| o.spec.component == component)
+                .copied()
+                .collect();
+            for o in &outcomes {
+                counts.add(o.class);
+                if o.array == ArrayKind::Tag {
+                    tag_counts.add(o.class);
                 }
-                done[i] = true;
-                resumed += 1;
-                outcome_by_idx[i] = outcome;
-                anomalies.extend(anomaly);
             }
-            Some(journal)
-        }
-        None => None,
-    };
-    let pending: Vec<u64> = (0..specs.len() as u64)
-        .filter(|&i| !done[i as usize])
+            ComponentResult {
+                component,
+                bits: probe.component_bits(component),
+                counts,
+                tag_counts,
+                outcomes,
+            }
+        })
         .collect();
-
-    // Running per-component margins (§IV-C live): one stratum per targeted
-    // component, seeded with any resumed outcomes so a resumed campaign's
-    // margins start where the journal left them.
-    let tracker = Arc::new(ConvergenceTracker::with_strata(
-        crate::stats::Z_99,
-        cfg.components
-            .iter()
-            .map(|&c| (c.short_name().to_string(), probe.component_bits(c))),
-    ));
-    for (i, o) in outcome_by_idx.iter().enumerate() {
-        if let Some(o) = o {
-            tracker.record(plan.stratum_of(i as u64), o.class);
-        }
-    }
-
-    // Planned cost of a run: the golden suffix past the nearest checkpoint
-    // at or before its strike cycle (the whole run, from reset, when no
-    // checkpoints exist). The work-weighted ETA is declared in these units
-    // and each finished run is credited with the same figure, whatever it
-    // actually simulated — the cursor and the reconvergence cut both make
-    // runs cheaper than planned, and crediting simulated cycles against a
-    // planned total would leave a finished campaign a third done.
-    let expected_work = |cycle: u64| -> u64 {
-        plan.golden_cycles()
-            .saturating_sub(crate::warp::baseline(plan.checkpoints(), cycle))
-    };
-
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        cfg.threads
-    };
-    let campaign_span = sea_trace::span(Subsystem::Injection, Level::Info, "injection.campaign");
-    let progress = Arc::new(Progress::new(
-        format!("inject {name}"),
-        pending.len() as u64,
-        &CLASS_LABELS,
-    ));
-    progress.set_total_work(
-        pending
-            .iter()
-            .map(|&i| expected_work(specs[i as usize].cycle))
-            .sum(),
-    );
-
-    // Publish the observability providers unconditionally — they are
-    // read-only closures over the campaign's atomics, pulled only when an
-    // HTTP request actually arrives. The server itself starts only with
-    // `serve` set, so a serverless campaign does no extra work.
-    {
-        let progress = progress.clone();
-        let tracker = tracker.clone();
-        let workload_name = id.workload.clone();
-        let planned = pending.len() as u64;
-        let stop_at = cfg.stop_at_margin;
-        let tier = if cfg.warp.is_some() {
-            "\"warp\""
-        } else {
-            "\"detailed\""
-        };
-        sea_observe::publish_status(Some(Arc::new(move || {
-            crate::convergence::status_document(
-                "inject",
-                &workload_name,
-                planned,
-                resumed,
-                &progress,
-                &tracker,
-                stop_at,
-                &[("tier", tier.to_string())],
-            )
-        })));
-    }
-    {
-        let progress = progress.clone();
-        let tracker = tracker.clone();
-        sea_observe::publish_metrics(Some(Arc::new(move || prom_snapshot(&progress, &tracker))));
-    }
-    match &cfg.journal {
-        Some(spec) => sea_observe::publish_journal(Some(&journal_file(
-            &spec.dir,
-            "inject",
-            &id.workload,
-            spec.format,
-        ))),
-        None => sea_observe::publish_journal(None),
-    }
-    if let Some(addr) = &cfg.serve {
-        match sea_observe::serve(addr) {
-            Ok(bound) => event!(Subsystem::Injection, Level::Info, "observe.serving";
-                   "addr" => bound.to_string(),
-                   "workload" => id.workload.clone()),
-            Err(e) => event!(Subsystem::Injection, Level::Warn, "observe.serve_failed";
-                   "addr" => addr.clone(),
-                   "error" => e.to_string()),
-        }
-    }
-
-    // Stop early on statistical convergence, on a poisoned journal (once a
-    // write fault has exhausted its retries, running on would only produce
-    // unjournaled, unresumable work), or on a process-wide stop request
-    // (SIGTERM/SIGINT drain, fleet daemon-initiated shutdown) — in every
-    // case workers finish their in-flight run and the journal stays a
-    // valid resumable prefix.
-    let margin_stop = cfg.stop_at_margin.map(|m| {
-        let tracker = tracker.clone();
-        move || tracker.converged(m)
-    });
-    let journal_ref = journal.as_ref();
-    let stop_pred: Box<dyn Fn() -> bool + Sync + '_> = Box::new(move || {
-        crate::supervisor::stop_requested()
-            || journal_ref.is_some_and(|j| j.poisoned())
-            || margin_stop.as_ref().is_some_and(|f| f())
-    });
-    let stop_ref: Option<&(dyn Fn() -> bool + Sync)> = Some(&*stop_pred);
-    let (fresh, pool): (Vec<(u64, RunVerdict)>, PoolStats) = run_supervised_until(
-        &pending,
-        threads,
-        &cfg.supervisor,
-        Subsystem::Injection,
-        "injection.worker",
-        stop_ref,
-        |i| {
-            let verdict = plan.run_index(i);
-            if let Some(j) = &journal {
-                j.append(&verdict_line(i, &verdict));
-            }
-            progress.record(verdict.outcome.as_ref().map(|o| class_index(o.class)));
-            progress.record_work(expected_work(specs[i as usize].cycle));
-            RUN_SIM_CYCLES.record(verdict.sim_cycles);
-            // The tracker records *after* the journal append: any sample
-            // that trips the stop predicate already has its journal line,
-            // keeping the early-stopped journal a prefix of the full run.
-            if let Some(o) = &verdict.outcome {
-                tracker.record(plan.stratum_of(i), o.class);
-            }
-            sea_profile::prom_flush(false, || prom_snapshot(&progress, &tracker));
-            verdict
-        },
-    );
-    let (done_runs, secs) = progress.finish();
-    // Final flushes (the ~1 Hz throttle can swallow the last interval):
-    // the Prometheus snapshot, forced, and this thread's trace ring so the
-    // campaign's closing events reach the `/events` tail promptly.
-    sea_profile::prom_flush(true, || prom_snapshot(&progress, &tracker));
-    let journal_poisoned = journal.as_ref().is_some_and(|j| j.poisoned());
-    if journal_poisoned {
-        event!(Subsystem::Injection, Level::Error, "injection.journal_poisoned_abort";
-               "workload" => id.workload.clone(),
-               "done" => done_runs,
-               "planned" => pending.len() as u64);
-    } else if pool.stopped && crate::supervisor::stop_requested() {
-        event!(Subsystem::Injection, Level::Info, "injection.stop_drained";
-               "workload" => id.workload.clone(),
-               "done" => done_runs,
-               "planned" => pending.len() as u64);
-    } else if pool.stopped {
-        event!(Subsystem::Injection, Level::Info, "injection.early_stop";
-               "workload" => id.workload.clone(),
-               "done" => done_runs,
-               "planned" => pending.len() as u64,
-               "max_adjusted_margin" => tracker.max_adjusted_margin());
-    }
-    sea_trace::flush_thread();
-    if let Some(mut s) = campaign_span {
-        s.field("workload", name.to_string());
-        s.field("runs", done_runs);
-        s.field(
-            "runs_per_sec",
-            if secs > 0.0 {
-                done_runs as f64 / secs
-            } else {
-                0.0
-            },
-        );
-        s.field("workers", pool.workers);
-        s.field("resumed", resumed);
-    }
-
-    for (i, v) in fresh {
-        outcome_by_idx[i as usize] = v.outcome;
-        anomalies.extend(v.anomaly);
-    }
-    anomalies.sort_by_key(|a| a.index);
-
-    let mut per_component = Vec::new();
-    for &component in &cfg.components {
-        let bits = probe.component_bits(component);
-        let mut counts = ClassCounts::default();
-        let mut tag_counts = ClassCounts::default();
-        let mut outs = Vec::new();
-        for o in outcome_by_idx
-            .iter()
-            .flatten()
-            .filter(|o| o.spec.component == component)
-        {
-            counts.add(o.class);
-            if o.array == ArrayKind::Tag {
-                tag_counts.add(o.class);
-            }
-            outs.push(*o);
-        }
-        per_component.push(ComponentResult {
-            component,
-            bits,
-            counts,
-            tag_counts,
-            outcomes: outs,
-        });
-    }
-
-    let completed = outcome_by_idx.iter().flatten().count() as u64;
-    let supervision = SupervisionStats {
-        completed,
-        resumed,
-        quarantined: anomalies.len() as u64,
-        flaky_recovered: anomalies.iter().filter(|a| !a.deterministic).count() as u64,
-        worker_respawns: pool.respawns,
-        lost: pool.lost.len() as u64,
-    };
-    if supervision.quarantined > 0 || supervision.lost > 0 || supervision.worker_respawns > 0 {
-        event!(Subsystem::Injection, Level::Warn, "injection.supervision";
-               "workload" => name.to_string(),
-               "quarantined" => supervision.quarantined,
-               "flaky_recovered" => supervision.flaky_recovered,
-               "worker_respawns" => supervision.worker_respawns,
-               "lost" => supervision.lost);
-    }
 
     // One summary event per campaign (not per run — the counters are
     // process-wide monotone): which execution tier served the prefix, and
@@ -1157,7 +954,7 @@ pub fn run_campaign(
     // tier-residency section.
     event!(Subsystem::Injection, Level::Info, "injection.tier";
            "workload" => name.to_string(),
-           "tier" => if cfg.warp.is_some() { "warp" } else { "detailed" },
+           "tier" => RunPlan::gauges(&plan),
            "warp_handoffs" => crate::warp::WARP_HANDOFFS.get(),
            "warp_cursor_resets" => crate::warp::WARP_CURSOR_RESETS.get(),
            "warp_prefix_cycles_saved" => crate::warp::WARP_PREFIX_CYCLES_SAVED.get(),
@@ -1168,31 +965,14 @@ pub fn run_campaign(
            "reconverged" => RECONVERGED.get(),
            "reconverge_cycles_saved" => RECONVERGE_CYCLES_SAVED.get());
 
-    let ckpt_stats = plan.checkpoints().map(|c| c.stats());
-    if let Some(s) = ckpt_stats {
-        event!(Subsystem::Injection, Level::Info, "injection.checkpoints";
-               "workload" => name.to_string(),
-               "epochs" => s.epochs,
-               "restores" => s.restores,
-               "prefix_cycles_saved" => s.prefix_cycles_saved,
-               "golden_cycles" => plan.golden_cycles());
-    }
-
-    // Make the tail durable before handing the result back, whatever the
-    // fsync policy chose to defer.
-    if let Some(j) = &journal {
-        j.sync();
-    }
-    let journal_audit = journal.as_ref().map(Journal::audit);
-
     Ok(CampaignResult {
         workload: name.to_string(),
         golden_cycles: plan.golden_cycles(),
         per_component,
-        anomalies,
-        supervision,
-        checkpoints: ckpt_stats,
-        journal: journal_audit,
+        anomalies: run.anomalies,
+        supervision: run.supervision,
+        checkpoints: run.checkpoints,
+        journal: run.journal,
     })
 }
 

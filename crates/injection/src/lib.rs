@@ -22,18 +22,19 @@
 
 mod campaign;
 pub mod convergence;
+mod drive;
 pub mod stats;
 pub mod supervisor;
 pub mod warp;
 
 pub use campaign::{
-    acquire_golden_and_checkpoints, class_index, generate_specs, prom_append_early_exits,
-    record_run_cycles, run_campaign, run_cycles_snapshot, run_one, verdict_line, CampaignConfig,
-    CampaignError, CampaignPlan, CampaignResult, CheckpointPolicy, ComponentResult, FaultModel,
-    InjectionOutcome, InjectionSpec, SupervisionStats, CLASS_LABELS, DEAD_PRUNED, RECONVERGED,
-    RECONVERGE_CYCLES_SAVED,
+    acquire_golden_and_checkpoints, class_index, generate_specs, run_campaign, run_cycles_snapshot,
+    run_one, verdict_line, CampaignConfig, CampaignError, CampaignPlan, CampaignResult,
+    CheckpointPolicy, ComponentResult, FaultModel, InjectionOutcome, InjectionSpec,
+    SupervisionStats, CLASS_LABELS, DEAD_PRUNED, RECONVERGED, RECONVERGE_CYCLES_SAVED,
 };
 pub use convergence::{ConvergenceTracker, StratumSnapshot};
+pub use drive::{drive, Driven, Live, RunPlan};
 pub use sea_platform::ClassCounts;
 pub use supervisor::{
     clear_stop, load_quarantine, open_journal, request_stop, run_one_caught, stop_requested,

@@ -10,10 +10,11 @@
 //!   execution in `catch_unwind`, so a simulator panic triggered by
 //!   corrupted microarchitectural state becomes a [`RunAnomaly`] record
 //!   (with a post-mortem snapshot) instead of killing the campaign.
-//! * **Bounded retry + quarantine** — [`attempt_run`] retries a panicking
-//!   run up to [`SupervisorConfig::max_attempts`] times, distinguishing
-//!   deterministic panics from flaky ones, and appends every anomaly to a
-//!   replayable JSONL [`Quarantine`] file (see the `replay` bench binary).
+//! * **Bounded retry + quarantine** — [`crate::CampaignPlan::attempt`]
+//!   retries a panicking run up to [`SupervisorConfig::max_attempts`]
+//!   times, distinguishing deterministic panics from flaky ones, and
+//!   appends every anomaly to a replayable JSONL [`Quarantine`] file (see
+//!   the `replay` bench binary).
 //! * **Journal + resume** — [`Journal`] is an append-only, crash-consistent
 //!   outcome log built on `sea-durable`: by default a `.seaj` binary file
 //!   of CRC32-framed, sequence-numbered records (payloads are the exact
@@ -25,7 +26,7 @@
 //!   re-simulating finished work. Write faults (disk-full, EIO) retry
 //!   with bounded backoff, then poison the journal so the campaign drains
 //!   cleanly leaving a valid resumable prefix.
-//! * **Worker supervision** — [`run_supervised`] pulls work through a
+//! * **Worker supervision** — [`run_supervised_until`] pulls work through a
 //!   self-healing pool: a worker that dies mid-campaign is respawned (its
 //!   in-flight item is requeued), degrading gracefully to fewer threads
 //!   once the respawn budget is exhausted.
@@ -917,11 +918,12 @@ pub fn run_one_caught(
 
 /// A supervised run's result: an outcome, an anomaly, or both (a flaky
 /// panic that succeeded on retry yields an outcome *and* an anomaly
-/// record).
+/// record). The outcome is an [`InjectionOutcome`] unless a plan wraps it
+/// (a beam strike's origin and class).
 #[derive(Clone, Debug, PartialEq)]
-pub struct RunVerdict {
+pub struct RunVerdict<O = InjectionOutcome> {
     /// The classified outcome, absent when every attempt panicked.
-    pub outcome: Option<InjectionOutcome>,
+    pub outcome: Option<O>,
     /// The anomaly record, present when any attempt panicked.
     pub anomaly: Option<RunAnomaly>,
     /// Cycles the successful attempt actually simulated (post-restore
@@ -931,6 +933,17 @@ pub struct RunVerdict {
     /// restored, so it must never feed journal lines or cross-campaign
     /// equivalence checks.
     pub sim_cycles: u64,
+}
+
+impl<O> RunVerdict<O> {
+    /// The same verdict with its outcome mapped through `f`.
+    pub fn map<T>(self, f: impl FnOnce(O) -> T) -> RunVerdict<T> {
+        RunVerdict {
+            outcome: self.outcome.map(f),
+            anomaly: self.anomaly,
+            sim_cycles: self.sim_cycles,
+        }
+    }
 }
 
 /// Identity fields stamped onto anomaly records.
@@ -944,60 +957,6 @@ pub struct RunIdentity {
     pub config_hash: u64,
     /// Golden-output hash.
     pub golden_hash: u64,
-}
-
-/// Runs one spec under the full supervision policy: panic isolation plus
-/// bounded retry, quarantining any anomaly.
-#[allow(clippy::too_many_arguments)] // the supervised-run plumbing: every field is a distinct concern
-pub fn attempt_run(
-    workload: &BuiltWorkload,
-    cfg: &CampaignConfig,
-    id: &RunIdentity,
-    ckpts: Option<&CheckpointSet>,
-    index: u64,
-    spec: InjectionSpec,
-    limits: RunLimits,
-    quarantine: Option<&Quarantine>,
-) -> RunVerdict {
-    let max_attempts = cfg.supervisor.max_attempts.max(1);
-    let mut last_panic: Option<CaughtPanic> = None;
-    let mut attempts = 0u32;
-    let mut outcome = None;
-    let mut sim_cycles = 0u64;
-    while attempts < max_attempts {
-        attempts += 1;
-        match run_one_caught(workload, cfg, ckpts, index, spec, limits) {
-            Ok((out, sim)) => {
-                outcome = Some(out);
-                sim_cycles = sim;
-                break;
-            }
-            Err(p) => last_panic = Some(p),
-        }
-    }
-    let anomaly = last_panic.map(|p| {
-        let a = RunAnomaly {
-            index,
-            spec,
-            workload: id.workload.clone(),
-            seed: id.seed,
-            config_hash: id.config_hash,
-            golden_hash: id.golden_hash,
-            attempts,
-            deterministic: outcome.is_none(),
-            panic_msg: p.message,
-            postmortem: p.postmortem,
-        };
-        if let Some(q) = quarantine {
-            q.record(&a);
-        }
-        a
-    });
-    RunVerdict {
-        outcome,
-        anomaly,
-        sim_cycles,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1044,26 +1003,12 @@ fn respawn_backoff_ms(nth: u32, salt: u64) -> u64 {
 /// degrades to the surviving workers, and any item left over is retried
 /// once on the supervisor thread itself so a poisoned item cannot discard
 /// the rest of the campaign.
-pub fn run_supervised<T, F>(
-    pending: &[u64],
-    threads: usize,
-    sup: &SupervisorConfig,
-    sub: Subsystem,
-    worker_event: &'static str,
-    f: F,
-) -> (Vec<(u64, T)>, PoolStats)
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    run_supervised_until(pending, threads, sup, sub, worker_event, None, f)
-}
-
-/// [`run_supervised`] with an early-stop predicate, checked before each
-/// claim (workers finish their in-flight run, then drain). Remaining items
-/// are *skipped* — not run, not lost — and `PoolStats::stopped` records
-/// that the predicate fired. With one thread, items complete in `pending`
-/// order, so the completed set is an exact prefix — the property behind
+///
+/// The `stop` predicate is checked before each claim (workers finish
+/// their in-flight run, then drain). Remaining items are *skipped* — not
+/// run, not lost — and `PoolStats::stopped` records that the predicate
+/// fired. With one thread, items complete in `pending` order, so the
+/// completed set is an exact prefix — the property behind
 /// `--stop-at-margin`'s byte-prefix journal guarantee.
 pub fn run_supervised_until<T, F>(
     pending: &[u64],
@@ -1308,12 +1253,13 @@ mod tests {
     fn pool_completes_all_items_and_batches_per_worker() {
         let pending: Vec<u64> = (0..200).collect();
         let sup = SupervisorConfig::default();
-        let (results, stats) = run_supervised(
+        let (results, stats) = run_supervised_until(
             &pending,
             4,
             &sup,
             Subsystem::Injection,
             "test.worker",
+            None,
             |i| i * 2,
         );
         assert_eq!(results.len(), 200);
@@ -1339,12 +1285,13 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let backoff_before = RESPAWN_BACKOFF_MS.get();
-        let (results, stats) = run_supervised(
+        let (results, stats) = run_supervised_until(
             &pending,
             3,
             &sup,
             Subsystem::Injection,
             "test.worker",
+            None,
             |i| i,
         );
         assert_eq!(results.len(), 32, "item 7 must be requeued and completed");
@@ -1421,12 +1368,13 @@ mod tests {
             max_worker_respawns: 2,
             ..SupervisorConfig::default()
         };
-        let (results, stats) = run_supervised(
+        let (results, stats) = run_supervised_until(
             &pending,
             2,
             &sup,
             Subsystem::Injection,
             "test.worker",
+            None,
             |i| i,
         );
         // Item 5 keeps killing workers; everything else must finish. The

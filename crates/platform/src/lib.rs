@@ -33,7 +33,7 @@ pub use checkpoint::{
 };
 pub use profile::profiled_golden_run;
 pub use run::{
-    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints, postmortem, run,
-    run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass, GoldenError,
-    GoldenRun, RunLimits, RunOutcome, SysCrashKind,
+    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints, kernel_residency,
+    postmortem, run, run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass,
+    GoldenError, GoldenRun, RunLimits, RunOutcome, SysCrashKind,
 };

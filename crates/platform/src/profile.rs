@@ -55,17 +55,7 @@ pub fn profiled_golden_run(
                 s.field("cycles", sys.cycles());
                 s.field("hot_pcs", profile.pc.entries.len() as u64);
             }
-            Ok((
-                GoldenRun {
-                    output,
-                    exit_code: 0,
-                    cycles: sys.cycles(),
-                    instructions: sys.cpu.counters.instructions,
-                    counters: sys.cpu.counters,
-                    boot,
-                },
-                profile,
-            ))
+            Ok((GoldenRun::of(&sys, output, boot), profile))
         }
         other => Err(GoldenError::NotClean(other)),
     }

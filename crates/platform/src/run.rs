@@ -414,6 +414,44 @@ pub struct GoldenRun {
     pub counters: sea_microarch::Counters,
     /// Boot information (heap placement etc.).
     pub boot: BootInfo,
+    /// Share of cache SRAM holding kernel-region lines when the run ended
+    /// ([`kernel_residency`]).
+    pub kernel_resident_frac: f64,
+}
+
+impl GoldenRun {
+    /// The reference data of `sys`, which has just exited cleanly with
+    /// `output`.
+    pub(crate) fn of(sys: &System<Board>, output: Vec<u8>, boot: BootInfo) -> GoldenRun {
+        GoldenRun {
+            output,
+            exit_code: 0,
+            cycles: sys.cycles(),
+            instructions: sys.cpu.counters.instructions,
+            counters: sys.cpu.counters,
+            boot,
+            kernel_resident_frac: kernel_residency(sys),
+        }
+    }
+}
+
+/// The share of cache SRAM (L1I, L1D and L2, weighted by bits) held by
+/// valid lines whose physical address lies below the user page pool:
+/// kernel text, data, stack and page tables. Read at the end of a
+/// fault-free run, it drives the beam's idle-window model (§VI).
+pub fn kernel_residency(sys: &System<Board>) -> f64 {
+    let mut kernel_bits = 0f64;
+    let mut total_bits = 0f64;
+    for cache in [&sys.mem.l1i, &sys.mem.l1d, &sys.mem.l2] {
+        let per_line = cache.total_bits() as f64 / cache.lines() as f64;
+        total_bits += cache.total_bits() as f64;
+        kernel_bits += cache
+            .valid_line_addrs()
+            .filter(|&a| a < sea_kernel::USER_POOL_BASE)
+            .count() as f64
+            * per_line;
+    }
+    kernel_bits / total_bits
 }
 
 /// Errors from a golden (fault-free) run.
@@ -549,15 +587,7 @@ fn golden_run_observed(
                 s.field("instructions", sys.cpu.counters.instructions);
                 s.field("output_bytes", output.len());
             }
-            let golden = GoldenRun {
-                output,
-                exit_code: 0,
-                cycles: sys.cycles(),
-                instructions: sys.cpu.counters.instructions,
-                counters: sys.cpu.counters,
-                boot,
-            };
-            Ok((golden, horizon))
+            Ok((GoldenRun::of(&sys, output, boot), horizon))
         }
         other => Err(GoldenError::NotClean(other)),
     }

@@ -269,11 +269,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest `[`/`{` nesting [`parse`] accepts; deeper input is a
+/// [`ParseError`], so the recursive parser cannot overflow a thread's
+/// stack on untrusted bytes (fleet protocol lines, observe POST bodies,
+/// journal records). The deepest document the repo writes nests six deep:
+/// the fleet daemon's `/status`, at `active.strata[].classes.<class>`.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse a complete JSON document (rejecting trailing garbage).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: input.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -287,6 +295,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -319,8 +328,17 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deep")),
+            Some(b'{' | b'[') => {
+                self.depth += 1;
+                let v = if self.b[self.i] == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal(b"true", Json::Bool(true)),
             Some(b'f') => self.literal(b"false", Json::Bool(false)),
@@ -520,6 +538,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)).unwrap_err().msg,
+            "nested too deep"
+        );
+        // Far past any thread's stack if the parser recursed on it.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 18)).is_err());
     }
 
     #[test]
