@@ -33,7 +33,7 @@
 //! `--journal DIR` writes an append-only outcome journal per workload,
 //! `--journal-format bin|jsonl` picks the crash-consistent `.seaj`
 //! binary container (default) or plain JSON Lines, `--fsync
-//! none|every-n=N|interval-ms=T` sets the journal fsync cadence,
+//! none|every-n=N` sets the journal fsync cadence,
 //! `--resume` validates and continues an interrupted journal (truncating
 //! a torn tail), `--quarantine FILE` collects panicking runs as
 //! replayable anomaly records, and `--run-timeout-ms N` puts a

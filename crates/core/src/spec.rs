@@ -293,7 +293,7 @@ mod tests {
                 seed: 0xDEAD_BEEF_0BAD_F00D,
                 threads: 2,
                 run_wall_ms: 5_000,
-                journal_fsync: crate::FsyncPolicy::IntervalMs(250),
+                journal_fsync: crate::FsyncPolicy::EveryN(8),
                 fast_path: true,
                 warp: true,
                 stop_at_margin: Some(0.05),

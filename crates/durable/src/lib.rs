@@ -35,7 +35,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Magic prefix of a `.seaj` binary journal file.
 pub const SEAJ_MAGIC: [u8; 8] = *b"SEAJRNL\x01";
@@ -170,8 +170,6 @@ pub enum FsyncPolicy {
     None,
     /// Sync after every N appended records.
     EveryN(u32),
-    /// Sync at most once per T milliseconds of appends.
-    IntervalMs(u64),
 }
 
 impl Default for FsyncPolicy {
@@ -181,7 +179,7 @@ impl Default for FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse a `--fsync` argument: `none`, `every-n=N`, or `interval-ms=T`.
+    /// Parse a `--fsync` argument: `none` or `every-n=N`.
     pub fn parse(s: &str) -> Result<Self, String> {
         if s == "none" {
             return Ok(FsyncPolicy::None);
@@ -195,14 +193,8 @@ impl FsyncPolicy {
             }
             return Ok(FsyncPolicy::EveryN(n));
         }
-        if let Some(t) = s.strip_prefix("interval-ms=") {
-            let t: u64 = t
-                .parse()
-                .map_err(|_| format!("bad interval in '--fsync {s}'"))?;
-            return Ok(FsyncPolicy::IntervalMs(t));
-        }
         Err(format!(
-            "unknown fsync policy '{s}' (expected none|every-n=N|interval-ms=T)"
+            "unknown fsync policy '{s}' (expected none|every-n=N)"
         ))
     }
 }
@@ -212,7 +204,6 @@ impl fmt::Display for FsyncPolicy {
         match self {
             FsyncPolicy::None => write!(f, "none"),
             FsyncPolicy::EveryN(n) => write!(f, "every-n={n}"),
-            FsyncPolicy::IntervalMs(t) => write!(f, "interval-ms={t}"),
         }
     }
 }
@@ -569,7 +560,6 @@ pub struct DurableWriter {
     len: u64,
     policy: FsyncPolicy,
     since_sync: u32,
-    last_sync: Option<Instant>,
     stats: WriterStats,
     poisoned: bool,
 }
@@ -595,7 +585,6 @@ impl DurableWriter {
             len: valid_len,
             policy,
             since_sync: 0,
-            last_sync: None,
             stats: WriterStats::default(),
             poisoned: false,
         })
@@ -665,23 +654,18 @@ impl DurableWriter {
                 self.since_sync += 1;
                 self.since_sync >= n
             }
-            FsyncPolicy::IntervalMs(t) => match self.last_sync {
-                None => true,
-                Some(at) => at.elapsed() >= Duration::from_millis(t),
-            },
         };
         if due {
             self.sync();
         }
     }
 
-    /// Force an `fdatasync` now (also resets the policy clock).
+    /// Force an `fdatasync` now (also restarts the record count).
     pub fn sync(&mut self) {
         if self.file.sync_data().is_ok() {
             self.stats.fsyncs += 1;
         }
         self.since_sync = 0;
-        self.last_sync = Some(Instant::now());
     }
 }
 
@@ -709,17 +693,10 @@ mod tests {
     fn fsync_policy_parses_and_round_trips() {
         assert_eq!(FsyncPolicy::parse("none"), Ok(FsyncPolicy::None));
         assert_eq!(FsyncPolicy::parse("every-n=8"), Ok(FsyncPolicy::EveryN(8)));
-        assert_eq!(
-            FsyncPolicy::parse("interval-ms=250"),
-            Ok(FsyncPolicy::IntervalMs(250))
-        );
+        assert!(FsyncPolicy::parse("interval-ms=250").is_err());
         assert!(FsyncPolicy::parse("every-n=0").is_err());
         assert!(FsyncPolicy::parse("always").is_err());
-        for p in [
-            FsyncPolicy::None,
-            FsyncPolicy::EveryN(64),
-            FsyncPolicy::IntervalMs(100),
-        ] {
+        for p in [FsyncPolicy::None, FsyncPolicy::EveryN(64)] {
             assert_eq!(FsyncPolicy::parse(&p.to_string()), Ok(p));
         }
     }
@@ -970,7 +947,6 @@ mod tests {
             len: 0,
             policy: FsyncPolicy::None,
             since_sync: 0,
-            last_sync: None,
             stats: WriterStats::default(),
             poisoned: false,
         };

@@ -112,7 +112,6 @@ pub struct Driven<O> {
 struct Names {
     sub: Subsystem,
     run: &'static str,
-    worker: &'static str,
     poisoned: &'static str,
     drained: &'static str,
     early_stop: &'static str,
@@ -125,7 +124,6 @@ struct Names {
 const INJECT: Names = Names {
     sub: Subsystem::Injection,
     run: "injection.campaign",
-    worker: "injection.worker",
     poisoned: "injection.journal_poisoned_abort",
     drained: "injection.stop_drained",
     early_stop: "injection.early_stop",
@@ -137,7 +135,6 @@ const INJECT: Names = Names {
 const BEAM: Names = Names {
     sub: Subsystem::Beam,
     run: "beam.session",
-    worker: "beam.worker",
     poisoned: "beam.journal_poisoned_abort",
     drained: "beam.stop_drained",
     early_stop: "beam.early_stop",
@@ -251,13 +248,16 @@ fn prom_document<P: RunPlan>(names: &Names, g: &P::Gauges, live: &Live) -> Strin
 /// Runs every index of `plan` its journal does not already hold, on a
 /// supervised pool steered by the campaign configuration's runtime knobs.
 ///
-/// With `journal` set, each finished index is appended as one record and a
-/// resumed journal's records are skipped, so an interrupted run continues
-/// where it stopped. With `serve` set, `/status`, `/metrics` and the
-/// journal tail are served live. The run stops early — workers finish
-/// their in-flight index, the journal stays a valid resumable prefix — on
-/// a process-wide stop request, a poisoned journal, or once every
-/// stratum's adjusted margin reaches `stop_at_margin`.
+/// Each finished index is committed in index order, whatever order the
+/// workers finish in: with `journal` set it is appended as one record,
+/// then it joins the live state and the returned outcomes, so a journal's
+/// bytes do not depend on the thread count. A resumed journal's records
+/// are skipped, so an interrupted run continues where it stopped. With
+/// `serve` set, `/status`, `/metrics` and the journal tail are served
+/// live. The run stops early — workers finish their in-flight index, the
+/// journal stays a valid resumable prefix — on a process-wide stop
+/// request, a poisoned journal, or at the first commit after which every
+/// stratum's adjusted margin is within `stop_at_margin`.
 ///
 /// # Errors
 ///
@@ -359,36 +359,38 @@ pub fn drive<P: RunPlan>(plan: &P) -> Result<Driven<P::Outcome>, JournalError> {
         0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
         n => n,
     };
-    let stop = || {
-        stop_requested()
-            || journal.as_ref().is_some_and(Journal::poisoned)
-            || cfg
-                .stop_at_margin
-                .is_some_and(|m| live.tracker.converged(m))
+    let converged = || {
+        cfg.stop_at_margin
+            .is_some_and(|m| live.tracker.converged(m))
     };
-    let (fresh, pool) = run_supervised_until(
+    // The margin term only matters before the first commit, when a resumed
+    // journal has already converged; after that the commits decide.
+    let stop =
+        || stop_requested() || journal.as_ref().is_some_and(Journal::poisoned) || converged();
+    let pool = run_supervised_until(
         &pending,
         threads,
         &cfg.supervisor,
         names.sub,
-        names.worker,
         Some(&stop),
-        |i| {
-            let v = plan.run_index(i);
+        |i| plan.run_index(i),
+        // Commits arrive in index order, so the journal, the live state
+        // and the returned outcomes all hold the same prefix, and an early
+        // stop lands on the same index at any thread count.
+        |i, v: RunVerdict<P::Outcome>| {
             if let Some(j) = &journal {
                 j.append(&record_line(i, &v, P::write_outcome));
             }
             let class = v.outcome.as_ref().map(P::class);
             live.progress.record(class.map(class_index));
             live.progress.record_work(plan.expected_work(i));
-            // Record *after* the journal append: an index that trips the
-            // stop predicate already has its record, keeping an
-            // early-stopped journal a prefix of the full run's.
             if let Some(class) = class {
                 live.tracker.record(plan.stratum_of(i), class);
             }
             sea_profile::prom_flush(false, || prom_document::<P>(names, &gauges, &live));
-            v
+            outcomes[i as usize] = v.outcome;
+            anomalies.extend(v.anomaly);
+            converged()
         },
     );
     let (done_runs, secs) = live.progress.finish();
@@ -429,12 +431,7 @@ pub fn drive<P: RunPlan>(plan: &P) -> Result<Driven<P::Outcome>, JournalError> {
         s.field("work", work);
     }
 
-    let sampled = resumed + fresh.len() as u64;
-    for (i, v) in fresh {
-        outcomes[i as usize] = v.outcome;
-        anomalies.extend(v.anomaly);
-    }
-    anomalies.sort_by_key(|a| a.index);
+    let sampled = resumed + done_runs;
     let supervision = SupervisionStats {
         completed: outcomes.iter().flatten().count() as u64,
         resumed,

@@ -31,7 +31,7 @@
 //!   in-flight item is requeued), degrading gracefully to fewer threads
 //!   once the respawn budget is exhausted.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -973,9 +973,9 @@ pub struct PoolStats {
     /// Items abandoned because they kept killing workers even after the
     /// respawn budget was spent.
     pub lost: Vec<u64>,
-    /// True when the pool drained early because the stop predicate fired
-    /// (see [`run_supervised_until`]); remaining items were skipped, not
-    /// lost.
+    /// True when the pool drained early because a commit or the stop
+    /// predicate asked it to (see [`run_supervised_until`]); remaining
+    /// items were skipped, not lost.
     pub stopped: bool,
 }
 
@@ -990,40 +990,52 @@ fn respawn_backoff_ms(nth: u32, salt: u64) -> u64 {
     base / 2 + jitter / 2
 }
 
-/// Runs `f` over every index in `pending` on a supervised worker pool.
+/// Runs `f` over every index in `pending` on a supervised worker pool and
+/// hands each result to `commit`, one at a time and strictly in `pending`
+/// order, whatever order the workers finish in.
 ///
 /// Work is claimed in contiguous blocks, not single items: campaign specs
 /// are cycle-sorted, so a block of adjacent indices shares (or neighbors)
 /// one restore checkpoint, and the worker that claimed it keeps that
-/// machine state hot instead of interleaving with every other worker.
-/// Results are batched per worker (no shared mutex on the hot path) and
-/// collected when the pool drains. A worker that panics is respawned (its
-/// in-flight item *and* the unprocessed remainder of its claimed block
-/// requeued) until `max_worker_respawns` is exhausted; after that the pool
-/// degrades to the surviving workers, and any item left over is retried
-/// once on the supervisor thread itself so a poisoned item cannot discard
-/// the rest of the campaign.
+/// machine state hot instead of interleaving with every other worker. A
+/// result that finishes before an earlier index is held until the
+/// contiguous prefix is ready; `commit` runs under one lock. A worker that
+/// panics is respawned (its in-flight item *and* the unprocessed remainder
+/// of its claimed block requeued) until `max_worker_respawns` is
+/// exhausted; after that the pool degrades to the surviving workers, and
+/// any item left over is retried once on the supervisor thread itself so
+/// a poisoned item cannot discard the rest of the campaign. Items that
+/// still panic there are [`PoolStats::lost`]: their place in the order is
+/// skipped when the held tail is committed at the end.
 ///
-/// The `stop` predicate is checked before each claim (workers finish
-/// their in-flight run, then drain). Remaining items are *skipped* — not
-/// run, not lost — and `PoolStats::stopped` records that the predicate
-/// fired. With one thread, items complete in `pending` order, so the
-/// completed set is an exact prefix — the property behind
-/// `--stop-at-margin`'s byte-prefix journal guarantee.
-pub fn run_supervised_until<T, F>(
+/// The pool stops early when `commit` returns true — no later result is
+/// committed, so the committed indices are the same prefix of `pending` at
+/// any thread count — or when the `stop` predicate, checked before each
+/// claim, fires (workers finish their in-flight run, then drain). Either
+/// way, remaining items are *skipped* — not run, not lost — held results
+/// are dropped, and `PoolStats::stopped` records it. Events go to `sub`,
+/// and each worker's span is `beam.worker` or `injection.worker` after it.
+pub fn run_supervised_until<T, F, C>(
     pending: &[u64],
     threads: usize,
     sup: &SupervisorConfig,
     sub: Subsystem,
-    worker_event: &'static str,
     stop: Option<&(dyn Fn() -> bool + Sync)>,
     f: F,
-) -> (Vec<(u64, T)>, PoolStats)
+    commit: C,
+) -> PoolStats
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
+    C: FnMut(u64, T) -> bool + Send,
 {
-    let should_stop = || stop.is_some_and(|s| s());
+    let halted = AtomicBool::new(false);
+    let should_stop = || halted.load(Ordering::SeqCst) || stop.is_some_and(|s| s());
+    let worker_event = if sub == Subsystem::Beam {
+        "beam.worker"
+    } else {
+        "injection.worker"
+    };
     let threads = threads.min(pending.len()).max(1);
     // Block size balances locality (bigger = fewer checkpoint switches per
     // worker) against tail imbalance (smaller = the last blocks spread
@@ -1035,7 +1047,30 @@ where
     // Per-worker claimed-block remainders, drained back into `retry` if
     // the worker dies before finishing its block.
     let claims: Vec<Mutex<Vec<u64>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let outs: Vec<Mutex<Vec<(u64, T)>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    // The position in `pending` of the next index to commit, the results
+    // that finished ahead of it, and the callback.
+    let committer = Mutex::new((0usize, HashMap::new(), commit));
+    // Holds `done`, then commits the contiguous run of held results. Past
+    // a missing index it waits or, with `past_holes` (every index still
+    // missing is lost), skips it. A commit that returns true halts the
+    // pool, and whatever is held then is dropped.
+    let release = |done: Option<(u64, T)>, past_holes: bool| {
+        let mut guard = committer.lock();
+        let (next, held, commit) = &mut *guard;
+        held.extend(done);
+        while let Some(&i) = pending.get(*next) {
+            if halted.load(Ordering::SeqCst) {
+                held.clear();
+                break;
+            }
+            match held.remove(&i) {
+                Some(t) => halted.fetch_or(commit(i, t), Ordering::SeqCst),
+                None if past_holes => false,
+                None => break,
+            };
+            *next += 1;
+        }
+    };
     let respawns = AtomicUsize::new(0);
 
     let body = |w: usize| {
@@ -1076,8 +1111,7 @@ where
             if let Some(hook) = sup.worker_hook {
                 hook(w, i);
             }
-            let t = f(i);
-            outs[w].lock().push((i, t));
+            release(Some((i, f(i))), false);
             slots[w].store(IDLE, Ordering::SeqCst);
             runs += 1;
         }
@@ -1152,13 +1186,11 @@ where
     // Anything still queued (or never claimed, if every worker died with
     // the respawn budget spent) has no live worker left to take it. Run it
     // on this thread, still behind a panic guard; items that *still* panic
-    // outside the run boundary are recorded as lost, not fatal. When the
-    // stop predicate fired, leftovers are skipped entirely — running the
-    // tail of a claimed block after convergence would break the
-    // prefix-of-the-full-run journal property.
+    // outside the run boundary are recorded as lost, not fatal. Then the
+    // held tail is committed in order, past the lost indices. After a
+    // stop, leftovers are skipped entirely.
     let stopped = should_stop();
     let mut lost = Vec::new();
-    let mut results: Vec<(u64, T)> = Vec::with_capacity(pending.len());
     if !stopped {
         let mut leftovers = std::mem::take(&mut *retry.lock());
         for q in &claims {
@@ -1174,27 +1206,19 @@ where
         }
         for i in leftovers {
             match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(t) => results.push((i, t)),
+                Ok(t) => release(Some((i, t)), false),
                 Err(_) => lost.push(i),
             }
         }
+        release(None, true);
     }
-
-    for o in outs {
-        results.append(&mut o.into_inner());
-    }
-    results.sort_by_key(|(i, _)| *i);
-    results.dedup_by_key(|(i, _)| *i);
     lost.sort_unstable();
-    (
-        results,
-        PoolStats {
-            workers: threads,
-            respawns: respawns.load(Ordering::Relaxed) as u32,
-            lost,
-            stopped,
-        },
-    )
+    PoolStats {
+        workers: threads,
+        respawns: respawns.load(Ordering::Relaxed) as u32,
+        lost,
+        stopped: should_stop(),
+    }
 }
 
 #[cfg(test)]
@@ -1249,25 +1273,44 @@ mod tests {
         assert!(err.contains("format version"), "{err}");
     }
 
-    #[test]
-    fn pool_completes_all_items_and_batches_per_worker() {
-        let pending: Vec<u64> = (0..200).collect();
-        let sup = SupervisorConfig::default();
-        let (results, stats) = run_supervised_until(
+    /// Runs `f` over `0..n` on the pool; returns what was committed, in
+    /// commit order, and the pool's stats. The commit asks to stop once
+    /// `stop_at` results are in.
+    fn pool(
+        n: u64,
+        threads: usize,
+        sup: &SupervisorConfig,
+        stop_at: usize,
+        f: impl Fn(u64) -> u64 + Sync,
+    ) -> (Vec<(u64, u64)>, PoolStats) {
+        let pending: Vec<u64> = (0..n).collect();
+        let mut journal = Vec::new();
+        let stats = run_supervised_until(
             &pending,
-            4,
-            &sup,
+            threads,
+            sup,
             Subsystem::Injection,
-            "test.worker",
             None,
-            |i| i * 2,
+            f,
+            |i, t| {
+                journal.push((i, t));
+                journal.len() >= stop_at
+            },
         );
-        assert_eq!(results.len(), 200);
+        (journal, stats)
+    }
+
+    fn indices(journal: &[(u64, u64)]) -> Vec<u64> {
+        journal.iter().map(|&(i, _)| i).collect()
+    }
+
+    #[test]
+    fn pool_commits_every_item_in_index_order() {
+        let (journal, stats) = pool(200, 4, &SupervisorConfig::default(), usize::MAX, |i| i * 2);
+        assert_eq!(journal, (0..200).map(|i| (i, i * 2)).collect::<Vec<_>>());
         assert_eq!(stats.respawns, 0);
         assert!(stats.lost.is_empty());
-        for (i, v) in &results {
-            assert_eq!(*v, i * 2);
-        }
+        assert!(!stats.stopped);
     }
 
     #[test]
@@ -1279,22 +1322,17 @@ mod tests {
                 panic!("induced worker death");
             }
         }
-        let pending: Vec<u64> = (0..32).collect();
         let sup = SupervisorConfig {
             worker_hook: Some(kill_once),
             ..SupervisorConfig::default()
         };
         let backoff_before = RESPAWN_BACKOFF_MS.get();
-        let (results, stats) = run_supervised_until(
-            &pending,
-            3,
-            &sup,
-            Subsystem::Injection,
-            "test.worker",
-            None,
-            |i| i,
+        let (journal, stats) = pool(32, 3, &sup, usize::MAX, |i| i);
+        assert_eq!(
+            indices(&journal),
+            (0..32).collect::<Vec<_>>(),
+            "item 7 must be requeued and committed in its place"
         );
-        assert_eq!(results.len(), 32, "item 7 must be requeued and completed");
         assert_eq!(stats.respawns, 1);
         assert!(stats.lost.is_empty());
         assert!(
@@ -1330,29 +1368,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_stop_predicate_yields_an_exact_prefix_with_one_thread() {
-        let pending: Vec<u64> = (0..100).collect();
-        let done = AtomicU64::new(0);
-        let sup = SupervisorConfig::default();
-        let stop = || done.load(Ordering::SeqCst) >= 10;
-        let (results, stats) = run_supervised_until(
-            &pending,
-            1,
-            &sup,
-            Subsystem::Injection,
-            "test.worker",
-            Some(&stop),
-            |i| {
-                done.fetch_add(1, Ordering::SeqCst);
-                i
-            },
-        );
+    fn a_commit_stop_yields_an_exact_prefix_at_four_threads() {
+        // Even indices finish late, so workers complete out of order.
+        fn delay_even(_w: usize, i: u64) {
+            if i.is_multiple_of(2) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        let sup = SupervisorConfig {
+            worker_hook: Some(delay_even),
+            ..SupervisorConfig::default()
+        };
+        let (journal, stats) = pool(100, 4, &sup, 10, |i| i);
         assert!(stats.stopped);
         assert!(stats.lost.is_empty(), "skipped items are not lost");
-        assert_eq!(results.len(), 10, "stop checked before every claim");
-        for (k, (i, _)) in results.iter().enumerate() {
-            assert_eq!(*i, k as u64, "single-threaded completion is a prefix");
-        }
+        assert_eq!(indices(&journal), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1362,26 +1392,37 @@ mod tests {
                 panic!("hard worker killer");
             }
         }
-        let pending: Vec<u64> = (0..16).collect();
         let sup = SupervisorConfig {
             worker_hook: Some(kill_always),
             max_worker_respawns: 2,
             ..SupervisorConfig::default()
         };
-        let (results, stats) = run_supervised_until(
-            &pending,
-            2,
-            &sup,
-            Subsystem::Injection,
-            "test.worker",
-            None,
-            |i| i,
-        );
+        let (journal, stats) = pool(16, 2, &sup, usize::MAX, |i| i);
         // Item 5 keeps killing workers; everything else must finish. The
         // final inline retry does not run the worker hook, so item 5 is
-        // recovered there (f itself is panic-free here).
+        // recovered there (f itself is panic-free here) and committed in
+        // its place.
         assert_eq!(stats.respawns, 2);
-        assert_eq!(results.len(), 16);
+        assert_eq!(indices(&journal), (0..16).collect::<Vec<_>>());
         assert!(stats.lost.is_empty());
+    }
+
+    #[test]
+    fn a_lost_item_leaves_one_hole_and_the_rest_commits_in_order() {
+        let sup = SupervisorConfig {
+            max_worker_respawns: 1,
+            ..SupervisorConfig::default()
+        };
+        // Item 5 panics outside any run boundary, on a worker and again on
+        // the supervisor thread's retry.
+        let (journal, stats) = pool(16, 2, &sup, usize::MAX, |i| {
+            assert_ne!(i, 5, "poisoned item");
+            i
+        });
+        assert_eq!(stats.lost, vec![5]);
+        assert_eq!(
+            indices(&journal),
+            (0..16).filter(|&i| i != 5).collect::<Vec<_>>()
+        );
     }
 }

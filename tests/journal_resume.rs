@@ -1,10 +1,10 @@
-//! Journal resume and export, for both journal kinds.
+//! Journal bytes, resume and export, for both journal kinds.
 //!
-//! A campaign or beam session whose journal is cut mid-record — what a
-//! SIGKILL during an append leaves — resumes at two threads to the same
-//! tallies and outcomes as a clean run. Records land in completion order
-//! at two threads, so results are compared, not bytes. And a binary
-//! journal's JSONL export is byte-identical to a JSONL-mode journal.
+//! Records are committed in index order, so a journal's bytes do not
+//! depend on the thread count: at two and four threads, a full run, a run
+//! cut mid-record — what a SIGKILL during an append leaves — and resumed,
+//! and a margin-stopped run all write exactly the one-thread bytes. And a
+//! binary journal's JSONL export is byte-identical to a JSONL-mode journal.
 
 use sea_core::durable::export_jsonl;
 use sea_core::injection::supervisor::journal_file;
@@ -70,20 +70,79 @@ impl Kind {
     }
 }
 
+/// Runs `s` with its journal in a fresh directory named `name`; returns
+/// the results and the journal's bytes.
+fn journaled(kind: Kind, mut s: Study, name: &str) -> ((String, u64), Vec<u8>) {
+    let dir = temp_dir(&format!("{name}_{kind:?}_t{}", s.threads));
+    s.journal_dir = Some(dir.clone());
+    let results = kind.run(&s);
+    let bytes = std::fs::read(kind.journal(&dir, JournalFormat::Binary)).expect("journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    (results, bytes)
+}
+
+/// Asserts `got == want`, naming the first differing byte rather than
+/// printing both journals.
+fn same_bytes(got: &[u8], want: &[u8], what: &str) {
+    let at = got.iter().zip(want).position(|(g, w)| g != w);
+    assert!(
+        got == want,
+        "{what}: journal differs from the one-thread bytes at byte {:?} ({} vs {} bytes)",
+        at.unwrap_or(got.len().min(want.len())),
+        got.len(),
+        want.len()
+    );
+}
+
 #[test]
-fn a_torn_journal_resumes_at_two_threads_to_the_clean_results() {
+fn a_torn_journal_resumes_at_any_thread_count_to_the_one_thread_bytes() {
     for kind in [Kind::Inject, Kind::Beam] {
-        let (clean, _) = kind.run(&study(2, None));
-        let dir = temp_dir(&format!("torn_{kind:?}"));
-        kind.run(&study(2, Some(&dir)));
-        let path = kind.journal(&dir, JournalFormat::Binary);
-        let bytes = std::fs::read(&path).expect("journal");
-        std::fs::write(&path, &bytes[..bytes.len() * 6 / 10]).expect("cut");
-        let mut s = study(2, Some(&dir));
-        s.resume = true;
-        let (resumed, replayed) = kind.run(&s);
-        assert!(replayed > 0, "{kind:?}: nothing resumed");
-        assert_eq!(clean, resumed, "{kind:?}: resumed results differ");
+        let ((clean, _), want) = journaled(kind, study(1, None), "reference");
+        for threads in [2, 4] {
+            let dir = temp_dir(&format!("torn_{kind:?}_t{threads}"));
+            kind.run(&study(threads, Some(&dir)));
+            let path = kind.journal(&dir, JournalFormat::Binary);
+            let bytes = std::fs::read(&path).expect("journal");
+            same_bytes(&bytes, &want, &format!("{kind:?} full, {threads} threads"));
+            std::fs::write(&path, &bytes[..bytes.len() * 6 / 10]).expect("cut");
+            let mut s = study(threads, Some(&dir));
+            s.resume = true;
+            let (resumed, replayed) = kind.run(&s);
+            assert!(replayed > 0, "{kind:?}: nothing resumed");
+            assert_eq!(clean, resumed, "{kind:?}: resumed results differ");
+            let resumed = std::fs::read(&path).expect("journal");
+            same_bytes(
+                &resumed,
+                &want,
+                &format!("{kind:?} resumed, {threads} threads"),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn a_margin_stop_writes_the_one_thread_prefix_at_any_thread_count() {
+    for kind in [Kind::Inject, Kind::Beam] {
+        let sized = |threads| Study {
+            samples_per_component: 30,
+            beam_strikes: 120,
+            ..study(threads, None)
+        };
+        let stopping = |threads| Study {
+            stop_at_margin: Some(0.35),
+            ..sized(threads)
+        };
+        let (_, full) = journaled(kind, sized(1), "full");
+        let (_, want) = journaled(kind, stopping(1), "stopped");
+        assert!(
+            want.len() < full.len() && full.starts_with(&want),
+            "{kind:?}: the stopped journal is not a strict prefix of the full one"
+        );
+        for threads in [2, 4] {
+            let (_, got) = journaled(kind, stopping(threads), "stopped");
+            same_bytes(&got, &want, &format!("{kind:?} stopped, {threads} threads"));
+        }
     }
 }
 

@@ -19,14 +19,10 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-// Single-threaded: journal append order is completion order, so two runs
-// of the same config write byte-identical journals (with more threads the
-// *set* of entries matches but interleaving differs run to run).
 fn study(journal: &Path) -> Study {
     Study {
         scale: Scale::Tiny,
         samples_per_component: 6,
-        threads: 1,
         journal_dir: Some(journal.to_path_buf()),
         ..Study::default()
     }
