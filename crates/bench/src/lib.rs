@@ -40,16 +40,16 @@
 //! wall-clock watchdog on every run. The `journal` binary exports and
 //! audits `.seaj` journals offline.
 //!
-//! Checkpoint flags (see README "Performance"): `--checkpoint-interval N`
-//! captures golden-run epoch checkpoints every ~N cycles (0 = auto) and
-//! restores the nearest one instead of re-booting before each injection;
-//! `--checkpoint-dir DIR` additionally persists them across invocations;
-//! `--fast-path` arms the bit-exact microarchitectural execution fast
-//! path (µop cache + translation latches) on every injected machine;
-//! `--warp` serves each run's machine from a per-worker warp cursor
-//! (amortized detailed prefix execution, byte-identical journals — see
-//! README "Performance"; `bash benchmark/run.sh` measures all of them end
-//! to end).
+//! Speed (see README "Performance"): by default every run is served from
+//! the fast path (µop cache + translation latches), a per-worker warp
+//! cursor and in-memory golden-run epoch checkpoints every ~65,536 cycles,
+//! which also arm the reconvergence cut and dead-cell pruning. All of it
+//! is journal-neutral. `--reference` switches the three off, so every run
+//! boots from reset on the reference tier — the differential oracle.
+//! `--checkpoint-interval N` sets the epoch stride (0 = auto) and
+//! `--checkpoint-dir DIR` persists the checkpoints across invocations.
+//! `bash benchmark/run.sh` measures them end to end. `--help` lists every
+//! flag.
 //!
 //! Profiling flags (see README "Profiling"): `--profile-out FILE` writes a
 //! per-workload attribution report (cycle hotspots + predicted-vs-measured
@@ -85,6 +85,40 @@ use sea_core::{
 };
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// What `--help` prints: every flag [`parse_options`] accepts.
+const USAGE: &str = "\
+usage: <binary> [flags]
+
+  --samples N               injected faults per component (default 150)
+  --strikes N               beam strikes per benchmark (default 600)
+  --seed N                  RNG seed
+  --threads N               worker threads (0 = every core, the default)
+  --tiny                    tiny benchmark inputs, for smoke runs
+  --suite A,B,...           benchmark subset (default: all 13)
+  --reference               reference tier: no fast path, no warp cursor, no
+                            in-memory checkpoints; every run boots from reset
+                            (the default has all three on; journals are
+                            byte-identical either way)
+  --checkpoint-interval N   golden-run epoch stride in cycles (default 65536,
+                            0 = auto)
+  --checkpoint-dir DIR      persist checkpoints and reuse matching ones
+  --journal DIR             write an outcome journal per workload
+  --journal-format bin|jsonl
+  --fsync none|every-n=N    journal sync cadence (default every-n=64)
+  --resume                  continue an interrupted journal
+  --quarantine FILE         collect panicking runs as replayable records
+  --run-timeout-ms N        wall-clock watchdog per run
+  --serve ADDR              live HTTP observability (/status, /metrics, ...)
+  --stop-at-margin PCT      stop once every stratum's adjusted 99% margin <= PCT
+  --convergence-out FILE    margin-vs-n curves at doubling checkpoints
+  --trace-out FILE.jsonl    structured trace events, summary on exit
+  --chrome-trace FILE.json  Chrome trace-event rendering of the trace
+  --profile-out FILE        per-workload attribution report
+  --prom-out FILE.prom      Prometheus snapshot, rewritten about once a second
+  --progress                live progress meter on stderr
+  --help                    this text
+";
 
 /// CLI options shared by every regeneration binary.
 #[derive(Clone, Debug)]
@@ -315,13 +349,13 @@ pub fn parse_options() -> Options {
                     need(i).parse().expect("--checkpoint-interval CYCLES");
                 i += 2;
             }
-            "--fast-path" => {
-                opts.study.fast_path = true;
+            "--reference" => {
+                opts.study = opts.study.reference();
                 i += 1;
             }
-            "--warp" => {
-                opts.study.warp = true;
-                i += 1;
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                std::process::exit(0);
             }
             "--serve" => {
                 opts.study.serve = Some(need(i));
@@ -355,7 +389,7 @@ pub fn parse_options() -> Options {
                     .collect();
                 i += 2;
             }
-            other => panic!("unknown flag `{other}` (see sea-bench docs for usage)"),
+            other => panic!("unknown flag `{other}` (--help lists the flags)"),
         }
     }
     opts.trace = TraceSession::start(

@@ -7,6 +7,9 @@
 //! The CI `crash-torture` job runs the same loop from bash with more
 //! cycles and truly random kill points; this in-tree version keeps a
 //! deterministic spread of kill delays so it is reproducible offline.
+//! Both run the campaign with `--reference`: the kills fire on a timer,
+//! and the default speed tiers finish a tiny campaign before most of them
+//! would land.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -32,7 +35,7 @@ fn fig4(journal: &Path) -> Command {
     ])
     .arg("--journal")
     .arg(journal)
-    .arg("--resume")
+    .args(["--resume", "--reference"])
     .stdout(Stdio::null())
     .stderr(Stdio::null());
     c

@@ -25,17 +25,27 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn spec_json(samples: u32) -> String {
+/// The study spec the fleet runs. A study the test interrupts is pinned
+/// to the reference tier, so it is still running when the kill lands; on
+/// the default speed tiers a worker finishes a tiny study first.
+fn spec_json(samples: u32, interrupted: bool) -> String {
+    let tier = if interrupted {
+        r#","fast_path":false,"warp":false,"checkpoint_interval":0"#
+    } else {
+        ""
+    };
     format!(
-        r#"{{"scale":"tiny","samples_per_component":{samples},"threads":1,"suite":["{SUITE}"]}}"#
+        r#"{{"scale":"tiny","samples_per_component":{samples},"threads":1,"suite":["{SUITE}"]{tier}}}"#
     )
 }
 
 /// The single-process reference journal: the same spec through the
-/// ordinary `table4` campaign path with `--threads 1`.
+/// ordinary `table4` campaign path with `--threads 1`, on the reference
+/// tier (the fleet's workers run the default speed tiers).
 fn reference_journal(dir: &Path, samples: u32) -> Vec<u8> {
     let status = Command::new(env!("CARGO_BIN_EXE_table4"))
-        .args(["--tiny", "--threads", "1", "--suite", SLUG, "--samples"])
+        .args(["--tiny", "--threads", "1", "--reference", "--suite", SLUG])
+        .arg("--samples")
         .arg(samples.to_string())
         .arg("--journal")
         .arg(dir)
@@ -181,7 +191,7 @@ fn sharded_fleet_merge_is_byte_identical_to_single_process() {
     let reference = reference_journal(&root.join("ref"), 6);
 
     let fleet = Fleet::start(&root.join("fleet"), 3);
-    let id = fleet.submit(&spec_json(6));
+    let id = fleet.submit(&spec_json(6, false));
     fleet.wait_done(&id, Duration::from_secs(120));
 
     let study_dir = root.join("fleet").join(&id);
@@ -216,7 +226,7 @@ fn killing_a_worker_mid_campaign_still_merges_byte_identical() {
     // No self-spawned workers: the test owns both worker processes so it
     // can SIGKILL one deterministically.
     let fleet = Fleet::start(&root.join("fleet"), 0);
-    let id = fleet.submit(&spec_json(10));
+    let id = fleet.submit(&spec_json(10, true));
     let mut victim = fleet.spawn_worker();
     let survivor = fleet.spawn_worker();
 
@@ -264,7 +274,7 @@ fn daemon_restart_resumes_without_rerunning_completed_blocks() {
     let id;
     {
         let fleet = Fleet::start(&fleet_root, 0);
-        id = fleet.submit(&spec_json(10));
+        id = fleet.submit(&spec_json(10, true));
         let mut worker = fleet.spawn_worker();
         // Let the worker journal some — but not all — of the campaign.
         let study_dir = fleet_root.join(&id);
@@ -300,7 +310,7 @@ fn daemon_restart_resumes_without_rerunning_completed_blocks() {
     // Restart: a fresh daemon over the same root recovers the study and
     // resumes; a fresh worker finishes only the outstanding work.
     let fleet = Fleet::start(&fleet_root, 0);
-    let resubmit = fleet.submit(&spec_json(10));
+    let resubmit = fleet.submit(&spec_json(10, true));
     assert_eq!(resubmit, id, "study identity is the canonical spec hash");
     let worker = fleet.spawn_worker();
     fleet.wait_done(&id, Duration::from_secs(120));

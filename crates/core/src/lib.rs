@@ -42,7 +42,7 @@ mod study;
 
 pub use setup::{setup_rows, SetupRow};
 pub use spec::{workload_by_name, SpecError, StudySpec};
-pub use study::{Study, StudyError, StudyResult, WorkloadStudy};
+pub use study::{Study, StudyError, StudyResult, WorkloadStudy, DEFAULT_CHECKPOINT_INTERVAL};
 
 pub use sea_analysis as analysis;
 pub use sea_beam as beam;

@@ -321,6 +321,19 @@ mod tests {
     }
 
     #[test]
+    fn a_spec_without_speed_keys_runs_every_speed_tier() {
+        let s = StudySpec::from_json("{}").unwrap().study;
+        assert!(s.fast_path && s.warp);
+        assert_eq!(s.checkpoint_interval, crate::DEFAULT_CHECKPOINT_INTERVAL);
+        // Explicit off-values give the reference tier, as `--reference` does.
+        let off =
+            StudySpec::from_json(r#"{"fast_path":false,"warp":false,"checkpoint_interval":0}"#)
+                .unwrap()
+                .study;
+        assert!(eq_modulo_placement(&off, &Study::default().reference()));
+    }
+
+    #[test]
     fn seeds_accept_hex_strings_and_integers() {
         let a = StudySpec::from_json(r#"{"seed":"0x5EA0001"}"#).unwrap();
         let b = StudySpec::from_json(r#"{"seed":99221505}"#).unwrap();

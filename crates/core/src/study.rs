@@ -61,11 +61,17 @@ impl std::fmt::Display for StudyError {
 
 impl std::error::Error for StudyError {}
 
+/// Initial epoch interval of the default in-memory checkpoints, in
+/// cycles. The epoch recorder's cap of 32 checkpoints adapts the stride to
+/// the golden run's actual length.
+pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 65_536;
+
 /// Configuration of a full reproduction study.
 ///
 /// The defaults give a campaign that completes in minutes; the paper-scale
 /// equivalents (`samples_per_component = 1000`, more strikes) are a field
-/// away.
+/// away. Every speed knob is on by default (`fast_path`, `warp`,
+/// in-memory checkpoints); [`Study::reference`] switches them off.
 #[derive(Clone, Debug)]
 pub struct Study {
     /// Benchmark input scale.
@@ -107,9 +113,11 @@ pub struct Study {
     /// on later runs. None with `checkpoint_interval == 0` disables
     /// checkpointing entirely.
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Initial checkpoint epoch interval in cycles (0 = auto). Setting
-    /// this without `checkpoint_dir` keeps checkpoints in memory for the
-    /// duration of each campaign/session.
+    /// Initial checkpoint epoch interval in cycles (0 = auto; default
+    /// [`DEFAULT_CHECKPOINT_INTERVAL`]). Setting this without
+    /// `checkpoint_dir` keeps checkpoints in memory for the duration of
+    /// each campaign/session. Checkpoints also arm the reconvergence cut
+    /// and dead-cell pruning; journals are byte-identical either way.
     pub checkpoint_interval: u64,
     /// Write per-workload attribution profiles (hotspots + predicted-vs-
     /// measured AVF) to this file. None = profiling stays off and no
@@ -123,16 +131,17 @@ pub struct Study {
     /// metrics to this file (~1 Hz) while campaigns run.
     pub prom_out: Option<std::path::PathBuf>,
     /// Arm the microarchitectural execution fast path (µop cache +
-    /// translation latches) on every injected/struck machine. Bit-exact by
-    /// construction — journals, counters and verdicts are byte-identical
-    /// either way — so this is a pure speed knob like `threads`.
+    /// translation latches) on every injected/struck machine (default
+    /// on). Bit-exact by construction — journals, counters and verdicts
+    /// are byte-identical either way — so this is a pure speed knob like
+    /// `threads`.
     pub fast_path: bool,
     /// Serve each run's machine from a per-worker warp cursor
     /// (`sea_injection::warp`) instead of re-simulating the fault-free
     /// prefix from the nearest checkpoint (or reset). Bit-exact like
     /// `fast_path` — the cursor clone is bit-equivalent to a from-reset
     /// machine by the determinism contract — so journals and verdicts are
-    /// byte-identical either way; a pure speed knob.
+    /// byte-identical either way; a pure speed knob (default on).
     pub warp: bool,
     /// Bind address for the live observability HTTP server (e.g.
     /// `127.0.0.1:9099`; `None` = no server). Serves `/status`,
@@ -167,12 +176,12 @@ impl Default for Study {
             quarantine: None,
             run_wall_ms: 0,
             checkpoint_dir: None,
-            checkpoint_interval: 0,
+            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             profile_out: None,
             chrome_trace: None,
             prom_out: None,
-            fast_path: false,
-            warp: false,
+            fast_path: true,
+            warp: true,
             serve: None,
             stop_at_margin: None,
         }
@@ -180,6 +189,20 @@ impl Default for Study {
 }
 
 impl Study {
+    /// This study on the reference tier: no fast path, no cursor and no
+    /// in-memory checkpoints, so every run boots from reset and runs
+    /// uncut — the differential oracle the accelerated defaults are
+    /// diffed against (`--reference` on the command line). A
+    /// `checkpoint_dir` is kept.
+    pub fn reference(self) -> Study {
+        Study {
+            fast_path: false,
+            warp: false,
+            checkpoint_interval: 0,
+            ..self
+        }
+    }
+
     /// The supervision policy both methodologies run under.
     fn supervisor_config(&self) -> sea_injection::SupervisorConfig {
         sea_injection::SupervisorConfig {

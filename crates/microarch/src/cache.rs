@@ -577,8 +577,10 @@ impl Snapshot for Cache {
             return Err(SnapError::Malformed("invalid cache geometry"));
         }
         let writeback = r.bool()?;
-        let mut c = Cache::new(cfg, writeback);
-        let lines = c.lines() as usize;
+        // The arrays are checked against the geometry before anything is
+        // allocated for it, so a corrupt geometry cannot claim more memory
+        // than the stream carries.
+        let lines = cfg.lines() as usize;
         let addr: Vec<u32> = Vec::load(r)?;
         let valid: Vec<bool> = Vec::load(r)?;
         let dirty: Vec<bool> = Vec::load(r)?;
@@ -592,6 +594,7 @@ impl Snapshot for Cache {
         {
             return Err(SnapError::Malformed("cache array length mismatch"));
         }
+        let mut c = Cache::new(cfg, writeback);
         c.addr = addr;
         c.valid = valid;
         c.dirty = dirty;

@@ -28,7 +28,10 @@ impl CacheConfig {
     pub fn validate(&self) -> bool {
         self.line_bytes.is_power_of_two()
             && self.ways > 0
-            && self.size_bytes.is_multiple_of(self.ways * self.line_bytes)
+            && self
+                .ways
+                .checked_mul(self.line_bytes)
+                .is_some_and(|way_bytes| self.size_bytes.is_multiple_of(way_bytes))
             && self.sets().is_power_of_two()
     }
 }

@@ -59,11 +59,13 @@ impl Snapshot for NullDevice {
 /// matching §IV-B of the paper.
 ///
 /// The paged backing ([`sea_snapshot::PageStore`]) exists for checkpointing:
-/// cloning a restored machine bumps per-page refcounts instead of copying
-/// the whole DDR image, and a run pays for a page only when it first writes
-/// it. The access API is unchanged from the flat array it replaced, and all
-/// simulator accesses remain aligned (≤ 4 bytes) or line-granular, so the
-/// page seams are invisible to the timing model.
+/// cloning a restored machine bumps one refcount on the shared page table
+/// instead of copying the DDR image, and a run pays for the table (one
+/// pointer per page, 128 KiB at 64 MiB) on its first write and for a page
+/// when it first writes that page. The access API is unchanged from the
+/// flat array it replaced, and all simulator accesses remain aligned
+/// (≤ 4 bytes) or line-granular, so the page seams are invisible to the
+/// timing model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysMemory {
     pages: PageStore,
@@ -133,8 +135,8 @@ impl PhysMemory {
         self.pages.write_bytes(paddr, buf);
     }
 
-    /// Number of pages physically shared (same allocation) with `other` —
-    /// the COW diagnostic surfaced by checkpoint metrics and tests.
+    /// Number of pages physically shared (same allocation, the zero page
+    /// counting as one) with `other` — the COW diagnostic tests check.
     pub fn shared_pages_with(&self, other: &PhysMemory) -> usize {
         self.pages.shared_pages_with(&other.pages)
     }
@@ -142,6 +144,19 @@ impl PhysMemory {
     /// Number of pages privately materialized beyond the shared zero page.
     pub fn populated_pages(&self) -> usize {
         self.pages.populated_pages()
+    }
+
+    /// [`Snapshot::load`] for a memory that must be `size` bytes, as the
+    /// machine configuration decoded beside it says: any other size is
+    /// refused before a page table is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on a malformed stream or a size mismatch.
+    pub fn load_sized(r: &mut SnapReader<'_>, size: u32) -> Result<PhysMemory, SnapError> {
+        Ok(PhysMemory {
+            pages: PageStore::load_sized(r, size)?,
+        })
     }
 }
 

@@ -388,12 +388,27 @@ impl Snapshot for MemSystem {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<MemSystem, SnapError> {
+        MemSystem::load_dram(r, None)
+    }
+}
+
+impl MemSystem {
+    /// [`Snapshot::load`], with the DRAM size pinned to `mem_bytes` when
+    /// given: the size the machine configuration decoded beside it
+    /// declares ([`PhysMemory::load_sized`]).
+    pub(crate) fn load_dram(
+        r: &mut SnapReader<'_>,
+        mem_bytes: Option<u32>,
+    ) -> Result<MemSystem, SnapError> {
         r.tag(*b"MSYS")?;
         Ok(MemSystem {
             l1i: Cache::load(r)?,
             l1d: Cache::load(r)?,
             l2: Cache::load(r)?,
-            phys: PhysMemory::load(r)?,
+            phys: match mem_bytes {
+                Some(size) => PhysMemory::load_sized(r, size)?,
+                None => PhysMemory::load(r)?,
+            },
             mode: match r.u8()? {
                 0 => ExecMode::Atomic,
                 1 => ExecMode::Detailed,

@@ -2232,7 +2232,7 @@ impl<D: Device + Snapshot> Snapshot for System<D> {
         Ok(System {
             cfg,
             cpu: Cpu::load(r)?,
-            mem: MemSystem::load(r)?,
+            mem: MemSystem::load_dram(r, Some(cfg.mem_bytes))?,
             itlb: Tlb::load(r)?,
             dtlb: Tlb::load(r)?,
             dev: D::load(r)?,

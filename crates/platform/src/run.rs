@@ -319,6 +319,9 @@ fn run_inner(
     let captures = cut.map_or(&[][..], |(set, _)| set.epoch_cycles());
     let mut at = captures.partition_point(|&c| c < sys.cycles());
     let mut next = captures.get(at).copied().unwrap_or(u64::MAX);
+    // The recorder's next epoch boundary, mirrored here so the per-step
+    // test stays inline and the recorder is called only when it captures.
+    let mut next_epoch = epochs.as_deref().map_or(u64::MAX, EpochRecorder::next);
     let mut steps = 0u32;
     let outcome = loop {
         // Top of the loop is a clean boundary: the initial machine, or one
@@ -362,8 +365,11 @@ fn run_inner(
         // Epoch checkpoints are only captured on clean, non-terminal cycle
         // boundaries — a checkpoint of a machine that is about to be
         // declared dead would be useless to restore.
-        if let Some(rec) = epochs.as_deref_mut() {
-            rec.observe(sys);
+        if now >= next_epoch {
+            if let Some(rec) = epochs.as_deref_mut() {
+                rec.capture(sys);
+                next_epoch = rec.next();
+            }
         }
         // The wall-clock watchdog only needs coarse resolution; polling
         // the host clock every step would dominate the simulator loop.

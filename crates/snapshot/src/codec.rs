@@ -232,9 +232,11 @@ impl<T: Snapshot> Snapshot for Vec<T> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.u32()? as usize;
-        // Guard the pre-allocation: a corrupt length must not OOM before
-        // the per-element reads hit `Truncated`.
-        let mut v = Vec::with_capacity(n.min(r.remaining()));
+        // Guard the pre-allocation: a corrupt length must not reserve
+        // more bytes than the stream has left before the per-element reads
+        // hit `Truncated`.
+        let fits = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut v = Vec::with_capacity(n.min(fits));
         for _ in 0..n {
             v.push(T::load(r)?);
         }

@@ -14,9 +14,10 @@
 //!   [`SnapReader`] form a byte-exact little-endian codec with per-struct
 //!   tags, so a field added to one component fails loudly at the tag
 //!   boundary instead of silently misaligning the rest of the stream.
-//! * **[`PageStore`]** — physical memory as copy-on-write 4 KiB pages.
-//!   Cloning a store is O(pages) reference bumps; N restored machines share
-//!   the golden image and pay for a page only when they first write it.
+//! * **[`PageStore`]** — physical memory as copy-on-write 4 KiB pages
+//!   behind a shared page table. Cloning a store is one reference bump; N
+//!   restored machines share the golden image and pay for the table on
+//!   their first write and for a page when they first write it.
 //! * **checkpoint container** — [`encode_checkpoint`] / [`decode_checkpoint`]
 //!   wrap a payload in a magic + format-version + provenance header with an
 //!   FNV-1a content hash, so a stale or foreign checkpoint file is rejected

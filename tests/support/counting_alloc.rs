@@ -48,10 +48,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Run `f`; return its result and the most heap this thread held live at
 /// once meanwhile, beyond what was live when `f` started (a realloc counts
 /// as a resize).
+#[allow(dead_code)]
 pub fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
     let out = f();
     let peak = PEAK.with(Cell::get) - base;
     (out, peak.max(0) as usize)
+}
+
+/// Run `f`; return its result and how much this thread's live heap grew
+/// meanwhile (negative when `f` freed more than it allocated).
+#[allow(dead_code)]
+pub fn net_of<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let base = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - base)
 }
