@@ -223,7 +223,7 @@ impl<'a> BeamPlan<'a> {
             fast_path: cfg.fast_path,
             serve: cfg.serve.clone(),
             stop_at_margin: cfg.stop_at_margin,
-            warp: cfg.warp.then(sea_injection::WarpPolicy::default),
+            warp: cfg.warp,
         };
         let id = RunIdentity {
             workload: name.to_string(),

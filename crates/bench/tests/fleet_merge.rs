@@ -1,15 +1,12 @@
 //! The fleet merge contract, end to end over real processes: a campaign
 //! sharded across worker *processes* by the `fleet` daemon must merge to
-//! a journal byte-identical to a single-process `--threads 1` run of the
+//! a journal byte-identical to a single-process reference-tier run of the
 //! same spec — including when a worker is SIGKILLed mid-campaign (its
 //! blocks are stolen and the byte-identical duplicate records are
 //! deduplicated), and across a daemon kill + restart (the new daemon
 //! resumes off the shard journals without re-running completed work).
-//!
-//! The CI `fleet-smoke` job exercises the same flow from bash against
-//! the HTTP surface; this in-tree version is the deterministic offline
-//! peer.
 
+use sea_core::trace::json::{self, Json};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -185,6 +182,8 @@ fn shard_dirs(study_dir: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Default-tier workers (pruning and the reconvergence cut armed) merge to
+/// the reference-tier journal, and the study API reports the study done.
 #[test]
 fn sharded_fleet_merge_is_byte_identical_to_single_process() {
     let root = scratch("merge");
@@ -213,6 +212,37 @@ fn sharded_fleet_merge_is_byte_identical_to_single_process() {
     // The merged journal is also what /studies/{id}/journal serves.
     let downloaded = http_get(&fleet.http_addr, &format!("/studies/{id}/journal")).unwrap();
     assert_eq!(downloaded, merged, "HTTP download diverged");
+
+    // The study API: the study, its one merged suite row, and the list.
+    let doc = http_get(&fleet.http_addr, &format!("/studies/{id}")).unwrap();
+    let doc = json::parse(&String::from_utf8(doc).unwrap()).unwrap();
+    let row = match doc.get("suite") {
+        Some(Json::Arr(rows)) if rows.len() == 1 => &rows[0],
+        _ => panic!("not one suite row: {doc:?}"),
+    };
+    let count = |k| row.get(k).and_then(Json::as_u64).unwrap_or(0);
+    assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(row.get("merged").and_then(Json::as_bool), Some(true));
+    assert!(
+        count("done") == count("total") && count("done") > 0,
+        "{row:?}"
+    );
+    let list = String::from_utf8(http_get(&fleet.http_addr, "/studies").unwrap()).unwrap();
+    assert!(
+        list.contains(&format!(r#"{{"id":"{id}","state":"done""#)),
+        "{list}"
+    );
+
+    // The workers ran armed: their telemetry reports pruned strikes.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !String::from_utf8_lossy(&http_get(&fleet.http_addr, "/metrics").unwrap_or_default())
+        .lines()
+        .filter_map(|l| l.strip_prefix("sea_fleet_campaign_dead_pruned_total "))
+        .any(|v| v.trim().parse::<f64>().unwrap() > 0.0)
+    {
+        assert!(Instant::now() < deadline, "no worker pruned a strike");
+        std::thread::sleep(Duration::from_millis(50));
+    }
 
     drop(fleet);
     let _ = std::fs::remove_dir_all(&root);

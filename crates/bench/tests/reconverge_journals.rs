@@ -33,7 +33,7 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
 
         let mut reset = spec.study.injection_config_for(w);
         reset.checkpoints = None;
-        reset.warp = None;
+        reset.warp = false;
         reset.fast_path = false;
         reset.journal = Some(JournalSpec::new(root.join("reset")));
         let a = run_campaign(w.name(), &built, &reset).unwrap();

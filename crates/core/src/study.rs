@@ -264,7 +264,7 @@ impl Study {
             fast_path: self.fast_path,
             serve: self.serve.clone(),
             stop_at_margin: self.stop_at_margin,
-            warp: self.warp.then(sea_injection::WarpPolicy::default),
+            warp: self.warp,
         }
     }
 

@@ -226,9 +226,8 @@ pub struct CampaignConfig {
     ///
     /// Like `checkpoints`, a runtime-only speed knob: the fast path is
     /// bit-for-bit transparent (identical counters, verdicts and journal
-    /// bytes — held by the `fastpath_equivalence` tests and the CI
-    /// `fastpath-equivalence` job), so it is excluded from the campaign
-    /// configuration hash.
+    /// bytes — held by the rows of `tests/fastpath_equivalence.rs`), so
+    /// it is excluded from the campaign configuration hash.
     pub fast_path: bool,
     /// Serve live observability (`/status`, `/metrics`, `/events`, …) on
     /// this address while the campaign runs (e.g. `"127.0.0.1:9100"`).
@@ -236,13 +235,13 @@ pub struct CampaignConfig {
     /// Observation is read-only by construction — providers snapshot the
     /// campaign's atomics — so this is a runtime-only knob excluded from
     /// the configuration hash, and the outcome journal stays
-    /// byte-identical with it on or off (CI-enforced by `observe-smoke`).
+    /// byte-identical with it on or off (held by `tests/observe.rs`).
     pub serve: Option<String>,
     /// Stop injecting once every targeted component's *adjusted* 99%
     /// error margin (§IV-C) is at or below this fraction (e.g. `0.04`).
     ///
-    /// Runs already completed keep their journal lines: with one worker
-    /// thread the early-stopped journal is an exact byte-prefix of the
+    /// Runs already completed keep their journal lines: at any thread
+    /// count the early-stopped journal is an exact byte-prefix of the
     /// full-sample journal, and resuming it without the stop completes
     /// the campaign. Excluded from the configuration hash for exactly
     /// that resume path.
@@ -255,10 +254,10 @@ pub struct CampaignConfig {
     /// Like `checkpoints` and `fast_path`, a runtime-only speed knob: the
     /// cursor clone is bit-equivalent to a from-reset machine by the
     /// determinism contract, so verdicts and journal bytes are identical
-    /// with it on or off (held by the `warp_equivalence` tests and the CI
-    /// `warp-equivalence` job) and it is excluded from the campaign
+    /// with it on or off (held by the rows of
+    /// `tests/warp_equivalence.rs`) and it is excluded from the campaign
     /// configuration hash.
-    pub warp: Option<crate::warp::WarpPolicy>,
+    pub warp: bool,
 }
 
 /// How a campaign checkpoints and restores the fault-free prefix.
@@ -293,7 +292,7 @@ impl Default for CampaignConfig {
             fast_path: false,
             serve: None,
             stop_at_margin: None,
-            warp: None,
+            warp: false,
         }
     }
 }
@@ -322,8 +321,8 @@ impl std::error::Error for CampaignError {}
 /// A machine ready to run toward `cycle`: the nearest checkpoint at or
 /// before the injection cycle when a set is available, a from-reset boot
 /// otherwise. Restore and reset are bit-equivalent by the determinism
-/// contract (held by the `checkpoint_equivalence` tests), so which path is
-/// taken never changes an outcome.
+/// contract (held by `tests/checkpoint_equivalence.rs`), so
+/// which path is taken never changes an outcome.
 pub(crate) fn machine_toward(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
@@ -810,7 +809,7 @@ impl RunPlan for CampaignPlan<'_> {
     }
 
     fn gauges(&self) -> &'static str {
-        if self.cfg.warp.is_some() {
+        if self.cfg.warp {
             "warp"
         } else {
             "detailed"

@@ -41,4 +41,3 @@ pub use supervisor::{
     supervisor_health, FsyncPolicy, Journal, JournalAudit, JournalError, JournalFormat,
     JournalHeader, JournalSpec, RunAnomaly, RunVerdict, SupervisorConfig, SupervisorHealth,
 };
-pub use warp::WarpPolicy;

@@ -14,13 +14,12 @@
 //! ever moves *forward*; reaching the next strike cycle costs the delta
 //! from the previous one, not the whole prefix. The run's machine is then
 //! a clone of the cursor at the strike cycle (the "handoff"): by the
-//! restore/reset bit-equivalence contract (PR 3, `checkpoint_equivalence`)
-//! that clone is indistinguishable from a machine stepped from reset, so
-//! verdicts — and journal bytes — are identical with the cursor on or off
-//! (held by the `warp_equivalence` tests and the CI `warp-equivalence`
-//! job). The cursor always runs with the execution fast path armed; the
-//! fast path is itself bit-transparent, and the clone drops it when the
-//! campaign did not ask for it.
+//! restore/reset bit-equivalence contract, that clone is indistinguishable
+//! from a machine stepped from reset, so verdicts — and journal bytes — are
+//! identical with the cursor on or off (held by the cursor rows of
+//! `tests/warp_equivalence.rs`). The cursor always runs with the execution fast
+//! path armed; the fast path is itself bit-transparent, and the clone drops
+//! it when the campaign did not ask for it.
 //!
 //! Checkpoints compose rather than compete: when an epoch lies *ahead* of
 //! the cursor (first run of a block, or a cross-epoch jump), the cursor
@@ -72,26 +71,6 @@ pub(crate) fn bank_fastpath_delta(before: Option<FastPathStats>, after: Option<F
     FASTPATH_LINE_HITS.add(a.line_hits.saturating_sub(b.line_hits));
 }
 
-/// How a campaign uses the warp cursor. Carried on
-/// [`CampaignConfig::warp`](crate::CampaignConfig::warp); the default is
-/// right for every workload.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct WarpPolicy {
-    /// Upper bound on the cycles a cursor advances for one run. A run
-    /// whose strike cycle is further ahead bypasses the cursor (plain
-    /// restore/boot) instead of dragging it across a huge gap another
-    /// worker's block will never revisit. `u64::MAX` = never bypass.
-    pub max_advance: u64,
-}
-
-impl Default for WarpPolicy {
-    fn default() -> WarpPolicy {
-        WarpPolicy {
-            max_advance: u64::MAX,
-        }
-    }
-}
-
 /// One worker thread's fault-free machine, pinned to the golden path of
 /// the campaign identified by `key`.
 struct Cursor {
@@ -141,8 +120,7 @@ pub(crate) fn cursor_converged(
 
 /// Runs `f` on this worker's cursor, advanced to the golden path's step
 /// boundary at (or just past the step straddling) `cycle`. Returns `None`
-/// when the campaign runs without a cursor or the policy says this run
-/// should bypass it.
+/// when the campaign runs without a cursor.
 pub(crate) fn with_cursor_at<R>(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
@@ -150,7 +128,9 @@ pub(crate) fn with_cursor_at<R>(
     cycle: u64,
     f: impl FnOnce(&System<Board>) -> R,
 ) -> Option<R> {
-    let policy = cfg.warp.as_ref()?;
+    if !cfg.warp {
+        return None;
+    }
     let key = (config_hash(cfg), golden_hash(workload));
     let base = baseline(ckpts, cycle);
     CURSOR.with(|slot| {
@@ -163,9 +143,6 @@ pub(crate) fn with_cursor_at<R>(
         if !reusable {
             if slot.take().is_some() {
                 WARP_CURSOR_RESETS.inc();
-            }
-            if cycle.saturating_sub(base) > policy.max_advance {
-                return None;
             }
             let mut sys = match ckpts.and_then(|c| c.restore_at(cycle)) {
                 Some(sys) => sys,
@@ -182,9 +159,6 @@ pub(crate) fn with_cursor_at<R>(
         }
         let cursor = slot.as_mut().expect("cursor seeded above");
         let start = cursor.sys.cycles();
-        if cycle - start > policy.max_advance {
-            return None;
-        }
         // Advance the cursor itself to the strike cycle — this is the work
         // every subsequent run of this worker's block gets for free.
         while cursor.sys.cycles() < cycle {
@@ -200,11 +174,6 @@ pub(crate) fn with_cursor_at<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_never_bypasses() {
-        assert_eq!(WarpPolicy::default().max_advance, u64::MAX);
-    }
 
     #[test]
     fn baseline_picks_nearest_epoch_at_or_before() {

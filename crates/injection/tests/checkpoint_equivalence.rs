@@ -1,184 +1,46 @@
 //! The sea-snapshot correctness bar: restoring a checkpoint and running
 //! forward must be bit-identical to running from reset, and a checkpointed
-//! campaign must produce byte-identical journals and identical results to
-//! a from-reset campaign.
+//! campaign, whether its set is captured, reloaded from disk or re-captured
+//! past a corrupted file, must write the reference tier's journal bytes.
 
-use sea_injection::{run_campaign, CampaignConfig, CheckpointPolicy, JournalSpec};
-use sea_microarch::Component;
-use sea_platform::{boot, golden_run_with_checkpoints};
-use sea_workloads::{Scale, Workload};
-use std::fs;
-use std::path::PathBuf;
+mod equivalence;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sea_ckpt_eq_{}_{}", name, std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn tiny_cfg() -> CampaignConfig {
-    CampaignConfig {
-        samples_per_component: 6,
-        components: vec![Component::RegFile, Component::L1D, Component::DTlb],
-        threads: 1,
-        ..CampaignConfig::default()
-    }
-}
+use equivalence::{assert_row, booted, fixture, step_to};
 
 #[test]
 fn restore_then_run_is_bit_identical_to_run_from_reset() {
-    let w = Workload::Crc32.build(Scale::Tiny);
-    let cfg = tiny_cfg();
-    let (golden, ckpts) = golden_run_with_checkpoints(
-        cfg.machine,
-        &w.image,
-        &cfg.kernel,
-        cfg.golden_budget_cycles,
-        10_000,
-    )
-    .unwrap();
-    assert!(!ckpts.is_empty());
-
+    let (_, golden, ckpts) = fixture();
     // A target cycle past at least one non-zero checkpoint.
     let target = golden.cycles * 2 / 3;
-    let mut restored = ckpts
-        .restore_at(target)
-        .expect("checkpoint at or before target");
+    let mut restored = ckpts.restore_at(target).expect("a checkpoint");
     assert!(restored.cycles() <= target);
-    let mut reset = boot(cfg.machine, &w.image, &cfg.kernel).unwrap().0;
-    while restored.cycles() < target {
-        restored.step();
+    let mut reset = booted(false, 0);
+    // Identical at the target, and in lockstep past it.
+    for at in [target, target + 5_000] {
+        step_to(&mut restored, at);
+        step_to(&mut reset, at);
+        let (a, b) = (
+            restored.state_fingerprint_deep(),
+            reset.state_fingerprint_deep(),
+        );
+        assert_eq!(
+            a, b,
+            "restore-then-run diverged from run-from-reset at cycle {at}"
+        );
     }
-    while reset.cycles() < target {
-        reset.step();
-    }
-    assert_eq!(
-        restored.state_fingerprint_deep(),
-        reset.state_fingerprint_deep(),
-        "restore-then-run diverged from run-from-reset at cycle {target}"
-    );
-    // And they stay in lockstep past the restore point.
-    for _ in 0..5_000 {
-        restored.step();
-        reset.step();
-    }
-    assert_eq!(
-        restored.state_fingerprint_deep(),
-        reset.state_fingerprint_deep()
-    );
 }
 
 #[test]
 fn checkpointed_campaign_journal_is_byte_identical_to_reset_campaign() {
-    let w = Workload::Crc32.build(Scale::Tiny);
-    let plain_dir = scratch("plain");
-    let ckpt_dir = scratch("ckpt");
-
-    let mut plain = tiny_cfg();
-    plain.journal = Some(JournalSpec::new(plain_dir.clone()));
-    let a = run_campaign("CRC32", &w, &plain).unwrap();
-    assert!(a.checkpoints.is_none());
-
-    let mut ckpt = tiny_cfg();
-    ckpt.journal = Some(JournalSpec::new(ckpt_dir.clone()));
-    ckpt.checkpoints = Some(CheckpointPolicy {
-        dir: None,
-        interval: 10_000,
-    });
-    let b = run_campaign("CRC32", &w, &ckpt).unwrap();
-    let stats = b.checkpoints.expect("checkpointing was on");
-    assert!(stats.epochs > 0);
-    assert!(stats.restores > 0, "no injection restored a checkpoint");
-    assert!(stats.prefix_cycles_saved > 0);
-
-    // Same classifications, same per-component tallies…
-    assert_eq!(a.per_component, b.per_component);
-    // …and the journals agree byte for byte.
-    let ja = fs::read(plain_dir.join("crc32.inject.seaj")).unwrap();
-    let jb = fs::read(ckpt_dir.join("crc32.inject.seaj")).unwrap();
-    assert!(!ja.is_empty());
-    assert_eq!(ja, jb, "checkpointed journal differs from reset journal");
-
-    let _ = fs::remove_dir_all(&plain_dir);
-    let _ = fs::remove_dir_all(&ckpt_dir);
+    assert_row("checkpoints in memory");
 }
 
 #[test]
 fn persisted_checkpoints_are_reloaded_and_give_identical_results() {
-    let w = Workload::MatMul.build(Scale::Tiny);
-    let dir = scratch("persist");
-    let mut cfg = tiny_cfg();
-    cfg.checkpoints = Some(CheckpointPolicy {
-        dir: Some(dir.clone()),
-        interval: 10_000,
-    });
-
-    // First run captures during the golden run and persists.
-    let a = run_campaign("MatMul", &w, &cfg).unwrap();
-    let files: Vec<_> = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "seackpt"))
-        .collect();
-    assert_eq!(
-        files.len() as u64,
-        a.checkpoints.unwrap().epochs,
-        "one .seackpt file per epoch"
-    );
-
-    // Second run loads the persisted set instead of re-capturing, and
-    // classifies every injection identically.
-    let b = run_campaign("MatMul", &w, &cfg).unwrap();
-    assert_eq!(a.per_component, b.per_component);
-    assert_eq!(a.checkpoints.unwrap().epochs, b.checkpoints.unwrap().epochs);
-
-    let _ = fs::remove_dir_all(&dir);
+    assert_row("checkpoints persisted and reloaded");
 }
 
 #[test]
 fn corrupted_persisted_checkpoint_degrades_to_recapture_not_panic() {
-    let w = Workload::Crc32.build(Scale::Tiny);
-    let ckpt_dir = scratch("corrupt_ckpt");
-    let ref_dir = scratch("corrupt_ref");
-    let jour_dir = scratch("corrupt_jour");
-
-    // Reference: checkpoint-less campaign journal.
-    let mut reference = tiny_cfg();
-    reference.journal = Some(JournalSpec::new(ref_dir.clone()));
-    let a = run_campaign("CRC32", &w, &reference).unwrap();
-
-    // Persist a checkpoint set, then flip one byte mid-file: the section
-    // CRC must catch it on reload.
-    let mut cfg = tiny_cfg();
-    cfg.checkpoints = Some(CheckpointPolicy {
-        dir: Some(ckpt_dir.clone()),
-        interval: 10_000,
-    });
-    run_campaign("CRC32", &w, &cfg).unwrap();
-    let victim = fs::read_dir(&ckpt_dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "seackpt"))
-        .expect("a persisted .seackpt");
-    let mut bytes = fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    fs::write(&victim, bytes).unwrap();
-
-    // The corrupted set is rejected with a warning, re-captured from the
-    // golden run, and the campaign's journal still matches the
-    // checkpoint-less reference byte for byte.
-    cfg.journal = Some(JournalSpec::new(jour_dir.clone()));
-    let b = run_campaign("CRC32", &w, &cfg).unwrap();
-    assert_eq!(a.per_component, b.per_component);
-    assert!(b.checkpoints.unwrap().epochs > 0);
-    let ja = fs::read(ref_dir.join("crc32.inject.seaj")).unwrap();
-    let jb = fs::read(jour_dir.join("crc32.inject.seaj")).unwrap();
-    assert_eq!(ja, jb, "degraded-path journal differs from reference");
-
-    let _ = fs::remove_dir_all(&ckpt_dir);
-    let _ = fs::remove_dir_all(&ref_dir);
-    let _ = fs::remove_dir_all(&jour_dir);
+    assert_row("corrupted checkpoints re-captured");
 }

@@ -9,7 +9,7 @@
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
-use sea_injection::{run_one, CampaignConfig, FaultModel, InjectionSpec, WarpPolicy, DEAD_PRUNED};
+use sea_injection::{run_one, CampaignConfig, FaultModel, InjectionSpec, DEAD_PRUNED};
 use sea_microarch::{ArrayKind, Cache, Component, System, Tlb};
 use sea_platform::{
     boot, golden_run_with_checkpoints, run, Board, CheckpointSet, FaultClass, GoldenRun, RunLimits,
@@ -71,7 +71,7 @@ fn fixture(w: usize) -> &'static Fixture {
 fn accelerated(model: FaultModel) -> CampaignConfig {
     CampaignConfig {
         fast_path: true,
-        warp: Some(WarpPolicy::default()),
+        warp: true,
         fault_model: model,
         ..CampaignConfig::default()
     }

@@ -1,132 +1,43 @@
 //! The execution-fast-path correctness bar at the campaign level: arming
 //! the µop cache + translation latches must never change what a campaign
 //! computes — every injected run classifies identically, and a journaled
-//! campaign produces byte-identical journal files.
+//! campaign, from reset or checkpointed, writes the reference tier's
+//! journal bytes.
 //!
 //! (The microarchitectural half of this bar — step-for-step lockstep of
 //! counters and deep state fingerprints under flips in every component —
 //! lives in `sea-microarch/tests/fastpath.rs`.)
 
+mod equivalence;
+
+use equivalence::{assert_row, classifies_identically, rows_where};
 use proptest::prelude::*;
-use sea_injection::{
-    run_campaign, run_one, CampaignConfig, CheckpointPolicy, InjectionSpec, JournalSpec,
-};
 use sea_microarch::Component;
-use sea_platform::{golden_run, GoldenRun, RunLimits};
-use sea_workloads::{BuiltWorkload, Scale, Workload};
-use std::fs;
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sea_fast_eq_{}_{}", name, std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn tiny_cfg() -> CampaignConfig {
-    CampaignConfig {
-        samples_per_component: 5,
-        // Fetch state, translation state, and the L2 (which holds cached
-        // page-table lines after hardware walks) — the arrays the fast
-        // path memoizes across.
-        components: vec![Component::L1I, Component::DTlb, Component::L2],
-        threads: 1,
-        ..CampaignConfig::default()
-    }
-}
-
-/// Shared golden run for the property tests (booting per-case would
-/// dominate the suite's runtime).
-fn fixture() -> &'static (BuiltWorkload, GoldenRun) {
-    static FIXTURE: OnceLock<(BuiltWorkload, GoldenRun)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let w = Workload::Crc32.build(Scale::Tiny);
-        let cfg = tiny_cfg();
-        let golden = golden_run(cfg.machine, &w.image, &cfg.kernel, cfg.golden_budget_cycles)
-            .expect("tiny golden run");
-        (w, golden)
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any random fault — any component, any bit, any strike cycle —
-    /// classifies identically with the fast path on and off, down to the
-    /// struck array and line-validity metadata.
+    /// classifies identically under every fast-path row as on the
+    /// reference tier, down to the struck array and line-validity metadata.
     #[test]
     fn random_faults_classify_identically(
+        row in any::<prop::sample::Index>(),
         which in 0usize..Component::ALL.len(),
         bit_frac in 0.0f64..1.0,
         cycle_frac in 0.0f64..1.0,
     ) {
-        let (w, golden) = fixture();
-        let slow = tiny_cfg();
-        let fast = CampaignConfig { fast_path: true, ..tiny_cfg() };
-        let component = Component::ALL[which];
-        let bits = sea_microarch::System::new(slow.machine, sea_microarch::NullDevice)
-            .component_bits(component);
-        let spec = InjectionSpec {
-            component,
-            bit: ((bits as f64 * bit_frac) as u64).min(bits - 1),
-            cycle: ((golden.cycles as f64 * cycle_frac) as u64).min(golden.cycles - 1),
-        };
-        let limits = RunLimits::from_golden(golden.cycles, slow.kernel.tick_period);
-        let a = run_one(w, &slow, None, spec, limits);
-        let b = run_one(w, &fast, None, spec, limits);
-        prop_assert_eq!(a, b, "fast/slow outcome mismatch for {:?}", spec);
+        let rows = rows_where(|fast, _| fast);
+        classifies_identically(rows[row.index(rows.len())], which, bit_frac, cycle_frac);
     }
 }
 
 #[test]
 fn fastpath_campaign_journal_is_byte_identical_to_slow_campaign() {
-    let w = Workload::Crc32.build(Scale::Tiny);
-    let slow_dir = scratch("slow");
-    let fast_dir = scratch("fast");
-
-    let mut slow = tiny_cfg();
-    slow.journal = Some(JournalSpec::new(slow_dir.clone()));
-    let a = run_campaign("CRC32", &w, &slow).unwrap();
-
-    let mut fast = tiny_cfg();
-    fast.fast_path = true;
-    fast.journal = Some(JournalSpec::new(fast_dir.clone()));
-    let b = run_campaign("CRC32", &w, &fast).unwrap();
-
-    // Identical classifications and tallies…
-    assert_eq!(a.per_component, b.per_component);
-    assert_eq!(a.golden_cycles, b.golden_cycles);
-    // …and byte-identical journals (same config hash: `fast_path` is a
-    // runtime-only knob, like `threads` and `checkpoints`).
-    let ja = fs::read(slow_dir.join("crc32.inject.seaj")).unwrap();
-    let jb = fs::read(fast_dir.join("crc32.inject.seaj")).unwrap();
-    assert!(!ja.is_empty());
-    assert_eq!(ja, jb, "fast-path journal differs from slow-path journal");
-
-    let _ = fs::remove_dir_all(&slow_dir);
-    let _ = fs::remove_dir_all(&fast_dir);
+    assert_row("fast path");
 }
 
 #[test]
 fn fastpath_composes_with_checkpoint_restore() {
-    // The fast path must arm correctly on machines restored from
-    // checkpoints, not just on freshly booted ones.
-    let w = Workload::MatMul.build(Scale::Tiny);
-
-    let plain = tiny_cfg();
-    let a = run_campaign("MatMul", &w, &plain).unwrap();
-
-    let mut both = tiny_cfg();
-    both.fast_path = true;
-    both.checkpoints = Some(CheckpointPolicy {
-        dir: None,
-        interval: 10_000,
-    });
-    let b = run_campaign("MatMul", &w, &both).unwrap();
-    let stats = b.checkpoints.expect("checkpointing was on");
-    assert!(stats.restores > 0, "no injection restored a checkpoint");
-
-    assert_eq!(a.per_component, b.per_component);
+    assert_row("fast path + checkpoints");
 }

@@ -4,10 +4,10 @@
 //! golden path — stepped on with the uncut `platform::run`, it exits 0
 //! with the golden output at exactly the golden cycle count.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
-use sea_injection::{run_one, CampaignConfig, InjectionSpec, WarpPolicy};
+use sea_injection::{run_one, CampaignConfig, InjectionSpec};
 use sea_microarch::Component;
 use sea_platform::{
     boot, golden_run_with_checkpoints, run, run_until_reconverged, CheckpointSet, GoldenRun,
@@ -55,10 +55,13 @@ fn fixture(w: usize) -> &'static Fixture {
 fn accelerated() -> CampaignConfig {
     CampaignConfig {
         fast_path: true,
-        warp: Some(WarpPolicy::default()),
+        warp: true,
         ..CampaignConfig::default()
     }
 }
+
+/// Serialises the production calls: `RECONVERGED` is process-wide.
+static PRODUCTION: Mutex<()> = Mutex::new(());
 
 fn golden_exit(f: &Fixture) -> RunOutcome {
     RunOutcome::Exited {
@@ -97,8 +100,10 @@ proptest! {
         };
 
         // The production paths: accelerated and cut against from reset.
+        let production = PRODUCTION.lock().unwrap_or_else(|e| e.into_inner());
         let cut = run_one(&f.built, &accelerated(), Some(&f.ckpts), spec, f.limits);
         let uncut = run_one(&f.built, &plain, None, spec, f.limits);
+        drop(production);
         prop_assert_eq!(cut, uncut, "{:?}", spec);
 
         // The same run recomposed, to get at the machine.
@@ -175,6 +180,7 @@ fn cut_fires_on_dead_cell_flips_and_respects_the_cycle_budget() {
     );
 
     // Through the campaign path the counters see it.
+    let _production = PRODUCTION.lock().unwrap_or_else(|e| e.into_inner());
     let before = (
         sea_injection::RECONVERGED.get(),
         sea_injection::RECONVERGE_CYCLES_SAVED.get(),

@@ -24,10 +24,10 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 const SSE_POLL: Duration = Duration::from_millis(50);
 
 /// Largest request head we will buffer before giving up on a client.
-const MAX_REQUEST: usize = 8 * 1024;
+pub const MAX_REQUEST: usize = 8 * 1024;
 
 /// Largest request body (`POST /studies` specs) we will accept.
-const MAX_BODY: usize = 1 << 20;
+pub const MAX_BODY: usize = 1 << 20;
 
 type ConnQueue = (Mutex<VecDeque<TcpStream>>, Condvar);
 
@@ -349,7 +349,10 @@ fn sse(mut stream: TcpStream, stop: &AtomicBool) {
     }
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<(String, String, Vec<u8>)> {
+/// Reads one request off `stream`: its method, target and body. `None`
+/// for anything that is not a request line followed by a head of at most
+/// [`MAX_REQUEST`] bytes and a body of at most [`MAX_BODY`].
+pub fn read_request(stream: &mut impl Read) -> Option<(String, String, Vec<u8>)> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let head_end = loop {

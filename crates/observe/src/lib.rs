@@ -26,8 +26,8 @@
 //! poll it, and — the hard invariant shared with checkpointing, profiling
 //! and the fast path — serving never perturbs the experiment. Providers
 //! are read-only closures over the campaign's atomics; with `--serve` on,
-//! the outcome journal is byte-identical to a serverless run (CI-enforced
-//! by the `observe-smoke` job).
+//! the outcome journal is byte-identical to a serverless run (held by
+//! `tests/observe.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,7 @@ mod http;
 mod hub;
 mod tail;
 
-pub use http::{serve, served_addr, shutdown, Server};
+pub use http::{read_request, serve, served_addr, shutdown, Server, MAX_BODY, MAX_REQUEST};
 pub use hub::{
     journal_path, metrics_document, publish_journal, publish_metrics, publish_status,
     publish_studies, status_document, studies_api, tail_sink, Provider, StudyApi,

@@ -303,6 +303,8 @@ mod tests {
 
     #[test]
     fn flush_respects_target_and_throttle() {
+        // The flush target is process-wide: the tests that set it take turns.
+        let _guard = sea_trace::test_lock();
         let dir = std::env::temp_dir().join(format!("sea-prom-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.prom");
@@ -328,6 +330,7 @@ mod tests {
 
     #[test]
     fn failed_flush_cleans_up_its_tmp_file() {
+        let _guard = sea_trace::test_lock();
         let dir = std::env::temp_dir().join(format!("sea-prom-fail-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // Make the rename target an existing directory: the tmp write

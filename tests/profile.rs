@@ -54,6 +54,8 @@ fn machine() -> MachineConfig {
 /// relaxed atomic, and everything else in the simulator is preallocated.
 #[test]
 fn disabled_profiling_path_never_allocates() {
+    // The profiling tests below flip the process-wide switch: take turns.
+    let _guard = sea_core::trace::test_lock();
     assert!(!sea_core::profile::enabled());
     let built = Workload::Crc32.build(Scale::Tiny);
     let (mut sys, _boot) = boot(machine(), &built.image, &KernelConfig::default()).expect("boot");
@@ -77,6 +79,7 @@ fn disabled_profiling_path_never_allocates() {
 /// code, same output, same cycle and instruction counts.
 #[test]
 fn profiled_golden_run_is_a_pure_observer() {
+    let _guard = sea_core::trace::test_lock();
     let built = Workload::Crc32.build(Scale::Tiny);
     let kernel = KernelConfig::default();
     let budget = 500_000_000;
@@ -108,6 +111,7 @@ fn profiled_golden_run_is_a_pure_observer() {
 /// an actual injection campaign.
 #[test]
 fn predicted_vs_measured_avf_table_renders() {
+    let _guard = sea_core::trace::test_lock();
     let study = Study {
         scale: Scale::Tiny,
         samples_per_component: 6,
@@ -140,6 +144,7 @@ fn predicted_vs_measured_avf_table_renders() {
 /// and stays under that bound.
 #[test]
 fn predicted_rf_avf_counts_fp_words() {
+    let _guard = sea_core::trace::test_lock();
     let rf_of = |w: Workload| {
         let built = w.build(Scale::Tiny);
         let (_, profile) = profiled_golden_run(
