@@ -94,13 +94,14 @@ pub struct BeamConfig {
     /// journal). Mirrors the paper's restart-without-losing-fluence
     /// protocol: a resumed session skips already-simulated strikes.
     pub journal: Option<sea_injection::JournalSpec>,
-    /// Checkpoint/restore policy for simulated SRAM strikes (None = every
-    /// strike boots from reset). A runtime-only knob like `threads`: it is
-    /// excluded from the session hash and never changes an outcome.
-    pub checkpoints: Option<sea_injection::CheckpointPolicy>,
+    /// Initial epoch interval, in cycles, of the in-memory checkpoints
+    /// simulated SRAM strikes restore from (0 = off: every strike boots
+    /// from reset). A runtime-only knob like `threads`: it is excluded
+    /// from the session hash and never changes an outcome.
+    pub checkpoint_interval: u64,
     /// Arm the microarchitectural execution fast path on every simulated
-    /// strike's machine. A runtime-only knob like `checkpoints`: bit-exact
-    /// by construction, excluded from the session hash.
+    /// strike's machine. A runtime-only knob like `checkpoint_interval`:
+    /// bit-exact by construction, excluded from the session hash.
     pub fast_path: bool,
     /// Serve each strike's machine from a per-worker warp cursor (see
     /// `sea_injection::warp`) instead of re-simulating the fault-free
@@ -139,7 +140,7 @@ impl Default for BeamConfig {
             golden_budget_cycles: 500_000_000,
             supervisor: sea_injection::SupervisorConfig::default(),
             journal: None,
-            checkpoints: None,
+            checkpoint_interval: 0,
             fast_path: false,
             warp: false,
             serve: None,

@@ -207,7 +207,7 @@ impl<'a> BeamPlan<'a> {
     ) -> Result<Self, BeamError> {
         // Simulated SRAM strikes reuse the injection machinery (and its
         // supervisor policy) with an inline config, which also carries the
-        // checkpoint policy and the runtime knobs the driver reads.
+        // checkpoint interval and the runtime knobs the driver reads.
         let inj_cfg = CampaignConfig {
             machine: cfg.machine,
             kernel: cfg.kernel,
@@ -219,7 +219,7 @@ impl<'a> BeamPlan<'a> {
             golden_budget_cycles: cfg.golden_budget_cycles,
             supervisor: cfg.supervisor.clone(),
             journal: cfg.journal.clone(),
-            checkpoints: cfg.checkpoints.clone(),
+            checkpoint_interval: cfg.checkpoint_interval,
             fast_path: cfg.fast_path,
             serve: cfg.serve.clone(),
             stop_at_margin: cfg.stop_at_margin,

@@ -10,7 +10,7 @@
 
 use sea_beam::{run_session, BeamConfig, BeamResult};
 use sea_injection::supervisor::{fnv1a, journal_file};
-use sea_injection::{CheckpointPolicy, JournalFormat, JournalSpec};
+use sea_injection::{JournalFormat, JournalSpec};
 use sea_workloads::{BuiltWorkload, Scale, Workload};
 use std::path::{Path, PathBuf};
 
@@ -75,7 +75,7 @@ fn checkpointed_sessions_write_the_from_reset_log() {
         let built = w.build(Scale::Tiny);
         let (reset, reset_log) = session(w, &built, &config(&temp_dir(&format!("reset_{w}"))));
         let mut cfg = config(&temp_dir(&format!("ckpt_{w}")));
-        cfg.checkpoints = Some(CheckpointPolicy::default());
+        cfg.checkpoint_interval = 8_192;
         cfg.fast_path = true;
         cfg.warp = true;
         let (ckpt, ckpt_log) = session(w, &built, &cfg);

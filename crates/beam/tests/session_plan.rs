@@ -2,15 +2,19 @@
 //! reads off its own golden run, and the work each strike is planned at.
 
 use sea_beam::{measure_kernel_residency, run_session, BeamConfig, BeamPlan, Strike};
-use sea_injection::{CheckpointPolicy, RunPlan};
+use sea_injection::RunPlan;
 use sea_trace::{Level, MemorySink, Subsystem, Value};
 use sea_workloads::{Scale, Workload};
 use std::sync::Arc;
 
+/// Epoch stride of the checkpointed sessions: several epochs even in the
+/// shortest tiny run.
+const EPOCH_STRIDE: u64 = 8_192;
+
 /// The session reads kernel residency off the machine its golden run ends
-/// on, on every golden path: from reset, checkpointed in memory, and
-/// captured to and then loaded from a checkpoint directory. The separate
-/// boot-and-run of `measure_kernel_residency` is the oracle, bit for bit.
+/// on, on both golden paths: from reset and checkpointed in memory. The
+/// separate boot-and-run of `measure_kernel_residency` is the oracle, bit
+/// for bit.
 #[test]
 fn kernel_residency_is_read_off_the_golden_run() {
     // Its sessions must not land in the other test's trace sink.
@@ -26,33 +30,18 @@ fn kernel_residency_is_read_off_the_golden_run() {
         let oracle = measure_kernel_residency(&built, &BeamConfig::default())
             .expect("oracle run")
             .to_bits();
-        let dir = std::env::temp_dir().join(format!(
-            "sea_beam_residency_{}_{}",
-            std::process::id(),
-            w.name()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let in_memory = Some(CheckpointPolicy::default());
-        let on_disk = Some(CheckpointPolicy {
-            dir: Some(dir.clone()),
-            interval: 0,
-        });
-        // The second on-disk session loads what the first one persisted.
-        for checkpoints in [None, in_memory, on_disk.clone(), on_disk] {
+        for checkpoint_interval in [0, EPOCH_STRIDE] {
             let cfg = BeamConfig {
-                checkpoints,
+                checkpoint_interval,
                 ..BeamConfig::default()
             };
             let r = run_session(w.name(), &built, &cfg, 0).expect("session");
             assert_eq!(
                 r.kernel_resident_frac.to_bits(),
                 oracle,
-                "{w} with checkpoints {:?}",
-                cfg.checkpoints
+                "{w} with checkpoint interval {checkpoint_interval}"
             );
         }
-        let persisted = std::fs::read_dir(&dir).map_or(0, |d| d.count());
-        assert!(persisted > 0, "{w}: no checkpoints persisted to load");
     }
 }
 
@@ -65,7 +54,7 @@ fn strikes_are_planned_at_their_simulated_work() {
     let built = Workload::Qsort.build(Scale::Tiny);
     let cfg = BeamConfig {
         threads: 1,
-        checkpoints: Some(CheckpointPolicy::default()),
+        checkpoint_interval: EPOCH_STRIDE,
         ..BeamConfig::default()
     };
     let plan = BeamPlan::new("Qsort", &built, &cfg, 120).expect("plan");

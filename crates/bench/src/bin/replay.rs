@@ -9,24 +9,19 @@
 //! `--chrome-trace FILE.json` to render the same capture as Chrome
 //! trace-event JSON for `chrome://tracing` / Perfetto.
 //!
-//! With `--checkpoint-dir DIR` (the same directory a checkpointed
-//! campaign persisted to), the replay restores the nearest golden-run
-//! checkpoint at or before the anomaly's injection cycle instead of
-//! re-running the whole fault-free prefix from reset — restore and reset
-//! are bit-equivalent, so the reproduction verdict is unchanged.
+//! Every replay runs from reset: restore and reset are bit-equivalent,
+//! so the reproduction verdict would be the same from a checkpoint.
 //!
 //! With `--serve ADDR`, the observability server runs for the life of the
 //! replay: `/events` streams the provenance events of each re-executed
-//! anomaly live (useful for long checkpoint-less replays).
+//! anomaly live (useful for long replays).
 //!
 //! Usage: `replay --quarantine FILE [--index N] [--trace-out FILE]
-//! [--chrome-trace FILE] [--checkpoint-dir DIR] [--serve ADDR]`
+//! [--chrome-trace FILE] [--serve ADDR]`
 
 use sea_core::injection::supervisor::{config_hash, golden_hash};
-use sea_core::injection::{
-    acquire_golden_and_checkpoints, load_quarantine, run_one_caught, CheckpointPolicy, RunAnomaly,
-};
-use sea_core::platform::RunLimits;
+use sea_core::injection::{load_quarantine, run_one_caught, RunAnomaly};
+use sea_core::platform::{golden_run, RunLimits};
 use sea_core::{Scale, Study, Workload};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,7 +30,6 @@ struct Args {
     quarantine: PathBuf,
     index: Option<u64>,
     trace: Option<Arc<sea_bench::TraceSession>>,
-    checkpoint_dir: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -44,7 +38,6 @@ fn parse_args() -> Args {
     let mut index = None;
     let mut trace_out = None;
     let mut chrome_trace = None;
-    let mut checkpoint_dir = None;
     let mut serve: Option<String> = None;
     let mut i = 0;
     while i < argv.len() {
@@ -70,15 +63,11 @@ fn parse_args() -> Args {
                 chrome_trace = Some(PathBuf::from(need(i)));
                 i += 2;
             }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
             "--serve" => {
                 serve = Some(need(i));
                 i += 2;
             }
-            other => panic!("unknown flag `{other}` (usage: replay --quarantine FILE [--index N] [--trace-out FILE] [--chrome-trace FILE] [--checkpoint-dir DIR] [--serve ADDR])"),
+            other => panic!("unknown flag `{other}` (usage: replay --quarantine FILE [--index N] [--trace-out FILE] [--chrome-trace FILE] [--serve ADDR])"),
         }
     }
     let trace = sea_bench::TraceSession::start(trace_out, chrome_trace, serve.is_some());
@@ -92,7 +81,6 @@ fn parse_args() -> Args {
         quarantine: quarantine.expect("replay needs --quarantine FILE"),
         index,
         trace: trace.map(Arc::new),
-        checkpoint_dir,
     }
 }
 
@@ -112,7 +100,7 @@ fn detect_scale(w: Workload, recorded: u64) -> Scale {
     Scale::Default
 }
 
-fn replay_one(a: &RunAnomaly, checkpoint_dir: Option<&std::path::Path>) {
+fn replay_one(a: &RunAnomaly) {
     println!(
         "replay #{}: {} into {} bit {} @ cycle {} ({})",
         a.index,
@@ -137,13 +125,7 @@ fn replay_one(a: &RunAnomaly, checkpoint_dir: Option<&std::path::Path>) {
         seed: a.seed,
         ..Study::default()
     };
-    let mut cfg = study.injection_config();
-    // Same per-workload subdirectory layout as a checkpointed study run,
-    // so `replay --checkpoint-dir` reuses the campaign's persisted set.
-    cfg.checkpoints = checkpoint_dir.map(|d| CheckpointPolicy {
-        dir: Some(d.join(format!("{}-inject", a.workload.replace(' ', "_")))),
-        interval: 0,
-    });
+    let cfg = study.injection_config();
     let cfg_hash = config_hash(&cfg);
     if cfg_hash != a.config_hash {
         eprintln!(
@@ -152,11 +134,15 @@ fn replay_one(a: &RunAnomaly, checkpoint_dir: Option<&std::path::Path>) {
             a.config_hash
         );
     }
-    let (golden, ckpts) =
-        acquire_golden_and_checkpoints(&built, &cfg, cfg_hash, golden_hash(&built))
-            .expect("golden run");
+    let golden = golden_run(
+        cfg.machine,
+        &built.image,
+        &cfg.kernel,
+        cfg.golden_budget_cycles,
+    )
+    .expect("golden run");
     let limits = RunLimits::from_golden(golden.cycles, cfg.kernel.tick_period);
-    match run_one_caught(&built, &cfg, ckpts.as_ref(), a.index, a.spec, limits) {
+    match run_one_caught(&built, &cfg, None, a.index, a.spec, limits) {
         Ok((out, _sim_cycles)) => {
             println!(
                 "  completed normally: class {} (array {:?}, valid {})",
@@ -218,7 +204,7 @@ fn main() {
         args.quarantine.display()
     );
     for a in selected {
-        replay_one(a, args.checkpoint_dir.as_deref());
+        replay_one(a);
         println!();
     }
     drop(args.trace);

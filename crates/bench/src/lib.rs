@@ -46,8 +46,7 @@
 //! which also arm the reconvergence cut and dead-cell pruning. All of it
 //! is journal-neutral. `--reference` switches the three off, so every run
 //! boots from reset on the reference tier — the differential oracle.
-//! `--checkpoint-interval N` sets the epoch stride (0 = auto) and
-//! `--checkpoint-dir DIR` persists the checkpoints across invocations.
+//! `--checkpoint-interval N` sets the epoch stride (0 = off).
 //! `bash benchmark/run.sh` measures them end to end. `--help` lists every
 //! flag.
 //!
@@ -101,8 +100,7 @@ usage: <binary> [flags]
                             (the default has all three on; journals are
                             byte-identical either way)
   --checkpoint-interval N   golden-run epoch stride in cycles (default 65536,
-                            0 = auto)
-  --checkpoint-dir DIR      persist checkpoints and reuse matching ones
+                            0 = off)
   --journal DIR             write an outcome journal per workload
   --journal-format bin|jsonl
   --fsync none|every-n=N    journal sync cadence (default every-n=64)
@@ -340,10 +338,6 @@ pub fn parse_options() -> Options {
                 opts.study.run_wall_ms = need(i).parse().expect("--run-timeout-ms N");
                 i += 2;
             }
-            "--checkpoint-dir" => {
-                opts.study.checkpoint_dir = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
             "--checkpoint-interval" => {
                 opts.study.checkpoint_interval =
                     need(i).parse().expect("--checkpoint-interval CYCLES");
@@ -496,7 +490,7 @@ pub fn run_study(opts: &Options) -> StudyResult {
             sea_core::analysis::report::supervision_table(&sup_rows)
         );
     }
-    // Checkpoint audit: only rendered when a checkpoint policy was active
+    // Checkpoint audit: only rendered when checkpoints were on
     // (stderr, like the supervision table, so artifacts stay byte-stable).
     let ckpt_rows: Vec<_> = workloads
         .iter()

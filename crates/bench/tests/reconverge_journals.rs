@@ -32,7 +32,7 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
             |dir: &str| journal_file(&root.join(dir), "inject", w.name(), JournalFormat::Binary);
 
         let mut reset = spec.study.injection_config_for(w);
-        reset.checkpoints = None;
+        reset.checkpoint_interval = 0;
         reset.warp = false;
         reset.fast_path = false;
         reset.journal = Some(JournalSpec::new(root.join("reset")));

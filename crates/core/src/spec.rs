@@ -10,10 +10,10 @@
 //! with a canonical rendering so `to_json` ∘ `from_json` is the identity
 //! on documents it produced.
 //!
-//! Placement knobs (journal directories, checkpoint directories,
-//! quarantine files, serve addresses, output paths) are deliberately
-//! *not* part of the wire format: the daemon assigns per-shard locations
-//! itself, and none of them participate in the configuration hash.
+//! Placement knobs (journal directories, quarantine files, serve
+//! addresses, output paths) are deliberately *not* part of the wire
+//! format: the daemon assigns per-shard locations itself, and none of
+//! them participate in the configuration hash.
 
 use crate::study::Study;
 use sea_trace::json::{self, Json, ObjWriter};

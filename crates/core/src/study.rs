@@ -108,16 +108,11 @@ pub struct Study {
     pub quarantine: Option<std::path::PathBuf>,
     /// Per-run wall-clock budget in milliseconds (0 = disabled).
     pub run_wall_ms: u64,
-    /// Persist golden-run checkpoints under this directory (one
-    /// subdirectory per workload and methodology) and reuse matching ones
-    /// on later runs. None with `checkpoint_interval == 0` disables
-    /// checkpointing entirely.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Initial checkpoint epoch interval in cycles (0 = auto; default
-    /// [`DEFAULT_CHECKPOINT_INTERVAL`]). Setting this without
-    /// `checkpoint_dir` keeps checkpoints in memory for the duration of
-    /// each campaign/session. Checkpoints also arm the reconvergence cut
-    /// and dead-cell pruning; journals are byte-identical either way.
+    /// Initial checkpoint epoch interval in cycles (0 = off; default
+    /// [`DEFAULT_CHECKPOINT_INTERVAL`]). Checkpoints live in memory for
+    /// the duration of each campaign/session. They also arm the
+    /// reconvergence cut and dead-cell pruning; journals are
+    /// byte-identical either way.
     pub checkpoint_interval: u64,
     /// Write per-workload attribution profiles (hotspots + predicted-vs-
     /// measured AVF) to this file. None = profiling stays off and no
@@ -175,7 +170,6 @@ impl Default for Study {
             journal_fsync: sea_injection::FsyncPolicy::default(),
             quarantine: None,
             run_wall_ms: 0,
-            checkpoint_dir: None,
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             profile_out: None,
             chrome_trace: None,
@@ -192,8 +186,7 @@ impl Study {
     /// This study on the reference tier: no fast path, no cursor and no
     /// in-memory checkpoints, so every run boots from reset and runs
     /// uncut — the differential oracle the accelerated defaults are
-    /// diffed against (`--reference` on the command line). A
-    /// `checkpoint_dir` is kept.
+    /// diffed against (`--reference` on the command line).
     pub fn reference(self) -> Study {
         Study {
             fast_path: false,
@@ -210,28 +203,6 @@ impl Study {
             quarantine: self.quarantine.clone(),
             ..sea_injection::SupervisorConfig::default()
         }
-    }
-
-    /// The checkpoint policy for one workload under one methodology.
-    /// Checkpoint provenance hashes differ between injection and beam
-    /// (and between workloads), so each (workload, kind) pair gets its own
-    /// subdirectory — sharing one directory would make the two
-    /// methodologies endlessly invalidate each other's checkpoints.
-    fn checkpoint_policy(
-        &self,
-        workload: &str,
-        kind: &str,
-    ) -> Option<sea_injection::CheckpointPolicy> {
-        if self.checkpoint_dir.is_none() && self.checkpoint_interval == 0 {
-            return None;
-        }
-        Some(sea_injection::CheckpointPolicy {
-            dir: self
-                .checkpoint_dir
-                .as_ref()
-                .map(|d| d.join(format!("{}-{kind}", workload.replace(' ', "_")))),
-            interval: self.checkpoint_interval,
-        })
     }
 
     /// The journal location both methodologies write to (they use
@@ -260,7 +231,7 @@ impl Study {
             golden_budget_cycles: self.golden_budget_cycles,
             supervisor: self.supervisor_config(),
             journal: self.journal_spec(),
-            checkpoints: None,
+            checkpoint_interval: 0,
             fast_path: self.fast_path,
             serve: self.serve.clone(),
             stop_at_margin: self.stop_at_margin,
@@ -288,20 +259,22 @@ impl Study {
     }
 
     /// The injection-campaign configuration for one workload, with the
-    /// study's checkpoint policy applied (the policy is per-workload
-    /// because persisted checkpoints carry per-workload provenance).
-    pub fn injection_config_for(&self, w: Workload) -> CampaignConfig {
-        let mut cfg = self.injection_config();
-        cfg.checkpoints = self.checkpoint_policy(w.name(), "inject");
-        cfg
+    /// study's checkpoint interval applied. (Every workload gets the same
+    /// one.)
+    pub fn injection_config_for(&self, _w: Workload) -> CampaignConfig {
+        CampaignConfig {
+            checkpoint_interval: self.checkpoint_interval,
+            ..self.injection_config()
+        }
     }
 
     /// The beam configuration for one workload, with the study's
-    /// checkpoint policy applied.
-    pub fn beam_config_for(&self, w: Workload) -> BeamConfig {
-        let mut cfg = self.beam_config();
-        cfg.checkpoints = self.checkpoint_policy(w.name(), "beam");
-        cfg
+    /// checkpoint interval applied.
+    pub fn beam_config_for(&self, _w: Workload) -> BeamConfig {
+        BeamConfig {
+            checkpoint_interval: self.checkpoint_interval,
+            ..self.beam_config()
+        }
     }
 
     /// Runs both methodologies for one workload.

@@ -6,18 +6,16 @@ use rand::{Rng, SeedableRng};
 use sea_kernel::KernelConfig;
 use sea_microarch::{ArrayKind, Component, FaultProbe, MachineConfig, RunEnd, System};
 use sea_platform::{
-    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints,
-    run_until_reconverged, Board, CheckpointSet, CheckpointStats, ClassCounts, FaultClass,
-    GoldenRun, RunLimits,
+    boot, classify, golden_run, golden_run_with_checkpoints, run_until_reconverged, Board,
+    CheckpointSet, CheckpointStats, ClassCounts, FaultClass, GoldenRun, RunLimits,
 };
-use sea_snapshot::CheckpointMeta;
 use sea_trace::json::{Json, ObjWriter};
 use sea_trace::{event, Counter, Histogram, Level, Subsystem};
 use sea_workloads::BuiltWorkload;
 
 use crate::drive::{drive, record_line, Live, RunPlan};
 use crate::supervisor::{
-    config_hash, golden_hash, run_one_caught, CaughtPanic, JournalAudit, JournalError,
+    config_hash, fnv1a, golden_hash, run_one_caught, CaughtPanic, JournalAudit, JournalError,
     JournalHeader, JournalSpec, Quarantine, RunAnomaly, RunIdentity, RunVerdict, SupervisorConfig,
 };
 
@@ -215,19 +213,21 @@ pub struct CampaignConfig {
     pub supervisor: SupervisorConfig,
     /// Outcome journal location and resume behavior (None = no journal).
     pub journal: Option<JournalSpec>,
-    /// Checkpoint/restore policy (None = every run boots from reset).
+    /// Initial epoch interval, in cycles, of the in-memory checkpoints the
+    /// golden run captures (0 = off: every run boots from reset). The
+    /// recorder adapts the stride to the golden run's actual length.
     ///
     /// A runtime-only knob, like `threads`: it changes how fast a campaign
     /// runs, never what it computes, so it is excluded from the campaign
     /// configuration hash and a journal written either way is byte-identical.
-    pub checkpoints: Option<CheckpointPolicy>,
+    pub checkpoint_interval: u64,
     /// Arm the execution fast path (µop cache + translation latches) on
     /// every injected run's machine.
     ///
-    /// Like `checkpoints`, a runtime-only speed knob: the fast path is
-    /// bit-for-bit transparent (identical counters, verdicts and journal
-    /// bytes — held by the rows of `tests/fastpath_equivalence.rs`), so
-    /// it is excluded from the campaign configuration hash.
+    /// Like `checkpoint_interval`, a runtime-only speed knob: the fast
+    /// path is bit-for-bit transparent (identical counters, verdicts and
+    /// journal bytes — held by the rows of `tests/fastpath_equivalence.rs`),
+    /// so it is excluded from the campaign configuration hash.
     pub fast_path: bool,
     /// Serve live observability (`/status`, `/metrics`, `/events`, …) on
     /// this address while the campaign runs (e.g. `"127.0.0.1:9100"`).
@@ -251,24 +251,13 @@ pub struct CampaignConfig {
     /// re-simulating the fault-free prefix from the nearest checkpoint
     /// (or reset) every time.
     ///
-    /// Like `checkpoints` and `fast_path`, a runtime-only speed knob: the
-    /// cursor clone is bit-equivalent to a from-reset machine by the
-    /// determinism contract, so verdicts and journal bytes are identical
-    /// with it on or off (held by the rows of
+    /// Like `checkpoint_interval` and `fast_path`, a runtime-only speed
+    /// knob: the cursor clone is bit-equivalent to a from-reset machine by
+    /// the determinism contract, so verdicts and journal bytes are
+    /// identical with it on or off (held by the rows of
     /// `tests/warp_equivalence.rs`) and it is excluded from the campaign
     /// configuration hash.
     pub warp: bool,
-}
-
-/// How a campaign checkpoints and restores the fault-free prefix.
-#[derive(Clone, Debug, Default)]
-pub struct CheckpointPolicy {
-    /// Persist checkpoints here and reuse matching ones on the next run
-    /// (None = keep them in memory for this campaign only).
-    pub dir: Option<std::path::PathBuf>,
-    /// Initial epoch interval in cycles (0 = auto). The recorder adapts
-    /// the stride to the golden run's actual length either way.
-    pub interval: u64,
 }
 
 impl Default for CampaignConfig {
@@ -288,7 +277,7 @@ impl Default for CampaignConfig {
             golden_budget_cycles: 500_000_000,
             supervisor: SupervisorConfig::default(),
             journal: None,
-            checkpoints: None,
+            checkpoint_interval: 0,
             fast_path: false,
             serve: None,
             stop_at_margin: None,
@@ -562,9 +551,9 @@ pub struct CampaignPlan<'a> {
 }
 
 impl<'a> CampaignPlan<'a> {
-    /// Builds the plan: golden reference run (reusing persisted
-    /// checkpoints when the policy allows), run limits, and the
-    /// deterministic spec sequence.
+    /// Builds the plan: golden reference run (capturing checkpoints when
+    /// the interval is non-zero), run limits, and the deterministic spec
+    /// sequence.
     ///
     /// # Errors
     ///
@@ -585,9 +574,9 @@ impl<'a> CampaignPlan<'a> {
     }
 
     /// [`CampaignPlan::new`] under an identity of the caller's: the
-    /// checkpoint provenance, journal header and anomaly records carry
-    /// `id`. A beam session replays its SRAM strikes on such a plan, built
-    /// with no components, hence no specs of its own.
+    /// journal header and anomaly records carry `id`. A beam session
+    /// replays its SRAM strikes on such a plan, built with no components,
+    /// hence no specs of its own.
     ///
     /// # Errors
     ///
@@ -597,8 +586,7 @@ impl<'a> CampaignPlan<'a> {
         cfg: CampaignConfig,
         id: RunIdentity,
     ) -> Result<Self, CampaignError> {
-        let (golden, ckpts) =
-            acquire_golden_and_checkpoints(workload, &cfg, id.config_hash, id.golden_hash)?;
+        let (golden, ckpts) = acquire_golden_and_checkpoints(workload, &cfg)?;
         let limits = RunLimits::from_golden(golden.cycles, cfg.kernel.tick_period)
             .with_wall_ms(cfg.supervisor.run_wall_ms);
         let specs = generate_specs(&cfg, golden.cycles);
@@ -674,10 +662,7 @@ impl<'a> CampaignPlan<'a> {
 
     /// The journal identity header every process sharing this plan writes
     /// — shard journals carry the full-campaign `total`, so identity
-    /// validation and the deterministic merge work across processes. The
-    /// checkpoint provenance is stamped whether or not checkpointing is on
-    /// (its value is interval-independent), so checkpointed and from-reset
-    /// campaigns write byte-identical journals.
+    /// validation and the deterministic merge work across processes.
     pub fn header(&self) -> JournalHeader {
         JournalHeader {
             kind: "inject",
@@ -685,7 +670,7 @@ impl<'a> CampaignPlan<'a> {
             seed: self.id.seed,
             config_hash: self.id.config_hash,
             golden_hash: self.id.golden_hash,
-            ckpt: CheckpointMeta::provenance(self.id.config_hash, self.id.golden_hash),
+            ckpt: header_ckpt(self.id.config_hash, self.id.golden_hash),
             total: self.total(),
         }
     }
@@ -975,68 +960,38 @@ pub fn run_campaign(
     })
 }
 
-/// Runs the golden reference, wiring in the checkpoint policy: with
-/// checkpointing off this is exactly [`golden_run`]; with it on, epoch
-/// checkpoints are captured during the run (or, when a persistence
-/// directory already holds checkpoints with matching provenance, loaded
-/// from disk instead of re-captured). A stale or foreign directory is
-/// never trusted — it is re-captured and overwritten.
+/// The journal header's `ckpt` field: `fnv1a(2u32 ‖ config_hash ‖
+/// golden_hash)`, little-endian. It once named the on-disk checkpoint
+/// format (version 2) a campaign's checkpoints were valid for; that format
+/// is gone, but every journal written since carries this value, so it
+/// stays exactly as it was — resumes and fleet merges compare headers byte
+/// for byte.
+fn header_ckpt(config_hash: u64, golden_hash: u64) -> u64 {
+    let mut bytes = Vec::with_capacity(20);
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&config_hash.to_le_bytes());
+    bytes.extend_from_slice(&golden_hash.to_le_bytes());
+    fnv1a(&bytes)
+}
+
+/// Runs the golden reference: with `cfg.checkpoint_interval` 0 this is
+/// exactly [`golden_run`]; otherwise epoch checkpoints and the read
+/// horizon are captured in memory during the run.
 ///
 /// Public because `sea-beam` sessions share the same golden-run +
-/// checkpoint acquisition (with their own provenance hashes).
+/// checkpoint acquisition.
 pub fn acquire_golden_and_checkpoints(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
-    chash: u64,
-    ghash: u64,
 ) -> Result<(GoldenRun, Option<CheckpointSet>), CampaignError> {
-    let Some(policy) = &cfg.checkpoints else {
-        let golden = golden_run(
-            cfg.machine,
-            &workload.image,
-            &cfg.kernel,
-            cfg.golden_budget_cycles,
-        )
-        .map_err(CampaignError::Golden)?;
+    let (machine, image, kernel) = (cfg.machine, &workload.image, &cfg.kernel);
+    let budget = cfg.golden_budget_cycles;
+    if cfg.checkpoint_interval == 0 {
+        let golden = golden_run(machine, image, kernel, budget).map_err(CampaignError::Golden)?;
         return Ok((golden, None));
-    };
-    if let Some(dir) = policy.dir.as_deref().filter(|d| d.is_dir()) {
-        match CheckpointSet::load_dir(dir, chash, ghash) {
-            Ok(mut set) if !set.is_empty() => {
-                let (golden, horizon) = golden_run_tracked(
-                    cfg.machine,
-                    &workload.image,
-                    &cfg.kernel,
-                    cfg.golden_budget_cycles,
-                )
-                .map_err(CampaignError::Golden)?;
-                // The files carry machines, not how their run ended or
-                // what it read.
-                set.seal(&golden, Some(horizon));
-                return Ok((golden, Some(set)));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                event!(Subsystem::Injection, Level::Warn, "injection.checkpoint_dir_rejected";
-                       "dir" => dir.display().to_string(),
-                       "error" => e.to_string());
-            }
-        }
     }
-    let (golden, set) = golden_run_with_checkpoints(
-        cfg.machine,
-        &workload.image,
-        &cfg.kernel,
-        cfg.golden_budget_cycles,
-        policy.interval,
-    )
-    .map_err(CampaignError::Golden)?;
-    if let Some(dir) = &policy.dir {
-        if let Err(e) = set.persist(dir, chash, ghash) {
-            event!(Subsystem::Injection, Level::Warn, "injection.checkpoint_persist_failed";
-                   "dir" => dir.display().to_string(),
-                   "error" => e.to_string());
-        }
-    }
+    let (golden, set) =
+        golden_run_with_checkpoints(machine, image, kernel, budget, cfg.checkpoint_interval)
+            .map_err(CampaignError::Golden)?;
     Ok((golden, Some(set)))
 }

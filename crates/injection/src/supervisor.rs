@@ -415,11 +415,10 @@ pub struct JournalHeader {
     pub config_hash: u64,
     /// Golden-output hash.
     pub golden_hash: u64,
-    /// Checkpoint provenance hash
-    /// ([`sea_snapshot::CheckpointMeta::provenance`]); stamped whether or
-    /// not the campaign checkpoints, and deliberately independent of the
-    /// epoch interval, so enabling checkpointing never forks journal
-    /// identity.
+    /// Legacy checkpoint provenance hash, a function of `config_hash` and
+    /// `golden_hash` alone ([`crate::CampaignPlan::header`]); the same
+    /// whether or not the campaign checkpoints, so enabling checkpointing
+    /// never forks journal identity.
     pub ckpt: u64,
     /// Total planned runs.
     pub total: u64,

@@ -387,12 +387,16 @@ fn the_filter_is_armed_only_where_the_golden_ending_is_the_answer() {
         run_one(&f.built, &plain, None, spec, short)
     );
 
-    let dir = std::env::temp_dir().join(format!("sea_dead_eq_{}", std::process::id()));
-    f.ckpts.persist(&dir, 1, 2).unwrap();
-    let mut loaded = CheckpointSet::load_dir(&dir, 1, 2).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    loaded.seal(&f.golden, None);
-    run_one(&f.built, &cfg, Some(&loaded), spec, f.limits);
+    let (_, mut unarmed) = golden_run_with_checkpoints(
+        plain.machine,
+        &f.built.image,
+        &plain.kernel,
+        plain.golden_budget_cycles,
+        2_048,
+    )
+    .unwrap();
+    unarmed.seal(&f.golden, None);
+    run_one(&f.built, &cfg, Some(&unarmed), spec, f.limits);
 
     let at_exit = InjectionSpec {
         cycle: f.golden.cycles - 1,

@@ -15,20 +15,18 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::SystemTime;
 
 use proptest::prelude::*;
 use sea_injection::supervisor::journal_file;
 use sea_injection::warp::{FASTPATH_UOP_HITS, WARP_HANDOFFS};
 use sea_injection::{
-    run_campaign, run_one, CampaignConfig, CampaignResult, CheckpointPolicy, InjectionSpec,
-    JournalFormat, JournalSpec,
+    run_campaign, run_one, CampaignConfig, CampaignResult, InjectionSpec, JournalFormat,
+    JournalSpec,
 };
 use sea_microarch::{Component, System};
 use sea_platform::{boot, golden_run_with_checkpoints, Board, CheckpointSet, GoldenRun, RunLimits};
 use sea_trace::Counter;
 use sea_workloads::{BuiltWorkload, Scale, Workload};
-use Ckpts::*;
 
 /// Epoch stride of the checkpointed rows and of the fixture's set.
 pub const STRIDE: u64 = 2_048;
@@ -36,32 +34,20 @@ pub const STRIDE: u64 = 2_048;
 /// The tiny workloads every row is diffed on.
 const WORKLOADS: [Workload; 2] = [Workload::Crc32, Workload::MatMul];
 
-/// Where a row's checkpoints come from: none (every run from reset), the
-/// golden run (kept in memory), a directory a first campaign persisted, or
-/// that directory with one file corrupted, which must be re-captured.
-#[derive(Clone, Copy, PartialEq)]
-enum Ckpts {
-    Reset,
-    Memory,
-    Reloaded,
-    Corrupted,
-}
-
-/// One execution configuration: its name, fast path, cursor, checkpoints,
-/// and the process-wide counters that must move in its campaign, or it
-/// never left the reference path. A checkpointed row must also restore.
-pub struct Row(&'static str, bool, bool, Ckpts, &'static [&'static Counter]);
+/// One execution configuration: its name, fast path, cursor, in-memory
+/// checkpoints (or every run from reset), and the process-wide counters
+/// that must move in its campaign, or it never left the reference path. A
+/// checkpointed row must also restore.
+pub struct Row(&'static str, bool, bool, bool, &'static [&'static Counter]);
 
 #[rustfmt::skip]
 pub static ROWS: &[Row] = &[
-    //  name                                  fast   warp   checkpoints  must move
-    Row("checkpoints in memory",              false, false, Memory,    &[]),
-    Row("checkpoints persisted and reloaded", false, false, Reloaded,  &[]),
-    Row("corrupted checkpoints re-captured",  false, false, Corrupted, &[]),
-    Row("fast path",                          true,  false, Reset,     &[&FASTPATH_UOP_HITS]),
-    Row("fast path + checkpoints",            true,  false, Memory,    &[&FASTPATH_UOP_HITS]),
-    Row("cursor",                             false, true,  Reset,     &[&WARP_HANDOFFS]),
-    Row("cursor + checkpoints",               false, true,  Memory,    &[&WARP_HANDOFFS]),
+    //  name                       fast   warp   checkpoints  must move
+    Row("checkpoints in memory",   false, false, true,        &[]),
+    Row("fast path",               true,  false, false,       &[&FASTPATH_UOP_HITS]),
+    Row("fast path + checkpoints", true,  false, true,        &[&FASTPATH_UOP_HITS]),
+    Row("cursor",                  false, true,  false,       &[&WARP_HANDOFFS]),
+    Row("cursor + checkpoints",    false, true,  true,        &[&WARP_HANDOFFS]),
 ];
 
 /// The reference journal and result of one workload.
@@ -106,50 +92,17 @@ fn reference(i: usize) -> &'static (BuiltWorkload, Want) {
     })
 }
 
-/// The `.seackpt` files in `dir` with their modification times: a
-/// re-capture rewrites every one.
-fn seackpts(dir: &Path) -> Vec<(PathBuf, SystemTime)> {
-    let mut files: Vec<_> = (fs::read_dir(dir).into_iter().flatten())
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "seackpt"))
-        .map(|p| (p.clone(), fs::metadata(p).unwrap().modified().unwrap()))
-        .collect();
-    files.sort();
-    files
-}
-
 impl Row {
     /// Runs this row's campaign in `dir`; the errors name what diverged.
     fn check(&self, w: Workload, built: &BuiltWorkload, want: &Want, dir: &Path) -> Vec<String> {
         let Row(_, fast_path, warp, ckpts, counters) = *self;
-        let ckpt_dir = dir.join("ckpt");
-        let persisted = matches!(ckpts, Reloaded | Corrupted);
         let cfg = CampaignConfig {
             fast_path,
             warp,
-            checkpoints: (ckpts != Reset).then(|| CheckpointPolicy {
-                dir: persisted.then(|| ckpt_dir.clone()),
-                interval: STRIDE,
-            }),
+            checkpoint_interval: if ckpts { STRIDE } else { 0 },
             ..CampaignConfig::default()
         };
         let mut errors = Vec::new();
-        if persisted {
-            let (_, first) = campaign(w, built, cfg.clone(), &dir.join("first"));
-            let (files, stats) = (seackpts(&ckpt_dir), first.checkpoints);
-            if Some(files.len() as u64) != stats.map(|c| c.epochs) {
-                errors.push(format!("{} files for {stats:?}", files.len()));
-            }
-            if ckpts == Corrupted {
-                // The section CRC must catch one flipped byte.
-                let victim = &files[files.len() / 2].0;
-                let mut bytes = fs::read(victim).unwrap();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                fs::write(victim, bytes).unwrap();
-            }
-        }
-        let on_disk = seackpts(&ckpt_dir);
         let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
         let (journal, got) = campaign(w, built, cfg, &dir.join("journal"));
         for (c, before) in counters.iter().zip(before) {
@@ -158,7 +111,7 @@ impl Row {
             }
         }
         let stats = got.checkpoints.unwrap_or_default();
-        if ckpts != Reset && (stats.restores == 0 || stats.prefix_cycles_saved == 0) {
+        if ckpts && (stats.restores == 0 || stats.prefix_cycles_saved == 0) {
             errors.push(format!("no prefix restored: {stats:?}"));
         }
         if journal != want.0 {
@@ -166,11 +119,6 @@ impl Row {
         }
         if got.golden_cycles != want.1.golden_cycles || got.per_component != want.1.per_component {
             errors.push("tallies differ".into());
-        }
-        let rewritten = seackpts(&ckpt_dir) != on_disk;
-        if persisted && rewritten != (ckpts == Corrupted) {
-            let how = if rewritten { "re-captured" } else { "reused" };
-            errors.push(format!("the persisted set was {how}"));
         }
         errors
     }
@@ -260,7 +208,7 @@ pub fn classifies_identically(row: usize, which: usize, bit_frac: f64, cycle_fra
         cycle: ((golden.cycles as f64 * cycle_frac) as u64).min(golden.cycles - 1),
     };
     let limits = RunLimits::from_golden(golden.cycles, reference.kernel.tick_period);
-    let ckpts = (armed != Reset).then_some(ckpts);
+    let ckpts = armed.then_some(ckpts);
     let _serial = production();
     let a = run_one(built, &reference, None, spec, limits);
     let b = run_one(built, &cfg, ckpts, spec, limits);

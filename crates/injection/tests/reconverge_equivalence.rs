@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use sea_injection::{run_one, CampaignConfig, InjectionSpec};
 use sea_microarch::Component;
 use sea_platform::{
-    boot, golden_run_with_checkpoints, run, run_until_reconverged, CheckpointSet, GoldenRun,
-    RunLimits, RunOutcome,
+    boot, golden_run_with_checkpoints, run, run_until_reconverged, Checkpoint, CheckpointSet,
+    GoldenRun, RunLimits, RunOutcome,
 };
 use sea_workloads::{BuiltWorkload, Scale, Workload};
 
@@ -161,13 +161,13 @@ fn cut_fires_on_dead_cell_flips_and_respects_the_cycle_budget() {
     );
     assert_eq!(saved, Some(f.golden.cycles - at));
 
-    // Checkpoint files carry machines, not how their run ended: a loaded
-    // set is unarmed until it is sealed with the golden run. Sealed without
-    // a read horizon, it arms this cut alone.
-    let dir = std::env::temp_dir().join(format!("sea_reconverge_eq_{}", std::process::id()));
-    f.ckpts.persist(&dir, 1, 2).unwrap();
-    let mut loaded = CheckpointSet::load_dir(&dir, 1, 2).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+    // Checkpoints are machines, not how their run ended: a set of them is
+    // unarmed until it is sealed with the golden run. Sealed without a
+    // read horizon, it arms this cut alone.
+    let mut loaded = CheckpointSet::new();
+    for epoch in f.ckpts.epochs() {
+        loaded.push(Checkpoint::capture(&f.ckpts.restore_at(epoch).unwrap()));
+    }
     let mut flipped = loaded.restore_at(f.golden.cycles / 2).unwrap();
     flipped.flip_bit(Component::L2, bit);
     let (outcome, saved) = run_until_reconverged(&mut flipped.clone(), f.limits, Some(&loaded));

@@ -223,3 +223,23 @@ fn traced_campaign_emits_provenance_records() {
     assert!(ends >= 8, "worker run_end events missing: {ends}");
     assert!(events.iter().any(|e| e.name == "injection.worker"));
 }
+
+#[test]
+fn injection_header_ckpt_is_pinned() {
+    // Every journal header carries this value, so resumes and fleet
+    // merges of journals written by earlier builds depend on it staying
+    // put: fnv1a(2u32 ‖ config_hash ‖ golden_hash), little-endian.
+    let w = Workload::Crc32.build(Scale::Tiny);
+    let cfg = CampaignConfig {
+        components: Vec::new(),
+        ..CampaignConfig::default()
+    };
+    let id = sea_injection::supervisor::RunIdentity {
+        workload: "CRC32".into(),
+        seed: 1,
+        config_hash: 0x0123_4567_89ab_cdef,
+        golden_hash: 0xfedc_ba98_7654_3210,
+    };
+    let plan = sea_injection::CampaignPlan::with_identity(&w, cfg, id).unwrap();
+    assert_eq!(plan.header().ckpt, 0x97a6_bb0d_3559_fd67);
+}

@@ -7,7 +7,6 @@
 //! resurrect lines.
 
 use crate::config::CacheConfig;
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Result of a cache probe.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -541,69 +540,6 @@ impl Cache {
     }
 }
 
-impl Snapshot for Cache {
-    /// Captures geometry plus the full SRAM image: address/valid/dirty/rank
-    /// arrays and the data array. The provenance watch is deliberately
-    /// *not* captured — checkpoints are taken during fault-free golden runs
-    /// (a restored machine re-arms its own watch at injection time) — so
-    /// restore always yields a disarmed watch.
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"CACH");
-        w.u32(self.sets);
-        w.u32(self.ways);
-        w.u32(self.line_bytes);
-        w.bool(self.writeback);
-        self.addr.save(w);
-        self.valid.save(w);
-        self.dirty.save(w);
-        self.rank.save(w);
-        w.bytes(&self.data);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Cache, SnapError> {
-        r.tag(*b"CACH")?;
-        let sets = r.u32()?;
-        let ways = r.u32()?;
-        let line_bytes = r.u32()?;
-        let cfg = CacheConfig {
-            size_bytes: sets
-                .checked_mul(ways)
-                .and_then(|l| l.checked_mul(line_bytes))
-                .ok_or(SnapError::Malformed("cache geometry overflows"))?,
-            ways,
-            line_bytes,
-        };
-        if !cfg.validate() {
-            return Err(SnapError::Malformed("invalid cache geometry"));
-        }
-        let writeback = r.bool()?;
-        // The arrays are checked against the geometry before anything is
-        // allocated for it, so a corrupt geometry cannot claim more memory
-        // than the stream carries.
-        let lines = cfg.lines() as usize;
-        let addr: Vec<u32> = Vec::load(r)?;
-        let valid: Vec<bool> = Vec::load(r)?;
-        let dirty: Vec<bool> = Vec::load(r)?;
-        let rank: Vec<u8> = Vec::load(r)?;
-        let data = r.bytes()?;
-        if addr.len() != lines
-            || valid.len() != lines
-            || dirty.len() != lines
-            || rank.len() != lines
-            || data.len() != lines * line_bytes as usize
-        {
-            return Err(SnapError::Malformed("cache array length mismatch"));
-        }
-        let mut c = Cache::new(cfg, writeback);
-        c.addr = addr;
-        c.valid = valid;
-        c.dirty = dirty;
-        c.rank = rank;
-        c.data.copy_from_slice(data);
-        Ok(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,10 +684,9 @@ mod tests {
             Probe::Hit(idx) => c.write(idx, 0x0, 4, 0xFEED_FACE),
             Probe::Miss => panic!("line 0x000 must be resident"),
         }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let buf = w.into_bytes();
-        let mut t = Cache::load(&mut SnapReader::new(&buf)).unwrap();
+        // A checkpoint is a clone: it must carry the dirt and the LRU
+        // ranks, not just the data.
+        let mut t = c.clone();
         assert_eq!(t.valid_lines(), c.valid_lines());
         assert_eq!(t.peek(0x000, 4), Some(0xFEED_FACE));
         // LRU order survives: filling set 0 again must evict 0x040 (the
@@ -813,15 +748,5 @@ mod tests {
         let mut c = golden.clone();
         c.rank.swap(2, 3);
         assert!(!c.converges_with(&golden));
-    }
-
-    #[test]
-    fn snapshot_rejects_corrupt_geometry() {
-        let c = small();
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let mut buf = w.into_bytes();
-        buf[4] = 0xFF; // sets := garbage (low LE byte after the tag)
-        assert!(Cache::load(&mut SnapReader::new(&buf)).is_err());
     }
 }

@@ -1,7 +1,5 @@
 //! Machine configuration.
 
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// Geometry of one set-associative cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheConfig {
@@ -188,97 +186,6 @@ impl MachineConfig {
             && self.predictor_entries.is_power_of_two()
             && self.itlb_entries > 0
             && self.dtlb_entries > 0
-    }
-}
-
-impl Snapshot for CacheConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.size_bytes);
-        w.u32(self.ways);
-        w.u32(self.line_bytes);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<CacheConfig, SnapError> {
-        Ok(CacheConfig {
-            size_bytes: r.u32()?,
-            ways: r.u32()?,
-            line_bytes: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for Latencies {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.l1_hit,
-            self.l2_hit,
-            self.mem,
-            self.mul,
-            self.div,
-            self.fp,
-            self.fdiv,
-            self.fsqrt,
-            self.branch_miss,
-            self.walk_step,
-        ] {
-            w.u32(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Latencies, SnapError> {
-        Ok(Latencies {
-            l1_hit: r.u32()?,
-            l2_hit: r.u32()?,
-            mem: r.u32()?,
-            mul: r.u32()?,
-            div: r.u32()?,
-            fp: r.u32()?,
-            fdiv: r.u32()?,
-            fsqrt: r.u32()?,
-            branch_miss: r.u32()?,
-            walk_step: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for MachineConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"MCFG");
-        self.l1i.save(w);
-        self.l1d.save(w);
-        self.l2.save(w);
-        w.u32(self.itlb_entries);
-        w.u32(self.dtlb_entries);
-        w.u32(self.mem_bytes);
-        self.lat.save(w);
-        w.u8(match self.mode {
-            ExecMode::Atomic => 0,
-            ExecMode::Detailed => 1,
-        });
-        w.u32(self.predictor_entries);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<MachineConfig, SnapError> {
-        r.tag(*b"MCFG")?;
-        let cfg = MachineConfig {
-            l1i: CacheConfig::load(r)?,
-            l1d: CacheConfig::load(r)?,
-            l2: CacheConfig::load(r)?,
-            itlb_entries: r.u32()?,
-            dtlb_entries: r.u32()?,
-            mem_bytes: r.u32()?,
-            lat: Latencies::load(r)?,
-            mode: match r.u8()? {
-                0 => ExecMode::Atomic,
-                1 => ExecMode::Detailed,
-                _ => return Err(SnapError::Malformed("unknown exec mode")),
-            },
-            predictor_entries: r.u32()?,
-        };
-        if !cfg.validate() {
-            return Err(SnapError::Malformed("invalid machine configuration"));
-        }
-        Ok(cfg)
     }
 }
 

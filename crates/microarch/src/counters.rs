@@ -67,46 +67,6 @@ impl Counters {
     }
 }
 
-impl sea_snapshot::Snapshot for Counters {
-    fn save(&self, w: &mut sea_snapshot::SnapWriter) {
-        w.tag(*b"CNTR");
-        for v in [
-            self.cycles,
-            self.instructions,
-            self.branches,
-            self.branch_misses,
-            self.l1d_access,
-            self.l1d_miss,
-            self.l1i_access,
-            self.l1i_miss,
-            self.l2_access,
-            self.l2_miss,
-            self.dtlb_miss,
-            self.itlb_miss,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut sea_snapshot::SnapReader<'_>) -> Result<Counters, sea_snapshot::SnapError> {
-        r.tag(*b"CNTR")?;
-        Ok(Counters {
-            cycles: r.u64()?,
-            instructions: r.u64()?,
-            branches: r.u64()?,
-            branch_misses: r.u64()?,
-            l1d_access: r.u64()?,
-            l1d_miss: r.u64()?,
-            l1i_access: r.u64()?,
-            l1i_miss: r.u64()?,
-            l2_access: r.u64()?,
-            l2_miss: r.u64()?,
-            dtlb_miss: r.u64()?,
-            itlb_miss: r.u64()?,
-        })
-    }
-}
-
 impl std::fmt::Display for Counters {
     /// Renders the §IV-D seven-counter block, one aligned `name value` row
     /// per line, in the paper's order.

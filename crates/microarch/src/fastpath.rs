@@ -30,9 +30,10 @@
 //!   The check runs against the live cache arrays, so fills, evictions,
 //!   flushes and injected flips all invalidate by construction.
 //!
-//! None of these structures is architectural state: all are dropped from
-//! snapshots and rebuilt cold after restore, and a conservative flush is
-//! always equivalence-preserving (it merely costs the memoization).
+//! None of these structures is architectural state: machine comparisons
+//! ignore them, checkpoints are captured before any is armed, and a
+//! conservative flush is always equivalence-preserving (it merely costs
+//! the memoization).
 
 use sea_isa::Insn;
 
@@ -82,8 +83,8 @@ struct UopLine {
 }
 
 /// Runtime state of the fast path. Held as `Option<Box<FastPath>>` on
-/// [`System`](crate::System), like the probe and profiler slots: never
-/// snapshotted, absent by default.
+/// [`System`](crate::System), like the probe and profiler slots: not
+/// machine state, absent by default.
 #[derive(Clone, Debug)]
 pub(crate) struct FastPath {
     lines: Vec<Option<UopLine>>,

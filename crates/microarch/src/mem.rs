@@ -1,7 +1,7 @@
 //! Physical memory and the device (MMIO) interface.
 
 use sea_isa::MemSize;
-use sea_snapshot::{PageStore, SnapError, SnapReader, SnapWriter, Snapshot};
+use sea_snapshot::PageStore;
 
 /// Base physical address of the memory-mapped device window.
 ///
@@ -29,7 +29,7 @@ pub trait Device {
 }
 
 /// A device block with no registers and no interrupts. Useful in unit tests.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct NullDevice;
 
 impl Device for NullDevice {
@@ -41,14 +41,6 @@ impl Device for NullDevice {
 
     fn poll_irq(&mut self, _now: u64) -> bool {
         false
-    }
-}
-
-impl Snapshot for NullDevice {
-    fn save(&self, _w: &mut SnapWriter) {}
-
-    fn load(_r: &mut SnapReader<'_>) -> Result<NullDevice, SnapError> {
-        Ok(NullDevice)
     }
 }
 
@@ -145,31 +137,6 @@ impl PhysMemory {
     pub fn populated_pages(&self) -> usize {
         self.pages.populated_pages()
     }
-
-    /// [`Snapshot::load`] for a memory that must be `size` bytes, as the
-    /// machine configuration decoded beside it says: any other size is
-    /// refused before a page table is allocated for it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on a malformed stream or a size mismatch.
-    pub fn load_sized(r: &mut SnapReader<'_>, size: u32) -> Result<PhysMemory, SnapError> {
-        Ok(PhysMemory {
-            pages: PageStore::load_sized(r, size)?,
-        })
-    }
-}
-
-impl Snapshot for PhysMemory {
-    fn save(&self, w: &mut SnapWriter) {
-        self.pages.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<PhysMemory, SnapError> {
-        Ok(PhysMemory {
-            pages: PageStore::load(r)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -213,10 +180,7 @@ mod tests {
     fn snapshot_round_trip() {
         let mut m = PhysMemory::new(64 * 1024);
         m.write(4096, MemSize::Word, 0xCAFE_F00D);
-        let mut w = SnapWriter::new();
-        m.save(&mut w);
-        let buf = w.into_bytes();
-        let t = PhysMemory::load(&mut SnapReader::new(&buf)).unwrap();
+        let t = m.clone();
         assert_eq!(t, m);
         assert_eq!(t.read(4096, MemSize::Word), 0xCAFE_F00D);
         assert_eq!(t.populated_pages(), 1);

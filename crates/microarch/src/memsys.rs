@@ -1,7 +1,6 @@
 //! The cache hierarchy: L1I + L1D over a unified L2 over DRAM.
 
 use sea_isa::MemSize;
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cache::{Cache, Probe};
 use crate::config::{ExecMode, MachineConfig};
@@ -26,7 +25,7 @@ pub struct MemSystem {
     lat_mem: u32,
     line: u32,
     /// Cache-line observers; `None` (the fast path) unless a golden run
-    /// attached them. Never snapshotted, never cloned.
+    /// attached them. Never cloned.
     pub(crate) prof: Observers<MemProfiler>,
 }
 
@@ -363,62 +362,5 @@ impl MemSystem {
             .peek(paddr, size.bytes())
             .or_else(|| self.l2.peek(paddr, size.bytes()))
             .unwrap_or_else(|| self.phys.read(paddr, size))
-    }
-}
-
-impl Snapshot for MemSystem {
-    fn save(&self, w: &mut SnapWriter) {
-        debug_assert!(
-            self.prof.is_none(),
-            "profiler must be detached before snapshotting"
-        );
-        w.tag(*b"MSYS");
-        self.l1i.save(w);
-        self.l1d.save(w);
-        self.l2.save(w);
-        self.phys.save(w);
-        w.u8(match self.mode {
-            ExecMode::Atomic => 0,
-            ExecMode::Detailed => 1,
-        });
-        w.u32(self.lat_l1);
-        w.u32(self.lat_l2);
-        w.u32(self.lat_mem);
-        w.u32(self.line);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<MemSystem, SnapError> {
-        MemSystem::load_dram(r, None)
-    }
-}
-
-impl MemSystem {
-    /// [`Snapshot::load`], with the DRAM size pinned to `mem_bytes` when
-    /// given: the size the machine configuration decoded beside it
-    /// declares ([`PhysMemory::load_sized`]).
-    pub(crate) fn load_dram(
-        r: &mut SnapReader<'_>,
-        mem_bytes: Option<u32>,
-    ) -> Result<MemSystem, SnapError> {
-        r.tag(*b"MSYS")?;
-        Ok(MemSystem {
-            l1i: Cache::load(r)?,
-            l1d: Cache::load(r)?,
-            l2: Cache::load(r)?,
-            phys: match mem_bytes {
-                Some(size) => PhysMemory::load_sized(r, size)?,
-                None => PhysMemory::load(r)?,
-            },
-            mode: match r.u8()? {
-                0 => ExecMode::Atomic,
-                1 => ExecMode::Detailed,
-                _ => return Err(SnapError::Malformed("unknown exec mode")),
-            },
-            lat_l1: r.u32()?,
-            lat_l2: r.u32()?,
-            lat_mem: r.u32()?,
-            line: r.u32()?,
-            prof: Observers::DETACHED,
-        })
     }
 }

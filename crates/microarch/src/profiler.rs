@@ -11,10 +11,9 @@
 //! of what counts as a read — and one `Option` test when nothing is
 //! attached.
 //!
-//! Observers are never machine state: they are not snapshotted (save
-//! asserts they are detached, load leaves them detached) and not cloned
-//! ([`Observers`]), so attaching them can't perturb checkpoint bytes or
-//! campaign determinism.
+//! Observers are never machine state: they are not cloned ([`Observers`]),
+//! so attaching them can't leak into checkpoints or perturb campaign
+//! determinism.
 //!
 //! [`System`]: crate::System
 //! [`Component`]: crate::Component

@@ -2,7 +2,6 @@
 
 use crate::cache::WatchReport;
 use sea_isa::{FReg, Reg};
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use std::cell::Cell;
 
 /// Privilege mode.
@@ -309,47 +308,6 @@ impl Default for RegFile {
     }
 }
 
-impl Snapshot for Cpsr {
-    /// Serialized via the architectural bit layout, so the snapshot format
-    /// and the SPSR save/restore path agree on one encoding.
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.to_bits());
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Cpsr, SnapError> {
-        Ok(Cpsr::from_bits(r.u32()?))
-    }
-}
-
-impl Snapshot for RegFile {
-    /// Captures every architectural word: r0–r12, both banked stack
-    /// pointers, lr, and the 32 FP registers. The provenance watch cells
-    /// are not captured; restore yields a disarmed watch.
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"REGF");
-        // Words stream in flip_bit order (r0–r12, sp_usr, sp_svc, lr), the
-        // same byte layout the field-per-bank representation produced.
-        for v in self.words {
-            w.u32(v);
-        }
-        for v in self.fp {
-            w.u32(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<RegFile, SnapError> {
-        r.tag(*b"REGF")?;
-        let mut rf = RegFile::new();
-        for v in rf.words.iter_mut() {
-            *v = r.u32()?;
-        }
-        for v in rf.fp.iter_mut() {
-            *v = r.u32()?;
-        }
-        Ok(rf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,10 +372,7 @@ mod tests {
         for word in 0..(REGFILE_BITS / 32) {
             rf.flip_bit(word * 32 + (word % 32));
         }
-        let mut w = SnapWriter::new();
-        rf.save(&mut w);
-        let buf = w.into_bytes();
-        let back = RegFile::load(&mut SnapReader::new(&buf)).unwrap();
+        let back = rf.clone();
         assert_eq!(back.words, rf.words);
         assert_eq!(back.fp, rf.fp);
     }

@@ -5,8 +5,6 @@ use sea_isa::{
     SysReg,
 };
 
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 use crate::config::{ExecMode, MachineConfig};
 use crate::counters::Counters;
 use crate::exception::{AbortCause, Exception, VECTOR_BASE};
@@ -105,9 +103,7 @@ impl TraceRing {
         }
     }
 
-    /// Linearized view of the ring, oldest first. (Named to stay clear of
-    /// the machine-state [`Snapshot`] trait — this is a trace readout, not
-    /// a checkpoint.)
+    /// Linearized view of the ring, oldest first.
     fn trace_snapshot(&self) -> Vec<u32> {
         let mut out = Vec::new();
         if self.filled {
@@ -115,27 +111,6 @@ impl TraceRing {
         }
         out.extend_from_slice(&self.buf[..self.head]);
         out
-    }
-}
-
-impl Snapshot for TraceRing {
-    fn save(&self, w: &mut SnapWriter) {
-        self.buf.save(w);
-        w.u32(self.head as u32);
-        w.bool(self.filled);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<TraceRing, SnapError> {
-        let buf: Vec<u32> = Vec::load(r)?;
-        let head = r.u32()? as usize;
-        if buf.is_empty() || head >= buf.len() {
-            return Err(SnapError::Malformed("trace ring head out of range"));
-        }
-        Ok(TraceRing {
-            buf,
-            head,
-            filled: r.bool()?,
-        })
     }
 }
 
@@ -178,70 +153,6 @@ impl Cpu {
     }
 }
 
-impl Snapshot for Cpu {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"CPU ");
-        self.regs.save(w);
-        self.cpsr.save(w);
-        w.u32(self.pc);
-        w.u32(self.spsr);
-        w.u32(self.elr);
-        w.u32(self.esr);
-        w.u32(self.far);
-        w.u32(self.ttbr);
-        self.counters.save(w);
-        self.predictor.save(w);
-        w.u32(self.pred_mask);
-        w.bool(self.wfi);
-        match &self.trace {
-            Some(t) => {
-                w.bool(true);
-                t.save(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Cpu, SnapError> {
-        r.tag(*b"CPU ")?;
-        let regs = RegFile::load(r)?;
-        let cpsr = Cpsr::load(r)?;
-        let pc = r.u32()?;
-        let spsr = r.u32()?;
-        let elr = r.u32()?;
-        let esr = r.u32()?;
-        let far = r.u32()?;
-        let ttbr = r.u32()?;
-        let counters = Counters::load(r)?;
-        let predictor: Vec<u8> = Vec::load(r)?;
-        let pred_mask = r.u32()?;
-        if predictor.len() as u64 != pred_mask as u64 + 1 || !predictor.len().is_power_of_two() {
-            return Err(SnapError::Malformed("predictor table/mask mismatch"));
-        }
-        let wfi = r.bool()?;
-        let trace = if r.bool()? {
-            Some(TraceRing::load(r)?)
-        } else {
-            None
-        };
-        Ok(Cpu {
-            regs,
-            cpsr,
-            pc,
-            spsr,
-            elr,
-            esr,
-            far,
-            ttbr,
-            counters,
-            predictor,
-            pred_mask,
-            wfi,
-            trace,
-        })
-    }
-}
-
 enum Flow {
     Next,
     Jump(u32),
@@ -275,16 +186,15 @@ pub struct System<D> {
     pub(crate) probe: Option<Box<FaultProbe>>,
     /// Observers of the register file and TLBs, attached by
     /// [`System::profile_attach`] or [`System::horizon_attach`]. `None`
-    /// (the fast path) on every campaign machine; never snapshotted,
-    /// never cloned.
+    /// (the fast path) on every campaign machine; never cloned.
     pub(crate) prof: Observers<SysProfiler>,
     /// Execution fast path (µop cache + translation latches), armed by
-    /// [`System::fastpath_enable`]. Pure memoization — never snapshotted,
+    /// [`System::fastpath_enable`]. Pure memoization — not machine state,
     /// and dropping it is always equivalence-preserving.
     pub(crate) fast: Option<Box<FastPath>>,
     /// Functional-tier trace cache (fused basic blocks), armed by
     /// [`System::warp_enable`] and consumed by [`System::run_warp`].
-    /// Like the fast path: never snapshotted, absent by default.
+    /// Like the fast path: not machine state, absent by default.
     pub(crate) warp: Option<Box<WarpEngine>>,
 }
 
@@ -1071,12 +981,9 @@ impl<D: Device> System<D> {
         } else {
             self.step_ref()
         };
-        // Same zero-cost-when-off shape as sea-trace: one relaxed atomic
-        // load, and the profiler slot is `None` on campaign machines.
-        if sea_profile::enabled() {
-            if let Some(pcs) = self.prof.as_deref_mut().and_then(|p| p.pc.as_mut()) {
-                pcs.step(pc, sample_counters(&self.cpu.counters));
-            }
+        // The profiler slot is `None` on campaign machines.
+        if let Some(pcs) = self.prof.as_deref_mut().and_then(|p| p.pc.as_mut()) {
+            pcs.step(pc, sample_counters(&self.cpu.counters));
         }
         if self.probe.is_some() {
             self.drain_probe();
@@ -2189,58 +2096,6 @@ impl<D: Device> System<D> {
                 Ok(Flow::Wfi)
             }
         }
-    }
-}
-
-impl<D: Device + Snapshot> Snapshot for System<D> {
-    /// Captures the complete machine: configuration, core, memory system
-    /// (including the COW physical-memory image), both TLBs, and the
-    /// device block.
-    ///
-    /// The fault-provenance probe is *not* captured: checkpoints are taken
-    /// during fault-free golden runs, before any probe is armed. Saving a
-    /// machine with an armed probe is a caller bug (debug-asserted); the
-    /// restored machine always comes back probe-free.
-    ///
-    /// The execution fast path is not captured either — it is pure
-    /// memoization, excluded from `.seackpt` state just as it is from
-    /// [`System::state_fingerprint_deep`]. Restored machines come back
-    /// with the fast path disarmed (cold), which is always
-    /// equivalence-preserving; callers re-arm with
-    /// [`System::fastpath_enable`] as needed.
-    fn save(&self, w: &mut SnapWriter) {
-        debug_assert!(
-            self.probe.is_none(),
-            "checkpointing an injected machine loses its provenance probe"
-        );
-        debug_assert!(
-            self.prof.is_none(),
-            "profiler must be detached (profile_take) before snapshotting"
-        );
-        w.tag(*b"SYS ");
-        self.cfg.save(w);
-        self.cpu.save(w);
-        self.mem.save(w);
-        self.itlb.save(w);
-        self.dtlb.save(w);
-        self.dev.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<System<D>, SnapError> {
-        r.tag(*b"SYS ")?;
-        let cfg = MachineConfig::load(r)?;
-        Ok(System {
-            cfg,
-            cpu: Cpu::load(r)?,
-            mem: MemSystem::load_dram(r, Some(cfg.mem_bytes))?,
-            itlb: Tlb::load(r)?,
-            dtlb: Tlb::load(r)?,
-            dev: D::load(r)?,
-            probe: None,
-            prof: Observers::DETACHED,
-            fast: None,
-            warp: None,
-        })
     }
 }
 

@@ -322,7 +322,7 @@ pub(crate) struct WarpBlock {
 }
 
 /// Runtime state of the warp tier. Held as `Option<Box<WarpEngine>>` on
-/// [`System`](crate::System), like the fast-path slot: never snapshotted,
+/// [`System`](crate::System), like the fast-path slot: not machine state,
 /// absent by default.
 #[derive(Clone, Debug)]
 pub(crate) struct WarpEngine {

@@ -1,26 +1,12 @@
-//! Property tests for checkpoint/restore: under any operation mix, saving
-//! a component, mutating the original further, and loading the saved bytes
-//! must reproduce the component exactly as it was at save time — observably
-//! (identical subsequent behavior) and byte-exactly (re-saving the restored
-//! component yields the same stream).
+//! Property tests for checkpoint/restore: under any operation mix,
+//! capturing a component (a clone), mutating the original further, and
+//! restoring from the capture (another clone) must reproduce the component
+//! exactly as it was at capture time — observably (identical subsequent
+//! behavior) and in every cell a later run can read (`converges_with`).
 
 use proptest::prelude::*;
 use sea_isa::MemSize;
 use sea_microarch::{Counters, MachineConfig, MemSystem, RegFile, Tlb, TlbEntry};
-use sea_snapshot::{SnapReader, SnapWriter, Snapshot};
-
-fn save_bytes<T: Snapshot>(v: &T) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    v.save(&mut w);
-    w.into_bytes()
-}
-
-fn load<T: Snapshot>(bytes: &[u8]) -> T {
-    let mut r = SnapReader::new(bytes);
-    let v = T::load(&mut r).expect("round-trip load");
-    assert!(r.is_exhausted(), "loader left trailing bytes");
-    v
-}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -73,9 +59,9 @@ fn apply(sys: &mut MemSystem, ctr: &mut Counters, ops: &[Op]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// save → mutate → load: the restored memory system is byte-identical
-    /// to the one saved, behaves identically afterwards, and its COW pages
-    /// never alias the diverged original.
+    /// capture → mutate → restore: the restored memory system equals a
+    /// replay of the captured prefix, behaves like it afterwards, and its
+    /// COW pages never alias the diverged original.
     #[test]
     fn memsys_restore_is_bit_identical(
         prefix in prop::collection::vec(any_op(64 * 1024), 1..100),
@@ -87,23 +73,25 @@ proptest! {
         let mut ctr = Counters::default();
         apply(&mut sys, &mut ctr, &prefix);
 
-        let saved = save_bytes(&sys);
-        // Mutate the original well past the save point.
+        let saved = sys.clone();
+        // Mutate the original well past the capture point.
         apply(&mut sys, &mut ctr, &mutation);
 
-        let mut restored: MemSystem = load(&saved);
-        prop_assert_eq!(save_bytes(&restored), saved.clone(),
-            "re-saving a restored machine must reproduce the stream");
+        let mut replay = MemSystem::new(&cfg);
+        apply(&mut replay, &mut Counters::default(), &prefix);
+        let mut restored = saved.clone();
+        prop_assert!(restored.converges_with(&replay),
+            "the capture must not see the original's later writes");
 
-        // The restored machine and a twin restored from the same bytes
-        // behave identically on the suffix.
-        let mut twin: MemSystem = load(&saved);
+        // The restored machine and the replay behave identically on the
+        // suffix.
         let mut ctr_a = Counters::default();
         let mut ctr_b = Counters::default();
         let obs_a = apply(&mut restored, &mut ctr_a, &suffix);
-        let obs_b = apply(&mut twin, &mut ctr_b, &suffix);
+        let obs_b = apply(&mut replay, &mut ctr_b, &suffix);
         prop_assert_eq!(obs_a, obs_b);
         prop_assert_eq!(ctr_a, ctr_b);
+        prop_assert!(restored.converges_with(&replay));
     }
 
     /// Restored machines sharing a golden image never see each other's
@@ -128,7 +116,7 @@ proptest! {
         prop_assert_eq!(golden.phys.read(addr, MemSize::Word), 0);
     }
 
-    /// TLB round-trip under random insert/lookup traffic.
+    /// TLB capture and restore under random insert/lookup traffic.
     #[test]
     fn tlb_restore_is_bit_identical(
         inserts in prop::collection::vec((0u32..64, 0u32..1024), 1..80),
@@ -141,14 +129,18 @@ proptest! {
         for &vpn in &lookups {
             t.lookup(vpn);
         }
-        let saved = save_bytes(&t);
-        let restored: Tlb = load(&saved);
-        prop_assert_eq!(save_bytes(&restored), saved);
-        prop_assert_eq!(restored.lookups, t.lookups);
-        prop_assert_eq!(restored.misses, t.misses);
+        let (lookups_at, misses_at) = (t.lookups, t.misses);
+        let saved = t.clone();
+        for &vpn in &lookups {
+            t.insert(TlbEntry::new(vpn + 64, vpn, true, true, true));
+        }
+        let restored = saved.clone();
+        prop_assert!(restored.converges_with(&saved));
+        prop_assert_eq!(restored.lookups, lookups_at);
+        prop_assert_eq!(restored.misses, misses_at);
     }
 
-    /// Register-file round-trip under random bit flips.
+    /// Register-file capture and restore under random bit flips.
     #[test]
     fn regfile_restore_is_bit_identical(
         bits in prop::collection::vec(0u64..sea_microarch::REGFILE_BITS, 1..64),
@@ -157,9 +149,11 @@ proptest! {
         for &b in &bits {
             rf.flip_bit(b);
         }
-        let saved = save_bytes(&rf);
-        let restored: RegFile = load(&saved);
-        prop_assert_eq!(save_bytes(&restored), saved);
-        prop_assert_eq!(restored.words(), rf.words());
+        let words_at = rf.words();
+        let saved = rf.clone();
+        for &b in &bits {
+            rf.flip_bit(b ^ 1);
+        }
+        prop_assert_eq!(saved.clone().words(), words_at);
     }
 }

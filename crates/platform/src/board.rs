@@ -10,7 +10,6 @@
 use sea_isa::MemSize;
 use sea_kernel::mmio;
 use sea_microarch::Device;
-use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Default cap on collected application output (bytes). A corrupted
 /// program spewing output past this mark is recorded as an overflow and the
@@ -132,66 +131,6 @@ impl Default for Board {
     }
 }
 
-fn save_opt_u32(w: &mut SnapWriter, v: Option<u32>) {
-    w.bool(v.is_some());
-    w.u32(v.unwrap_or(0));
-}
-
-fn load_opt_u32(r: &mut SnapReader<'_>) -> Result<Option<u32>, SnapError> {
-    let present = r.bool()?;
-    let v = r.u32()?;
-    Ok(present.then_some(v))
-}
-
-impl Snapshot for Board {
-    /// Captures the complete device block: console/output buffers, the
-    /// heartbeat and terminal-report mailboxes, and the timer comparator.
-    /// A restored board must deliver the next timer interrupt at exactly
-    /// the cycle the original would have, or restored runs diverge from
-    /// from-reset runs at the first scheduler tick.
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"BRD ");
-        w.u64(self.now);
-        w.bytes(&self.uart);
-        w.bytes(&self.out);
-        w.u64(self.out_cap as u64);
-        w.bool(self.out_overflow);
-        w.u64(self.alive_count);
-        w.u64(self.last_alive);
-        w.u64(self.tick_count);
-        w.u64(self.last_tick);
-        save_opt_u32(w, self.exit_code);
-        save_opt_u32(w, self.signal_code);
-        save_opt_u32(w, self.panic_code);
-        w.u32(self.timer_period);
-        w.bool(self.timer_enabled);
-        w.u64(self.timer_next);
-        w.bool(self.irq_pending);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Board, SnapError> {
-        r.tag(*b"BRD ")?;
-        Ok(Board {
-            now: r.u64()?,
-            uart: r.bytes()?.to_vec(),
-            out: r.bytes()?.to_vec(),
-            out_cap: r.u64()? as usize,
-            out_overflow: r.bool()?,
-            alive_count: r.u64()?,
-            last_alive: r.u64()?,
-            tick_count: r.u64()?,
-            last_tick: r.u64()?,
-            exit_code: load_opt_u32(r)?,
-            signal_code: load_opt_u32(r)?,
-            panic_code: load_opt_u32(r)?,
-            timer_period: r.u32()?,
-            timer_enabled: r.bool()?,
-            timer_next: r.u64()?,
-            irq_pending: r.bool()?,
-        })
-    }
-}
-
 impl Device for Board {
     fn read(&mut self, offset: u32, _size: MemSize) -> u32 {
         match offset {
@@ -286,22 +225,17 @@ mod tests {
         b.write(mmio::TIMER_PERIOD, MemSize::Word, 100);
         b.write(mmio::TIMER_CTRL, MemSize::Word, 1);
         b.poll_irq(30); // timer armed at cycle 0, next fire at 100
-        let mut w = SnapWriter::new();
-        b.save(&mut w);
-        let buf = w.into_bytes();
-        let mut back = Board::load(&mut SnapReader::new(&buf)).unwrap();
+                        // A restored board must deliver the next timer interrupt at
+                        // exactly the cycle the original would have, or restored runs
+                        // diverge from from-reset runs at the first scheduler tick.
+        let saved = b.clone();
+        b.poll_irq(100);
+        let mut back = saved.clone();
         assert_eq!(back.output(), b"x");
         assert_eq!(back.console(), b"k");
-        // The restored timer fires at exactly the original comparator value.
         assert!(!back.poll_irq(99));
         assert!(back.poll_irq(100));
-        // Re-saving reproduces the stream (the restored original, still
-        // un-fired, must match what was saved).
-        let mut w2 = SnapWriter::new();
-        Board::load(&mut SnapReader::new(&buf))
-            .unwrap()
-            .save(&mut w2);
-        assert_eq!(w2.into_bytes(), buf);
+        assert_ne!(b, saved, "firing the original must not reach the capture");
     }
 
     #[test]

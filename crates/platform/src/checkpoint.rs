@@ -1,15 +1,15 @@
-//! Machine checkpoints: capture, restore, epoch collection, and disk
-//! persistence.
+//! Machine checkpoints: capture, restore and epoch collection.
 //!
 //! gem5 — the paper's microarchitectural fault-injection vehicle —
 //! amortizes the fault-free boot prefix with checkpoints and restores each
 //! injection run from the nearest one. This module is the SEA equivalent:
 //! the golden run captures epoch checkpoints as it executes, and every
 //! injected run restores the nearest checkpoint at or before its injection
-//! cycle instead of re-simulating from reset. Physical memory is
-//! copy-on-write ([`sea_snapshot::PageStore`] pages), so hundreds of
-//! restored machines share the golden DRAM image and each pays only for
-//! the pages it actually dirties.
+//! cycle instead of re-simulating from reset. Checkpoints live in memory
+//! for one campaign: each is a clone of the golden machine, and physical
+//! memory is copy-on-write ([`sea_snapshot::PageStore`] pages), so
+//! hundreds of restored machines share the golden DRAM image and each pays
+//! only for the pages it actually dirties.
 //!
 //! Determinism contract: the simulator is single-threaded and
 //! deterministic, so a machine restored at cycle *c* and stepped to cycle
@@ -17,16 +17,11 @@
 //! The equivalence tests in `sea-injection` hold this to the deep state
 //! fingerprint.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sea_microarch::{ReadHorizon, System};
-use sea_snapshot::{
-    decode_checkpoint, encode_checkpoint, CheckpointMeta, SnapError, SnapReader, SnapWriter,
-    Snapshot,
-};
-use sea_trace::{event, Counter, Level, Subsystem};
+use sea_trace::Counter;
 
 use crate::board::Board;
 use crate::run::{GoldenRun, RunLimits, RunOutcome};
@@ -79,64 +74,6 @@ impl Checkpoint {
     pub fn restore(&self) -> System<Board> {
         self.sys.clone()
     }
-
-    /// Serializes into the versioned, hashed checkpoint container,
-    /// stamping the campaign provenance into the header.
-    pub fn encode(&self, config_hash: u64, golden_hash: u64) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.sys.save(&mut w);
-        let meta = CheckpointMeta {
-            cycle: self.cycle,
-            config_hash,
-            golden_hash,
-        };
-        encode_checkpoint(meta, &w.into_bytes())
-    }
-
-    /// Decodes a checkpoint container, rejecting foreign provenance and
-    /// internally inconsistent state.
-    ///
-    /// # Errors
-    ///
-    /// Container-level rejections ([`SnapError`]) and provenance
-    /// mismatches against this campaign's hashes.
-    pub fn decode(
-        bytes: &[u8],
-        config_hash: u64,
-        golden_hash: u64,
-    ) -> Result<Checkpoint, CheckpointError> {
-        let (meta, payload) = decode_checkpoint(bytes).map_err(CheckpointError::Snap)?;
-        if meta.config_hash != config_hash {
-            return Err(CheckpointError::Provenance {
-                field: "config_hash",
-                want: config_hash,
-                found: meta.config_hash,
-            });
-        }
-        if meta.golden_hash != golden_hash {
-            return Err(CheckpointError::Provenance {
-                field: "golden_hash",
-                want: golden_hash,
-                found: meta.golden_hash,
-            });
-        }
-        let mut r = SnapReader::new(payload);
-        let sys = System::<Board>::load(&mut r).map_err(CheckpointError::Snap)?;
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Snap(SnapError::Malformed(
-                "trailing bytes after machine state",
-            )));
-        }
-        if sys.cycles() != meta.cycle {
-            return Err(CheckpointError::Snap(SnapError::Malformed(
-                "header cycle disagrees with machine cycle counter",
-            )));
-        }
-        Ok(Checkpoint {
-            cycle: meta.cycle,
-            sys,
-        })
-    }
 }
 
 /// Boots a machine from a checkpoint instead of from reset: the
@@ -144,39 +81,6 @@ impl Checkpoint {
 pub fn boot_from_checkpoint(ckpt: &Checkpoint) -> System<Board> {
     ckpt.restore()
 }
-
-/// Why a persisted checkpoint was rejected.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying file I/O failure.
-    Io(std::io::Error),
-    /// Container or payload rejection (magic, version, hash, layout).
-    Snap(SnapError),
-    /// The checkpoint belongs to a different campaign.
-    Provenance {
-        /// Which provenance field mismatched.
-        field: &'static str,
-        /// Hash this campaign expects.
-        want: u64,
-        /// Hash found in the container.
-        found: u64,
-    },
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::Snap(e) => write!(f, "checkpoint rejected: {e}"),
-            CheckpointError::Provenance { field, want, found } => write!(
-                f,
-                "checkpoint provenance mismatch: {field} is {found:#018x}, campaign wants {want:#018x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// What a [`CheckpointSet`] has done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -255,8 +159,9 @@ impl CheckpointSet {
     /// This is what arms the reconvergence cut: a run that provably
     /// rejoins the golden path is credited with this ending
     /// ([`CheckpointSet::golden_end`]). With the run's read `horizon`
-    /// ([`crate::golden_run_tracked`]) it also arms dead-cell pruning
-    /// ([`CheckpointSet::horizon`]); `None` leaves that filter off.
+    /// (recorded by [`crate::golden_run_with_checkpoints`]) it also arms
+    /// dead-cell pruning ([`CheckpointSet::horizon`]); `None` leaves that
+    /// filter off.
     pub fn seal(&mut self, golden: &GoldenRun, horizon: Option<ReadHorizon>) {
         self.horizon = horizon;
         self.golden_end = Some((
@@ -323,70 +228,6 @@ impl CheckpointSet {
             prefix_cycles_saved: self.prefix_cycles_saved.load(Ordering::Relaxed),
         }
     }
-
-    /// Writes every checkpoint into `dir` as one container file each,
-    /// returning how many were written. Existing checkpoint files in the
-    /// directory are replaced.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file I/O failures.
-    pub fn persist(
-        &self,
-        dir: &Path,
-        config_hash: u64,
-        golden_hash: u64,
-    ) -> std::io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        for old in std::fs::read_dir(dir)? {
-            let old = old?.path();
-            if old.extension().is_some_and(|e| e == "seackpt") {
-                std::fs::remove_file(old)?;
-            }
-        }
-        let inner = self.inner.lock().expect("checkpoint set poisoned");
-        for ckpt in inner.iter() {
-            let path = dir.join(format!("ckpt_{:016x}.seackpt", ckpt.cycle));
-            std::fs::write(path, ckpt.encode(config_hash, golden_hash))?;
-        }
-        event!(Subsystem::Platform, Level::Info, "snapshot.persist";
-               "dir" => dir.display().to_string(),
-               "epochs" => inner.len() as u64);
-        Ok(inner.len())
-    }
-
-    /// Loads every `*.seackpt` file in `dir`, validating each against this
-    /// campaign's provenance. Any rejected file fails the whole load — a
-    /// directory of mixed-campaign checkpoints is a setup error, not
-    /// something to paper over.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and per-file [`CheckpointError`] rejections.
-    pub fn load_dir(
-        dir: &Path,
-        config_hash: u64,
-        golden_hash: u64,
-    ) -> Result<CheckpointSet, CheckpointError> {
-        let mut set = CheckpointSet::new();
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .map_err(CheckpointError::Io)?
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CheckpointError::Io)?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "seackpt"))
-            .collect();
-        files.sort();
-        for path in files {
-            let bytes = std::fs::read(&path).map_err(CheckpointError::Io)?;
-            set.push(Checkpoint::decode(&bytes, config_hash, golden_hash)?);
-        }
-        event!(Subsystem::Platform, Level::Info, "snapshot.load_dir";
-               "dir" => dir.display().to_string(),
-               "epochs" => set.len() as u64);
-        Ok(set)
-    }
 }
 
 /// Collects epoch checkpoints while a golden run executes.
@@ -403,18 +244,15 @@ pub(crate) struct EpochRecorder {
     taken: Vec<Checkpoint>,
 }
 
-/// Default initial epoch interval when the caller passes 0 (auto).
-const AUTO_INITIAL_INTERVAL: u64 = 8_192;
 /// Checkpoints held before the recorder thins and doubles the interval.
 const EPOCH_CAP: usize = 32;
 
 impl EpochRecorder {
     pub(crate) fn new(interval: u64) -> EpochRecorder {
-        let interval = if interval == 0 {
-            AUTO_INITIAL_INTERVAL
-        } else {
-            interval
-        };
+        assert!(
+            interval > 0,
+            "the epoch interval must be at least one cycle"
+        );
         EpochRecorder {
             interval,
             next: interval,
@@ -505,56 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip_and_provenance_rejection() {
-        let sys = tiny_sys();
-        let ckpt = Checkpoint::capture(&sys);
-        let bytes = ckpt.encode(0xAB, 0xCD);
-        let back = Checkpoint::decode(&bytes, 0xAB, 0xCD).unwrap();
-        assert_eq!(back.cycle(), 0);
-        assert!(matches!(
-            Checkpoint::decode(&bytes, 0xAB, 0xCE),
-            Err(CheckpointError::Provenance {
-                field: "golden_hash",
-                ..
-            })
-        ));
-        assert!(matches!(
-            Checkpoint::decode(&bytes, 0xAC, 0xCD),
-            Err(CheckpointError::Provenance {
-                field: "config_hash",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn a_checkpoint_of_an_observed_machine_carries_no_tracker() {
         let mut sys = tiny_sys();
         sys.horizon_attach();
         let ckpt = Checkpoint::capture(&sys);
         assert!(ckpt.restore().horizon_take().is_none());
-        // ... so it can be serialized: `save` insists observers are detached.
-        let bytes = ckpt.encode(1, 2);
-        assert!(Checkpoint::decode(&bytes, 1, 2).is_ok());
         assert!(
             sys.horizon_take().is_some(),
             "the live machine keeps its own"
         );
-    }
-
-    #[test]
-    fn persist_and_load_dir_round_trip() {
-        let dir =
-            std::env::temp_dir().join(format!("sea_ckpt_test_{}_{}", std::process::id(), line!()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut set = CheckpointSet::new();
-        set.push(Checkpoint::capture(&tiny_sys()));
-        assert_eq!(set.persist(&dir, 1, 2).unwrap(), 1);
-        let back = CheckpointSet::load_dir(&dir, 1, 2).unwrap();
-        assert_eq!(back.epochs(), set.epochs());
-        // Wrong provenance rejects the whole directory.
-        assert!(CheckpointSet::load_dir(&dir, 1, 3).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

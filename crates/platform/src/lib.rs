@@ -11,12 +11,11 @@
 //! * [`run_until_reconverged`] — the same, ending early as the golden run
 //!   once the machine's live state equals a golden checkpoint.
 //! * [`classify`] / [`FaultClass`] — the paper's four effect classes.
-//! * [`golden_run`] — fault-free reference execution;
-//!   [`golden_run_tracked`] also records what it read last, and when.
-//! * [`golden_run_with_checkpoints`] / [`CheckpointSet`] — epoch
-//!   checkpoints of the reference run, restored by injection campaigns to
-//!   skip the fault-free prefix (the gem5-checkpoint workflow of the
-//!   paper's simulation arm).
+//! * [`golden_run`] — fault-free reference execution.
+//! * [`golden_run_with_checkpoints`] / [`CheckpointSet`] — in-memory epoch
+//!   checkpoints of the reference run, plus what it read last and when,
+//!   restored by injection campaigns to skip the fault-free prefix (the
+//!   gem5-checkpoint workflow of the paper's simulation arm).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,12 +27,11 @@ mod run;
 
 pub use board::{Board, DEFAULT_OUTPUT_CAP};
 pub use checkpoint::{
-    boot_from_checkpoint, snapshot_metrics, Checkpoint, CheckpointError, CheckpointSet,
-    CheckpointStats,
+    boot_from_checkpoint, snapshot_metrics, Checkpoint, CheckpointSet, CheckpointStats,
 };
 pub use profile::profiled_golden_run;
 pub use run::{
-    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints, kernel_residency,
-    postmortem, run, run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass,
-    GoldenError, GoldenRun, RunLimits, RunOutcome, SysCrashKind,
+    boot, classify, golden_run, golden_run_with_checkpoints, kernel_residency, postmortem, run,
+    run_until_reconverged, watchdog_kills, AppCrashKind, ClassCounts, FaultClass, GoldenError,
+    GoldenRun, RunLimits, RunOutcome, SysCrashKind,
 };

@@ -11,10 +11,9 @@
 //! campaign reuses — so campaign checkpoints and journals stay
 //! byte-identical whether or not profiling ran.
 
-use crate::board::Board;
 use crate::run::{boot, GoldenError, GoldenRun, RunLimits, RunOutcome};
 use sea_kernel::KernelConfig;
-use sea_microarch::{MachineConfig, System};
+use sea_microarch::MachineConfig;
 use sea_profile::ProfileData;
 use sea_trace::{Level, Subsystem};
 
@@ -35,7 +34,6 @@ pub fn profiled_golden_run(
     budget_cycles: u64,
 ) -> Result<(GoldenRun, ProfileData), GoldenError> {
     let (mut sys, boot) = boot(machine, user, kernel).map_err(GoldenError::Install)?;
-    sea_profile::set_enabled(true);
     sys.profile_attach();
     let limits = RunLimits {
         max_cycles: budget_cycles,
@@ -44,7 +42,7 @@ pub fn profiled_golden_run(
     };
     let span = sea_trace::span(Subsystem::Platform, Level::Info, "platform.golden_profiled");
     let outcome = crate::run::run(&mut sys, limits);
-    let profile = detach(&mut sys);
+    let profile = sys.profile_take().unwrap_or_default();
     match outcome {
         RunOutcome::Exited {
             code: 0,
@@ -59,10 +57,4 @@ pub fn profiled_golden_run(
         }
         other => Err(GoldenError::NotClean(other)),
     }
-}
-
-fn detach(sys: &mut System<Board>) -> ProfileData {
-    let profile = sys.profile_take().unwrap_or_default();
-    sea_profile::set_enabled(false);
-    profile
 }

@@ -506,43 +506,28 @@ pub fn golden_run(
     kernel: &KernelConfig,
     budget_cycles: u64,
 ) -> Result<GoldenRun, GoldenError> {
-    Ok(golden_run_observed(machine, user, kernel, budget_cycles, None, false)?.0)
-}
-
-/// [`golden_run`] that additionally records the run's read horizon
-/// ([`ReadHorizon`]): for every injectable cell, the last step that read
-/// it. The recorder is a pure observer on the reference tier, so the
-/// returned [`GoldenRun`] is exactly [`golden_run`]'s.
-///
-/// # Errors
-///
-/// Same failure modes as [`golden_run`].
-pub fn golden_run_tracked(
-    machine: MachineConfig,
-    user: &Image,
-    kernel: &KernelConfig,
-    budget_cycles: u64,
-) -> Result<(GoldenRun, ReadHorizon), GoldenError> {
-    let (golden, horizon) = golden_run_observed(machine, user, kernel, budget_cycles, None, true)?;
-    Ok((
-        golden,
-        horizon.expect("recorder attached for the whole run"),
-    ))
+    Ok(golden_run_observed(machine, user, kernel, budget_cycles, None)?.0)
 }
 
 /// [`golden_run`] that additionally captures epoch checkpoints while the
 /// reference execution runs, for prefix-sharing injection campaigns, and
-/// seals the set with the run's ending and read horizon (as
-/// [`golden_run_tracked`] records it).
+/// seals the set with the run's ending and its read horizon
+/// ([`ReadHorizon`]: for every injectable cell, the last step that read
+/// it).
 ///
-/// `interval` is the initial epoch stride in cycles (0 = auto). The stride
-/// adapts to the run's actual length, so the set stays small whatever the
-/// workload. The returned [`GoldenRun`] is computed by the *same* code
-/// path as [`golden_run`] — checkpointing cannot change the reference.
+/// `interval` is the initial epoch stride in cycles. The stride adapts to
+/// the run's actual length, so the set stays small whatever the workload.
+/// The returned [`GoldenRun`] is computed by the *same* code path as
+/// [`golden_run`], and the horizon recorder is a pure observer on the
+/// reference tier — checkpointing cannot change the reference.
 ///
 /// # Errors
 ///
 /// Same failure modes as [`golden_run`].
+///
+/// # Panics
+///
+/// Panics if `interval` is 0.
 pub fn golden_run_with_checkpoints(
     machine: MachineConfig,
     user: &Image,
@@ -552,7 +537,7 @@ pub fn golden_run_with_checkpoints(
 ) -> Result<(GoldenRun, CheckpointSet), GoldenError> {
     let mut rec = EpochRecorder::new(interval);
     let (golden, horizon) =
-        golden_run_observed(machine, user, kernel, budget_cycles, Some(&mut rec), true)?;
+        golden_run_observed(machine, user, kernel, budget_cycles, Some(&mut rec))?;
     let set = rec.into_set(&golden, horizon);
     Ok((golden, set))
 }
@@ -563,15 +548,12 @@ fn golden_run_observed(
     kernel: &KernelConfig,
     budget_cycles: u64,
     mut epochs: Option<&mut EpochRecorder>,
-    track_reads: bool,
 ) -> Result<(GoldenRun, Option<ReadHorizon>), GoldenError> {
     let (mut sys, boot) = boot(machine, user, kernel).map_err(GoldenError::Install)?;
     if let Some(rec) = epochs.as_deref_mut() {
         // The post-install, pre-run machine: the floor checkpoint every
         // injection cycle can fall back to.
         rec.epoch_zero(&sys);
-    }
-    if track_reads {
         sys.horizon_attach();
     }
     let limits = RunLimits {

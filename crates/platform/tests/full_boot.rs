@@ -8,8 +8,8 @@ use sea_microarch::{
     Component, MachineConfig, ESR_CLASS_DATA_ABORT, ESR_CLASS_PREFETCH_ABORT, ESR_CLASS_UNDEFINED,
 };
 use sea_platform::{
-    boot, classify, golden_run, golden_run_tracked, golden_run_with_checkpoints, run, AppCrashKind,
-    FaultClass, RunLimits, RunOutcome, SysCrashKind,
+    boot, classify, golden_run, golden_run_with_checkpoints, run, AppCrashKind, FaultClass,
+    RunLimits, RunOutcome, SysCrashKind,
 };
 
 fn build_user(body: impl FnOnce(&mut Asm)) -> Image {
@@ -83,8 +83,8 @@ fn golden_run_captures_counters_and_cycles() {
     assert!(g.boot.heap_base >= 0x0010_0000);
 }
 
-/// Recording the read horizon changes nothing the golden run reports, and
-/// the set a checkpointed golden run returns is sealed with it while its
+/// A checkpointed golden run records its read horizon without changing
+/// anything the golden run reports, and seals its set with it while the
 /// epochs — clones of the observed machine — carry no recorder of their own.
 #[test]
 fn tracked_golden_runs_are_pure_observers_and_seal_their_checkpoints() {
@@ -98,26 +98,22 @@ fn tracked_golden_runs_are_pure_observers_and_seal_their_checkpoints() {
     });
     let (machine, kernel) = (MachineConfig::cortex_a9(), KernelConfig::default());
     let plain = golden_run(machine, &img, &kernel, 3_000_000).unwrap();
-    let (tracked, horizon) = golden_run_tracked(machine, &img, &kernel, 3_000_000).unwrap();
     let (ckpt, set) =
         golden_run_with_checkpoints(machine, &img, &kernel, 3_000_000, 4_096).unwrap();
-    for g in [&tracked, &ckpt] {
-        assert_eq!(
-            (g.cycles, g.instructions, &g.output, g.counters),
-            (
-                plain.cycles,
-                plain.instructions,
-                &plain.output,
-                plain.counters
-            )
-        );
-    }
+    assert_eq!(
+        (ckpt.cycles, ckpt.instructions, &ckpt.output, ckpt.counters),
+        (
+            plain.cycles,
+            plain.instructions,
+            &plain.output,
+            plain.counters
+        )
+    );
     // r4 counts the loop down; no workload here touches an FP register.
     let mid = plain.cycles / 2;
+    let horizon = set.horizon().expect("sealed with the run's horizon");
     assert!(horizon.reads_from(Component::RegFile, 4 * 32, mid));
     assert!(!horizon.reads_from(Component::RegFile, 20 * 32, mid));
-    let sealed = set.horizon().expect("sealed with the run's horizon");
-    assert!(sealed.reads_from(Component::RegFile, 4 * 32, mid));
     assert!(set.len() > 2);
     for cycle in set.epochs() {
         let mut restored = set.restore_at(cycle).unwrap();

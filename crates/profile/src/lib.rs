@@ -21,9 +21,9 @@
 //!   rewritten periodically during campaigns.
 //!
 //! Like sea-trace, the hot-path discipline is *zero overhead when off*
-//! (ZOFI, Porpodas 2019): [`enabled`] is one `Relaxed` atomic load, the
-//! simulator's profiler slots are `None` unless explicitly attached, and
-//! the disabled path allocates nothing (guarded by a test).
+//! (ZOFI, Porpodas 2019): the simulator's profiler slots are `None`
+//! unless explicitly attached, and the detached path allocates nothing
+//! (guarded by a test).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,24 +37,6 @@ pub use chrome::{chrome_trace, stitch_chrome_trace, ChromeTrack};
 pub use pc::{PcProfile, PcSampler, PcStats, SampleCounters};
 pub use prom::{labels, prom_enabled, prom_flush, set_prom_out, PromWriter};
 pub use residency::{StructureReport, StructureResidency};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Global profiling switch. Off by default; the simulator's per-step
-/// sampling hook checks this before touching any profiler state.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Is profiling globally enabled? One `Relaxed` atomic load — the hot-path
-/// guard, mirroring `sea_trace::enabled`.
-#[inline]
-pub fn enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// Turn the global profiling switch on or off.
-pub fn set_enabled(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-}
 
 /// Everything one profiled golden run produced: the per-PC cycle profile
 /// plus one residency report per modeled SRAM structure, in the paper's
@@ -75,20 +57,5 @@ impl ProfileData {
     /// The report for one structure, by its short name (`"RF"`, `"L1D$"`…).
     pub fn structure(&self, name: &str) -> Option<&StructureReport> {
         self.structures.iter().find(|s| s.name == name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_switch_round_trips() {
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
     }
 }

@@ -17,10 +17,9 @@
 //!   the run's whole lifetime. Two diverging clones never alias each
 //!   other's writes.
 //! * **Zero pages are free** — a table slot of `None` reads as the one
-//!   static zero page, so the serialized form stores only pages that ever
-//!   held data.
+//!   static zero page, so a store materializes only pages that ever held
+//!   data.
 
-use crate::{SnapError, SnapReader, SnapWriter, Snapshot};
 use std::sync::Arc;
 
 /// Copy-on-write granularity, in bytes.
@@ -143,72 +142,6 @@ impl PageStore {
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
-
-    /// [`Snapshot::load`] for a store that must hold exactly `size` bytes:
-    /// a stream declaring any other size is refused before its page table
-    /// is allocated. Decoders of untrusted bytes use this with the size
-    /// their machine configuration declares.
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::load`], plus [`SnapError::Malformed`] on a size
-    /// mismatch.
-    pub fn load_sized(r: &mut SnapReader<'_>, size: u32) -> Result<PageStore, SnapError> {
-        load(r, Some(size))
-    }
-}
-
-/// The sparse form's decoder; `expect` pins the store size.
-fn load(r: &mut SnapReader<'_>, expect: Option<u32>) -> Result<PageStore, SnapError> {
-    r.tag(*b"PAGE")?;
-    let size = r.u32()?;
-    if expect.is_some_and(|e| e != size) {
-        return Err(SnapError::Malformed(
-            "page store size disagrees with the machine",
-        ));
-    }
-    let mut table = vec![None; (size as usize).div_ceil(PAGE_BYTES)];
-    let n = r.u32()?;
-    let mut prev: Option<u32> = None;
-    for _ in 0..n {
-        let idx = r.u32()?;
-        if idx as usize >= table.len() {
-            return Err(SnapError::Malformed("page index past store size"));
-        }
-        if prev.is_some_and(|p| idx <= p) {
-            return Err(SnapError::Malformed("page indices not ascending"));
-        }
-        prev = Some(idx);
-        let bytes: [u8; PAGE_BYTES] = r
-            .raw(PAGE_BYTES)?
-            .try_into()
-            .expect("raw() returned the requested length");
-        table[idx as usize] = Some(Arc::new(Page(bytes)));
-    }
-    Ok(PageStore {
-        pages: Arc::new(table),
-        size,
-    })
-}
-
-impl Snapshot for PageStore {
-    /// Sparse form: only pages that ever diverged from the zero page are
-    /// stored, as `(index, bytes)` pairs in ascending index order.
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(*b"PAGE");
-        w.u32(self.size);
-        w.u32(self.populated_pages() as u32);
-        for (i, page) in self.pages.iter().enumerate() {
-            if let Some(page) = page {
-                w.u32(i as u32);
-                w.raw(&page.0);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<PageStore, SnapError> {
-        load(r, None)
-    }
 }
 
 impl PartialEq for PageStore {
@@ -243,7 +176,6 @@ impl std::fmt::Debug for PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SnapReader;
 
     #[test]
     fn fresh_store_is_zero_and_unmaterialized() {
@@ -308,32 +240,15 @@ mod tests {
         let mut s = PageStore::new(8 * PAGE_BYTES as u32);
         s.write_bytes(3 * PAGE_BYTES as u32 + 7, b"deep");
         s.write_bytes(0, b"front");
-        let mut w = SnapWriter::new();
-        s.save(&mut w);
-        let buf = w.into_bytes();
-        // Only two pages stored: far less than the full 32 KiB.
-        assert!(buf.len() < 3 * PAGE_BYTES);
-        let t = PageStore::load(&mut SnapReader::new(&buf)).unwrap();
-        assert_eq!(t.size(), s.size());
+        // A snapshot holds only the two written pages, shared with the
+        // store it was taken from, and reads back what was written.
+        let t = s.clone();
         assert_eq!(t.populated_pages(), 2);
+        assert_eq!(t.shared_pages_with(&s), 8);
+        assert!(t == s);
         let mut v = [0u8; 4];
         t.read_bytes(3 * PAGE_BYTES as u32 + 7, &mut v);
         assert_eq!(&v, b"deep");
-    }
-
-    #[test]
-    fn bad_page_index_rejected() {
-        let mut w = SnapWriter::new();
-        w.tag(*b"PAGE");
-        w.u32(PAGE_BYTES as u32); // one page
-        w.u32(1);
-        w.u32(5); // index out of range
-        w.raw(&[0; PAGE_BYTES]);
-        let buf = w.into_bytes();
-        assert_eq!(
-            PageStore::load(&mut SnapReader::new(&buf)),
-            Err(SnapError::Malformed("page index past store size"))
-        );
     }
 
     #[test]

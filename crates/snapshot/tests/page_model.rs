@@ -3,12 +3,10 @@
 //! Random sequences of clones, writes, reads and drops must agree with the
 //! model on every read, on `eq`, on `shared_pages_with` (two slots share a
 //! page exactly when they carry the same identity, the zero page being
-//! identity 0), on `populated_pages`, and on the bytes `save` writes — the
-//! sparse `.seackpt` page form, which must not change with the table
-//! layout — and `load` must read those bytes back to an equal store.
+//! identity 0) and on `populated_pages`.
 
 use proptest::prelude::*;
-use sea_snapshot::{PageStore, SnapReader, SnapWriter, Snapshot, PAGE_BYTES};
+use sea_snapshot::{PageStore, PAGE_BYTES};
 
 /// One store and its model.
 #[derive(Clone)]
@@ -26,31 +24,6 @@ impl Modeled {
             pages: vec![0; (size as usize).div_ceil(PAGE_BYTES)],
         }
     }
-
-    /// The sparse form, written from the model alone.
-    fn expected_save(&self) -> Vec<u8> {
-        let mut out = b"PAGE".to_vec();
-        out.extend((self.bytes.len() as u32).to_le_bytes());
-        let written: Vec<usize> = (0..self.pages.len())
-            .filter(|&p| self.pages[p] != 0)
-            .collect();
-        out.extend((written.len() as u32).to_le_bytes());
-        for p in written {
-            out.extend((p as u32).to_le_bytes());
-            let mut page = [0u8; PAGE_BYTES];
-            let from = p * PAGE_BYTES;
-            let to = (from + PAGE_BYTES).min(self.bytes.len());
-            page[..to - from].copy_from_slice(&self.bytes[from..to]);
-            out.extend(page);
-        }
-        out
-    }
-}
-
-fn save(store: &PageStore) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    store.save(&mut w);
-    w.into_bytes()
 }
 
 /// Check every observable of `stores[a]` (and of the pair `a`, `b`)
@@ -70,14 +43,6 @@ fn check(stores: &[Modeled], a: usize, b: usize) {
         let shared = x.pages.iter().zip(&y.pages).filter(|(p, q)| p == q).count();
         assert_eq!(x.store.shared_pages_with(&y.store), shared, "{a} vs {b}");
     }
-    let bytes = save(&x.store);
-    assert_eq!(bytes, x.expected_save(), "save of store {a}");
-    let back = PageStore::load(&mut SnapReader::new(&bytes)).unwrap();
-    assert!(back == x.store, "load of store {a}");
-    assert_eq!(
-        PageStore::load_sized(&mut SnapReader::new(&bytes), x.store.size()).unwrap(),
-        x.store
-    );
 }
 
 /// `(op, store, other store, address, data)`; `op` picks clone, write,
@@ -156,16 +121,4 @@ proptest! {
             check(&stores, k, b.index(stores.len()));
         }
     }
-}
-
-#[test]
-fn a_size_other_than_the_machines_is_refused() {
-    let bytes = save(&PageStore::new(4 * PAGE_BYTES as u32));
-    assert!(PageStore::load_sized(&mut SnapReader::new(&bytes), 4 * PAGE_BYTES as u32).is_ok());
-    assert_eq!(
-        PageStore::load_sized(&mut SnapReader::new(&bytes), 8 * PAGE_BYTES as u32),
-        Err(sea_snapshot::SnapError::Malformed(
-            "page store size disagrees with the machine"
-        ))
-    );
 }

@@ -1,22 +1,15 @@
-//! Three decoders read bytes the process did not write itself: the JSON
-//! parser (journal records, observe request bodies, fleet messages), the
-//! `.seaj` scanner (whatever a crash left on disk) and the `.seackpt`
-//! checkpoint decoder (`--checkpoint-dir`). All must be total: arbitrary
-//! input never panics, `json::parse` refuses nesting past
+//! Two decoders read bytes the process did not write itself: the JSON
+//! parser (journal records, observe request bodies, fleet messages) and
+//! the `.seaj` scanner (whatever a crash left on disk). Both must be
+//! total: arbitrary input never panics, `json::parse` refuses nesting past
 //! `json::MAX_DEPTH`, `scan` returns a record prefix of its input, and
-//! each holds at most a constant factor of its input length in heap — a
-//! checkpoint also its machine's DRAM page table, one pointer per 4 KiB
-//! page of the size its configuration declares. Heap use is measured with
-//! a counting global allocator, per thread.
+//! each holds at most a constant factor of its input length in heap. Heap
+//! use is measured with a counting global allocator, per thread.
 
 use counting_alloc::peak_of;
 use proptest::prelude::*;
 use sea_core::durable::{encode_file_header, encode_record, scan, Scan};
-use sea_core::platform::{boot, Checkpoint, CheckpointError};
 use sea_core::trace::json::{self, Json, MAX_DEPTH};
-use sea_core::{MachineConfig, Scale, Workload};
-use sea_snapshot::{decode_checkpoint, encode_checkpoint, SnapError, PAGE_BYTES};
-use std::sync::OnceLock;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -33,15 +26,6 @@ const SCAN_FACTOR: usize = 2;
 
 /// Fixed overhead: the first small vector or string.
 const SLACK: usize = 256;
-
-/// A decoded checkpoint holds its cache arrays twice while they are
-/// checked against the geometry, every other field once, and a vector
-/// reserves no more than the bytes its stream has left.
-const CKPT_FACTOR: usize = 3;
-
-/// The provenance every test checkpoint carries.
-const CONFIG_HASH: u64 = 0xC0F1;
-const GOLDEN_HASH: u64 = 0x601D;
 
 /// Nesting depth of a parsed value: 0 for a scalar.
 fn depth(j: &Json) -> usize {
@@ -89,50 +73,6 @@ fn scan_checked(bytes: &[u8]) -> Option<Scan<'_>> {
     assert_eq!(s.valid_len + s.torn_bytes, bytes.len());
     assert_eq!(s.last_seq, s.records.len() as u64);
     Some(s)
-}
-
-/// A real checkpoint: the tiny CRC32 machine part-way through its run,
-/// with warm caches and a populated DRAM, and its container's payload.
-fn checkpoint() -> &'static (Vec<u8>, Vec<u8>) {
-    static CKPT: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
-    CKPT.get_or_init(|| {
-        let built = Workload::Crc32.build(Scale::Tiny);
-        let kernel = sea_core::kernel::KernelConfig::default();
-        let (mut sys, _) =
-            boot(MachineConfig::cortex_a9_scaled(), &built.image, &kernel).expect("boot");
-        for _ in 0..20_000 {
-            sys.step();
-        }
-        let file = Checkpoint::capture(&sys).encode(CONFIG_HASH, GOLDEN_HASH);
-        let payload = decode_checkpoint(&file).expect("own container").1.to_vec();
-        (file, payload)
-    })
-}
-
-/// The test machine's DRAM page table: the one allocation of a decode not
-/// bounded by its input.
-fn page_table_bytes() -> usize {
-    MachineConfig::cortex_a9_scaled().mem_bytes as usize / PAGE_BYTES * std::mem::size_of::<usize>()
-}
-
-/// Decode `bytes` as a checkpoint of this campaign, checking the heap
-/// bound; returns the result.
-fn decode_checked(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let (got, peak) = peak_of(|| Checkpoint::decode(bytes, CONFIG_HASH, GOLDEN_HASH));
-    assert!(
-        peak <= CKPT_FACTOR * bytes.len() + page_table_bytes() + SLACK,
-        "decoding {} bytes held {peak} bytes",
-        bytes.len()
-    );
-    got
-}
-
-/// Where the payload's DRAM section starts: its `PAGE` tag.
-fn page_section(payload: &[u8]) -> usize {
-    payload
-        .windows(4)
-        .position(|w| w == b"PAGE")
-        .expect("a machine payload holds its DRAM")
 }
 
 /// JSON tokens and fragments: random text alone would almost never get
@@ -227,91 +167,6 @@ proptest! {
         let at = flip.index(flipped.len());
         flipped[at] ^= mask;
         let _ = scan_checked(&flipped);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn arbitrary_bytes_never_decode_to_a_checkpoint(
-        bytes in prop::collection::vec(any::<u8>(), 0..256),
-        wrapped in any::<bool>(),
-    ) {
-        // Half the inputs are a correctly hashed container around random
-        // bytes, so they reach the machine decoder.
-        let input = if wrapped {
-            encode_checkpoint(
-                sea_snapshot::CheckpointMeta { cycle: 0, config_hash: CONFIG_HASH, golden_hash: GOLDEN_HASH },
-                &bytes,
-            )
-        } else {
-            bytes
-        };
-        prop_assert!(decode_checked(&input).is_err());
-    }
-
-    #[test]
-    fn a_mutated_checkpoint_rehashed_decodes_or_fails_within_bounds(
-        edits in prop::collection::vec(
-            (0u8..4, any::<prop::sample::Index>(), 1u8..=255, any::<u32>()),
-            1..4,
-        ),
-        cut in any::<prop::sample::Index>(),
-        truncate in any::<bool>(),
-    ) {
-        let (file, payload) = checkpoint();
-        let meta = decode_checkpoint(file).unwrap().0;
-        let pages = page_section(payload);
-        let mut mutated = payload.clone();
-        for (kind, at, mask, word) in edits {
-            let at = match kind {
-                // The machine's fixed-size front: configuration, core,
-                // cache geometry and array lengths.
-                0 => at.index(pages.min(2048)),
-                // The DRAM section's header: its size and page count.
-                1 => pages + 4 + at.index(8),
-                // Anywhere, including page data and the device block.
-                _ => at.index(mutated.len()),
-            };
-            if kind == 1 && at + 4 <= mutated.len() {
-                // A whole field, not a bit: a size or count of any value.
-                mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
-            } else {
-                mutated[at] ^= mask;
-            }
-        }
-        if truncate {
-            mutated.truncate(cut.index(mutated.len()));
-        }
-        // Re-hashed, so the container accepts it and the payload decoder
-        // sees every edit.
-        let input = encode_checkpoint(meta, &mutated);
-        let _ = decode_checked(&input);
-    }
-}
-
-#[test]
-fn a_checkpoint_round_trips_and_a_dram_size_it_does_not_declare_is_refused() {
-    let (file, payload) = checkpoint();
-    let back = decode_checked(file).expect("an untouched checkpoint decodes");
-    assert_eq!(back.encode(CONFIG_HASH, GOLDEN_HASH), *file);
-
-    let meta = decode_checkpoint(file).unwrap().0;
-    let size_at = page_section(payload) + 4;
-    for size in [0, PAGE_BYTES as u32, 128 << 20, u32::MAX] {
-        let mut mutated = payload.clone();
-        mutated[size_at..size_at + 4].copy_from_slice(&size.to_le_bytes());
-        let got = decode_checked(&encode_checkpoint(meta, &mutated));
-        assert!(
-            matches!(
-                got,
-                Err(CheckpointError::Snap(SnapError::Malformed(
-                    "page store size disagrees with the machine"
-                )))
-            ),
-            "size {size:#x}: {got:?}"
-        );
     }
 }
 
