@@ -228,7 +228,6 @@ pub fn journal_table(
         let inj = inj.unwrap_or_default();
         let beam = beam.unwrap_or_default();
         let merged = JournalAudit {
-            format: inj.format,
             appended: inj.appended + beam.appended,
             resumed: inj.resumed + beam.resumed,
             torn_bytes: inj.torn_bytes + beam.torn_bytes,
@@ -237,7 +236,6 @@ pub fn journal_table(
             poisoned: inj.poisoned || beam.poisoned,
         };
         body.push(journal_row(name, &merged));
-        total.format = merged.format;
         total.appended += merged.appended;
         total.resumed += merged.resumed;
         total.torn_bytes += merged.torn_bytes;
@@ -249,7 +247,6 @@ pub fn journal_table(
     table(
         &[
             "workload",
-            "format",
             "appended",
             "resumed",
             "torn bytes",
@@ -264,7 +261,6 @@ pub fn journal_table(
 fn journal_row(name: &str, a: &sea_injection::JournalAudit) -> Vec<String> {
     vec![
         name.to_string(),
-        a.format.to_string(),
         a.appended.to_string(),
         a.resumed.to_string(),
         a.torn_bytes.to_string(),

@@ -10,7 +10,7 @@
 
 use sea_beam::{run_session, BeamConfig, BeamResult};
 use sea_injection::supervisor::{fnv1a, journal_file};
-use sea_injection::{JournalFormat, JournalSpec};
+use sea_injection::JournalSpec;
 use sea_workloads::{BuiltWorkload, Scale, Workload};
 use std::path::{Path, PathBuf};
 
@@ -38,7 +38,7 @@ fn config(journal: &Path) -> BeamConfig {
 }
 
 fn log_path(dir: &Path, w: Workload) -> PathBuf {
-    journal_file(dir, "beam", w.name(), JournalFormat::Binary)
+    journal_file(dir, "beam", w.name())
 }
 
 fn session(w: Workload, built: &BuiltWorkload, cfg: &BeamConfig) -> (BeamResult, Vec<u8>) {

@@ -10,7 +10,7 @@ fn main() {
     for &w in &opts.suite {
         eprintln!("  {w}...");
         let built = w.build(opts.study.scale);
-        let cfg = opts.study.beam_config_for(w);
+        let cfg = opts.study.beam_config();
         let r = run_session(w.name(), &built, &cfg, opts.study.beam_strikes).expect("session");
         items.push((
             w.name().to_string(),

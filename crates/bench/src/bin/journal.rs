@@ -1,21 +1,20 @@
-//! `journal` — offline export and audit of campaign journals.
+//! `journal` — offline export and audit of `.seaj` files.
 //!
-//! The campaigns write crash-consistent binary `.seaj` journals by
-//! default (see README "Durability"). This binary works on those files
+//! Every append-only log the campaigns write — outcome journals, beam
+//! strike logs and anomaly quarantines — is a crash-consistent `.seaj`
+//! file (see README "Durability"). This binary works on those files
 //! without running anything:
 //!
-//! * `journal export FILE` — decode a `.seaj` journal to its lossless
-//!   JSON-Lines form on stdout (byte-identical to what the same campaign
-//!   would have written with `--journal-format jsonl`). A JSONL journal
-//!   passes through unchanged, so the command is format-agnostic.
-//! * `journal audit FILE` — print the journal's identity header, record
+//! * `journal export FILE` — decode the file to its lossless JSON-Lines
+//!   form on stdout: the header line, then one line per valid record.
+//! * `journal audit FILE` — print the file's identity header, record
 //!   count, valid byte length, and torn-tail state, then exit 0 if the
 //!   valid prefix is resumable and 1 if the file is corrupt beyond its
 //!   header.
 //!
 //! Usage: `journal export|audit FILE`
 
-use sea_core::durable::{self, SeajError};
+use sea_core::durable;
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -42,18 +41,12 @@ fn main() -> ExitCode {
 }
 
 fn export(path: &str, bytes: &[u8]) -> ExitCode {
-    let jsonl = if bytes.starts_with(&durable::SEAJ_MAGIC) {
-        match durable::export_jsonl(bytes) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("journal: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let jsonl = match durable::export_jsonl(bytes) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("journal: {path}: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        // Already JSONL: emit the complete-line prefix so a torn tail
-        // never leaks a partial record into the export.
-        bytes[..durable::jsonl_tail_offset(bytes)].to_vec()
     };
     let mut out = std::io::stdout().lock();
     if out.write_all(&jsonl).is_err() {
@@ -63,21 +56,9 @@ fn export(path: &str, bytes: &[u8]) -> ExitCode {
 }
 
 fn audit(path: &str, bytes: &[u8]) -> ExitCode {
-    if !bytes.starts_with(&durable::SEAJ_MAGIC) {
-        let valid = durable::jsonl_tail_offset(bytes);
-        let torn = bytes.len() - valid;
-        println!("format:      jsonl");
-        println!(
-            "lines:       {}",
-            bytes[..valid].iter().filter(|&&b| b == b'\n').count()
-        );
-        println!("valid bytes: {valid}");
-        println!("torn bytes:  {torn}");
-        return ExitCode::SUCCESS;
-    }
     let scan = match durable::scan(bytes) {
         Ok(s) => s,
-        Err(e @ (SeajError::NotSeaj | SeajError::Version(_) | SeajError::CorruptHeader(_))) => {
+        Err(e) => {
             eprintln!("journal: {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -88,7 +69,9 @@ fn audit(path: &str, bytes: &[u8]) -> ExitCode {
         .and_then(|h| sea_core::trace::json::parse(h).ok())
     {
         Some(header) => {
-            for key in ["kind", "workload", "seed", "cfg", "golden", "total"] {
+            for key in [
+                "journal", "kind", "workload", "seed", "cfg", "golden", "total",
+            ] {
                 if let Some(v) = header.get(key) {
                     let rendered = v
                         .as_str()

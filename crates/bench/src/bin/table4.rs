@@ -11,7 +11,7 @@ fn main() {
     for &w in &opts.suite {
         eprintln!("  {w}...");
         let built = w.build(opts.study.scale);
-        let cfg = opts.study.injection_config_for(w);
+        let cfg = opts.study.injection_config();
         let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
         for c in &res.per_component {
             per_comp

@@ -30,15 +30,14 @@
 //! and `--progress` (live per-class progress meter on stderr).
 //!
 //! Campaign robustness flags (see README "Robustness" and "Durability"):
-//! `--journal DIR` writes an append-only outcome journal per workload,
-//! `--journal-format bin|jsonl` picks the crash-consistent `.seaj`
-//! binary container (default) or plain JSON Lines, `--fsync
-//! none|every-n=N` sets the journal fsync cadence,
-//! `--resume` validates and continues an interrupted journal (truncating
-//! a torn tail), `--quarantine FILE` collects panicking runs as
-//! replayable anomaly records, and `--run-timeout-ms N` puts a
-//! wall-clock watchdog on every run. The `journal` binary exports and
-//! audits `.seaj` journals offline.
+//! `--journal DIR` writes an append-only, crash-consistent `.seaj`
+//! outcome journal per workload, `--fsync none|every-n=N` sets the
+//! journal fsync cadence, `--resume` validates and continues an
+//! interrupted journal (truncating a torn tail), `--quarantine FILE`
+//! collects panicking runs as replayable anomaly records in a `.seaj`
+//! log of their own, and `--run-timeout-ms N` puts a wall-clock watchdog
+//! on every run. The `journal` binary audits `.seaj` files and exports
+//! them as JSON Lines offline.
 //!
 //! Speed (see README "Performance"): by default every run is served from
 //! the fast path (µop cache + translation latches), a per-worker warp
@@ -101,11 +100,10 @@ usage: <binary> [flags]
                             byte-identical either way)
   --checkpoint-interval N   golden-run epoch stride in cycles (default 65536,
                             0 = off)
-  --journal DIR             write an outcome journal per workload
-  --journal-format bin|jsonl
+  --journal DIR             write a .seaj outcome journal per workload
   --fsync none|every-n=N    journal sync cadence (default every-n=64)
   --resume                  continue an interrupted journal
-  --quarantine FILE         collect panicking runs as replayable records
+  --quarantine FILE         collect panicking runs in a .seaj quarantine
   --run-timeout-ms N        wall-clock watchdog per run
   --serve ADDR              live HTTP observability (/status, /metrics, ...)
   --stop-at-margin PCT      stop once every stratum's adjusted 99% margin <= PCT
@@ -314,11 +312,6 @@ pub fn parse_options() -> Options {
             }
             "--journal" => {
                 opts.study.journal_dir = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
-            "--journal-format" => {
-                opts.study.journal_format = sea_core::durable::JournalFormat::parse(&need(i))
-                    .unwrap_or_else(|e| panic!("--journal-format: {e}"));
                 i += 2;
             }
             "--fsync" => {

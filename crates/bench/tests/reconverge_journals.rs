@@ -11,7 +11,7 @@
 use sea_core::durable::export_jsonl;
 use sea_core::injection::supervisor::journal_file;
 use sea_core::injection::{clear_stop, request_stop, run_campaign, DEAD_PRUNED, RECONVERGED};
-use sea_core::{JournalFormat, JournalSpec, StudySpec};
+use sea_core::{JournalSpec, StudySpec};
 use sea_fleet::{Daemon, DaemonConfig, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,10 +28,9 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
     let mut reference = Vec::new();
     for &w in &spec.suite {
         let built = w.build(spec.study.scale);
-        let journal =
-            |dir: &str| journal_file(&root.join(dir), "inject", w.name(), JournalFormat::Binary);
+        let journal = |dir: &str| journal_file(&root.join(dir), "inject", w.name());
 
-        let mut reset = spec.study.injection_config_for(w);
+        let mut reset = spec.study.injection_config();
         reset.checkpoint_interval = 0;
         reset.warp = false;
         reset.fast_path = false;
@@ -39,7 +38,7 @@ fn cut_campaign_journals_equal_the_from_reset_ones_in_process_and_through_a_flee
         let a = run_campaign(w.name(), &built, &reset).unwrap();
         assert!(a.checkpoints.is_none());
 
-        let mut cut = spec.study.injection_config_for(w);
+        let mut cut = spec.study.injection_config();
         cut.journal = Some(JournalSpec::new(root.join("cut")));
         let before = (DEAD_PRUNED.get(), RECONVERGED.get());
         let b = run_campaign(w.name(), &built, &cut).unwrap();

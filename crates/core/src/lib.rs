@@ -60,8 +60,8 @@ pub use sea_workloads as workloads;
 pub use sea_analysis::{beam_fit, fi_fit, Comparison, FitRates, Overview};
 pub use sea_beam::{BeamConfig, BeamResult, RawFitResult};
 pub use sea_injection::{
-    CampaignConfig, CampaignResult, ClassCounts, FsyncPolicy, JournalAudit, JournalFormat,
-    JournalSpec, RunAnomaly, SupervisionStats, SupervisorConfig,
+    CampaignConfig, CampaignResult, ClassCounts, FsyncPolicy, JournalAudit, JournalSpec,
+    RunAnomaly, SupervisionStats, SupervisorConfig,
 };
 pub use sea_microarch::{Component, MachineConfig};
 pub use sea_platform::FaultClass;

@@ -97,7 +97,6 @@ impl StudySpec {
             .str_field("seed", &format!("{:#x}", s.seed))
             .u64_field("threads", s.threads as u64)
             .u64_field("golden_budget_cycles", s.golden_budget_cycles)
-            .str_field("journal_format", &s.journal_format.to_string())
             .str_field("journal_fsync", &s.journal_fsync.to_string())
             .u64_field("run_wall_ms", s.run_wall_ms)
             .u64_field("checkpoint_interval", s.checkpoint_interval)
@@ -164,13 +163,6 @@ impl StudySpec {
             s.golden_budget_cycles = v.as_u64().ok_or_else(|| {
                 SpecError::Field("golden_budget_cycles", "expected an integer".into())
             })?;
-        }
-        if let Some(v) = doc.get("journal_format") {
-            let name = v
-                .as_str()
-                .ok_or_else(|| SpecError::Field("journal_format", "expected a string".into()))?;
-            s.journal_format = crate::JournalFormat::parse(name)
-                .map_err(|e| SpecError::Field("journal_format", e))?;
         }
         if let Some(v) = doc.get("journal_fsync") {
             let name = v
@@ -274,7 +266,6 @@ mod tests {
             && a.seed == b.seed
             && a.threads == b.threads
             && a.golden_budget_cycles == b.golden_budget_cycles
-            && a.journal_format == b.journal_format
             && a.journal_fsync == b.journal_fsync
             && a.run_wall_ms == b.run_wall_ms
             && a.checkpoint_interval == b.checkpoint_interval
@@ -368,8 +359,8 @@ mod tests {
             Err(SpecError::Field("stop_at_margin", _))
         ));
         assert!(matches!(
-            StudySpec::from_json(r#"{"journal_format":"xml"}"#),
-            Err(SpecError::Field("journal_format", _))
+            StudySpec::from_json(r#"{"journal_fsync":"always"}"#),
+            Err(SpecError::Field("journal_fsync", _))
         ));
     }
 

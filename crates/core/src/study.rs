@@ -97,10 +97,6 @@ pub struct Study {
     pub journal_dir: Option<std::path::PathBuf>,
     /// Resume from an existing journal instead of starting over.
     pub resume: bool,
-    /// Journal on-disk format: CRC-framed binary `.seaj` (default) or
-    /// plain JSONL compatibility mode. Runtime-only: a binary journal's
-    /// JSONL export is byte-identical to a JSONL-mode journal.
-    pub journal_format: sea_injection::JournalFormat,
     /// Journal fsync cadence (how much recent work a power cut may cost).
     pub journal_fsync: sea_injection::FsyncPolicy,
     /// Quarantine file for anomaly records (None = no quarantine file;
@@ -166,7 +162,6 @@ impl Default for Study {
             golden_budget_cycles: 500_000_000,
             journal_dir: None,
             resume: false,
-            journal_format: sea_injection::JournalFormat::default(),
             journal_fsync: sea_injection::FsyncPolicy::default(),
             quarantine: None,
             run_wall_ms: 0,
@@ -211,10 +206,9 @@ impl Study {
         self.journal_dir
             .as_ref()
             .map(|dir| sea_injection::JournalSpec {
-                dir: dir.clone(),
                 resume: self.resume,
-                format: self.journal_format,
                 fsync: self.journal_fsync,
+                ..sea_injection::JournalSpec::new(dir)
             })
     }
 
@@ -231,7 +225,7 @@ impl Study {
             golden_budget_cycles: self.golden_budget_cycles,
             supervisor: self.supervisor_config(),
             journal: self.journal_spec(),
-            checkpoint_interval: 0,
+            checkpoint_interval: self.checkpoint_interval,
             fast_path: self.fast_path,
             serve: self.serve.clone(),
             stop_at_margin: self.stop_at_margin,
@@ -250,6 +244,7 @@ impl Study {
             golden_budget_cycles: self.golden_budget_cycles,
             supervisor: self.supervisor_config(),
             journal: self.journal_spec(),
+            checkpoint_interval: self.checkpoint_interval,
             fast_path: self.fast_path,
             warp: self.warp,
             serve: self.serve.clone(),
@@ -258,23 +253,16 @@ impl Study {
         }
     }
 
-    /// The injection-campaign configuration for one workload, with the
-    /// study's checkpoint interval applied. (Every workload gets the same
-    /// one.)
+    /// [`Study::injection_config`]: every workload gets the same one. Kept
+    /// for the benchmark, which calls it.
     pub fn injection_config_for(&self, _w: Workload) -> CampaignConfig {
-        CampaignConfig {
-            checkpoint_interval: self.checkpoint_interval,
-            ..self.injection_config()
-        }
+        self.injection_config()
     }
 
-    /// The beam configuration for one workload, with the study's
-    /// checkpoint interval applied.
+    /// [`Study::beam_config`]: every workload gets the same one. Kept for
+    /// the benchmark, which calls it.
     pub fn beam_config_for(&self, _w: Workload) -> BeamConfig {
-        BeamConfig {
-            checkpoint_interval: self.checkpoint_interval,
-            ..self.beam_config()
-        }
+        self.beam_config()
     }
 
     /// Runs both methodologies for one workload.
@@ -284,9 +272,9 @@ impl Study {
     /// Propagates campaign/beam failures (broken golden runs).
     pub fn run_workload(&self, w: Workload) -> Result<WorkloadStudy, StudyError> {
         let built = w.build(self.scale);
-        let icfg = self.injection_config_for(w);
+        let icfg = self.injection_config();
         let campaign = run_campaign(w.name(), &built, &icfg).map_err(StudyError::Campaign)?;
-        let bcfg = self.beam_config_for(w);
+        let bcfg = self.beam_config();
         let beam =
             run_session(w.name(), &built, &bcfg, self.beam_strikes).map_err(StudyError::Beam)?;
         let comparison = Comparison {
@@ -352,5 +340,23 @@ impl Study {
         )
         .ok()
         .map(|(_, profile)| profile)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_study_config_is_the_per_workload_config() {
+        for s in [Study::default(), Study::default().reference()] {
+            for w in [Workload::Crc32, Workload::Qsort] {
+                let (i, b) = (s.injection_config(), s.beam_config());
+                assert_eq!(format!("{i:?}"), format!("{:?}", s.injection_config_for(w)));
+                assert_eq!(format!("{b:?}"), format!("{:?}", s.beam_config_for(w)));
+                assert_eq!(i.checkpoint_interval, s.checkpoint_interval);
+                assert_eq!(b.checkpoint_interval, s.checkpoint_interval);
+            }
+        }
     }
 }

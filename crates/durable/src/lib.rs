@@ -19,14 +19,15 @@
 //!   bounded retry-with-backoff on write faults (disk-full, EIO): a failed
 //!   append rolls the file back to the last good length before retrying, so
 //!   even an aborted run leaves a valid resumable prefix;
-//! * lossless **JSONL export** ([`export_jsonl`]) — record payloads are the
-//!   exact line bytes a `--journal-format jsonl` run would have written, so
-//!   the export of a binary journal is byte-identical to a JSONL journal of
-//!   the same campaign.
+//! * lossless **JSONL export** ([`export_jsonl`]) — record payloads are
+//!   JSON lines, so the header line plus one line per record is the text
+//!   form of a journal (`journal export`). `.seaj` is the only format any
+//!   append-only log is written in: outcome journals, beam strike logs and
+//!   anomaly quarantines.
 //!
 //! The crate is deliberately a leaf: zero dependencies, pure std, usable
-//! from `sea-snapshot` (checkpoint section CRCs) up through `sea-observe`
-//! (`/journal/tail` over binary records).
+//! from `sea-injection` (journals and quarantines) up through
+//! `sea-observe` (`/journal/tail` over binary records).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -121,46 +122,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Journal format + fsync policy (CLI-facing knobs)
 // ---------------------------------------------------------------------------
 
-/// On-disk representation of an outcome journal.
+/// On-disk representation of an outcome journal. `.seaj` is the only
+/// one; JSON Lines exist only as [`export_jsonl`] output. The type is kept
+/// solely because the benchmark's layer probes name
+/// `JournalFormat::Binary` in a `JournalSpec` literal, and goes when that
+/// benchmark is next changed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum JournalFormat {
-    /// Length-prefixed CRC-framed binary records (`.seaj`). The default.
+    /// Length-prefixed CRC-framed binary records (`.seaj`).
     #[default]
     Binary,
-    /// Plain JSON-lines compatibility mode (`.jsonl`), as written by
-    /// earlier releases. Lossless peer of the binary format: a `.seaj`
-    /// export is byte-identical to a journal written in this mode.
-    Jsonl,
-}
-
-impl JournalFormat {
-    /// Parse a `--journal-format` argument.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "bin" | "binary" | "seaj" => Ok(JournalFormat::Binary),
-            "jsonl" | "json" => Ok(JournalFormat::Jsonl),
-            other => Err(format!(
-                "unknown journal format '{other}' (expected bin|jsonl)"
-            )),
-        }
-    }
-
-    /// File extension used for journals of this format.
-    pub fn extension(self) -> &'static str {
-        match self {
-            JournalFormat::Binary => "seaj",
-            JournalFormat::Jsonl => "jsonl",
-        }
-    }
-}
-
-impl fmt::Display for JournalFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalFormat::Binary => write!(f, "bin"),
-            JournalFormat::Jsonl => write!(f, "jsonl"),
-        }
-    }
 }
 
 /// How often the journal writer issues `fdatasync`.
@@ -362,8 +333,7 @@ pub fn scan(bytes: &[u8]) -> Result<Scan<'_>, SeajError> {
 }
 
 /// Losslessly export a `.seaj` byte image to JSONL: the header blob as the
-/// first line, then each record payload as its own line. Byte-identical to
-/// what a `--journal-format jsonl` run of the same campaign writes.
+/// first line, then each record payload as its own line.
 pub fn export_jsonl(bytes: &[u8]) -> Result<Vec<u8>, SeajError> {
     let scan = scan(bytes)?;
     let mut out = Vec::with_capacity(bytes.len());
@@ -374,25 +344,6 @@ pub fn export_jsonl(bytes: &[u8]) -> Result<Vec<u8>, SeajError> {
         out.push(b'\n');
     }
     Ok(out)
-}
-
-/// Length of the longest JSONL prefix ending in a newline. A crash
-/// mid-append leaves a newline-less torn tail; truncating to this offset
-/// restores a parseable file.
-pub fn jsonl_tail_offset(bytes: &[u8]) -> usize {
-    match bytes.iter().rposition(|&b| b == b'\n') {
-        Some(last_nl) => last_nl + 1,
-        None => 0,
-    }
-}
-
-/// Truncate `path` to `len` bytes, returning how many bytes were dropped.
-pub fn truncate_file(path: &Path, len: u64) -> io::Result<u64> {
-    let f = OpenOptions::new().write(true).open(path)?;
-    let had = f.metadata()?.len();
-    f.set_len(len)?;
-    f.sync_data()?;
-    Ok(had.saturating_sub(len))
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +562,7 @@ impl DurableWriter {
         self.stats
     }
 
-    /// Append one framed record (or JSONL line). All-or-nothing: a partial
+    /// Append one framed record. All-or-nothing: a partial
     /// write is rolled back with `set_len` before the retry so a failed
     /// attempt can never leave garbage between valid records.
     pub fn append(&mut self, rec: &[u8]) -> io::Result<()> {
@@ -698,16 +649,6 @@ mod tests {
         assert!(FsyncPolicy::parse("always").is_err());
         for p in [FsyncPolicy::None, FsyncPolicy::EveryN(64)] {
             assert_eq!(FsyncPolicy::parse(&p.to_string()), Ok(p));
-        }
-    }
-
-    #[test]
-    fn journal_format_parses_and_round_trips() {
-        assert_eq!(JournalFormat::parse("bin"), Ok(JournalFormat::Binary));
-        assert_eq!(JournalFormat::parse("jsonl"), Ok(JournalFormat::Jsonl));
-        assert!(JournalFormat::parse("xml").is_err());
-        for f in [JournalFormat::Binary, JournalFormat::Jsonl] {
-            assert_eq!(JournalFormat::parse(&f.to_string()), Ok(f));
         }
     }
 
@@ -798,14 +739,6 @@ mod tests {
         let bytes = journal(b"{\"v\":2}", &[b"{\"i\":0}", b"{\"i\":1}"]);
         let jsonl = export_jsonl(&bytes).unwrap();
         assert_eq!(jsonl, b"{\"v\":2}\n{\"i\":0}\n{\"i\":1}\n");
-    }
-
-    #[test]
-    fn jsonl_tail_offset_finds_last_complete_line() {
-        assert_eq!(jsonl_tail_offset(b""), 0);
-        assert_eq!(jsonl_tail_offset(b"no newline"), 0);
-        assert_eq!(jsonl_tail_offset(b"a\nb\n"), 4);
-        assert_eq!(jsonl_tail_offset(b"a\nb\ntorn"), 4);
     }
 
     fn key_ascii(payload: &[u8]) -> Option<u64> {

@@ -35,9 +35,7 @@ use sea_core::{FaultClass, StudySpec};
 use sea_injection::convergence::strata_json;
 use sea_injection::stats::Z_99;
 use sea_injection::supervisor::fnv1a;
-use sea_injection::{
-    open_journal, stop_requested, CampaignPlan, ConvergenceTracker, JournalFormat, JournalSpec,
-};
+use sea_injection::{open_journal, stop_requested, CampaignPlan, ConvergenceTracker, JournalSpec};
 use sea_microarch::{NullDevice, System};
 use sea_profile::PromWriter;
 use sea_trace::json::ObjWriter;
@@ -181,10 +179,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Total injection indices of one workload under a spec — the worker-side
+/// Total injection indices of each workload under a spec — the worker-side
 /// [`sea_injection::CampaignPlan`] will arrive at the same number.
-fn total_runs(spec: &StudySpec, w: Workload) -> u64 {
-    let icfg = spec.study.injection_config_for(w);
+fn total_runs(spec: &StudySpec) -> u64 {
+    let icfg = spec.study.injection_config();
     u64::from(icfg.samples_per_component) * icfg.components.len() as u64
 }
 
@@ -311,8 +309,11 @@ impl Shared {
                         return Some(ToWorker::Exit);
                     }
                     // With nothing to hand out yet, the worker waits
-                    // without burning a shard number.
-                    let a = active.as_ref()?;
+                    // without burning a shard number — unless nothing is
+                    // queued or running, when there is nothing to wait for.
+                    let Some(a) = active.as_ref() else {
+                        return self.idle().then_some(ToWorker::Exit);
+                    };
                     let k = self.next_shard.fetch_add(1, Ordering::AcqRel);
                     shard = Some(k);
                     study = a.study_id.clone();
@@ -533,16 +534,13 @@ impl Shared {
     /// writes — so the merge has the identity header to emit.
     fn empty_shard(&self, id: &str, spec: &StudySpec, w: Workload) -> Result<(), String> {
         let built = w.build(spec.study.scale);
-        let cfg = spec.study.injection_config_for(w);
+        let cfg = spec.study.injection_config();
         let plan =
             CampaignPlan::new(w.name(), &built, &cfg).map_err(|e| format!("plan for {w}: {e}"))?;
+        let shard = self.next_shard.fetch_add(1, Ordering::AcqRel);
         let jspec = JournalSpec {
-            dir: self
-                .reg
-                .shard_dir(id, self.next_shard.fetch_add(1, Ordering::AcqRel)),
-            resume: false,
-            format: JournalFormat::Binary,
             fsync: spec.study.journal_fsync,
+            ..JournalSpec::new(self.reg.shard_dir(id, shard))
         };
         let (journal, _) =
             open_journal(&jspec, &plan.header()).map_err(|e| format!("journal: {e}"))?;
@@ -572,11 +570,11 @@ impl Shared {
             if merged.exists() {
                 continue;
             }
-            let total = total_runs(spec, w);
+            let total = total_runs(spec);
             // Resume: everything any shard journal already holds is done.
             let ledger = Ledger::new(total, self.reg.done_indices(id, w.name()));
             if !ledger.complete() {
-                let icfg = spec.study.injection_config_for(w);
+                let icfg = spec.study.injection_config();
                 let probe = System::new(icfg.machine, NullDevice);
                 let tracker = ConvergenceTracker::with_strata(
                     Z_99,
@@ -825,13 +823,6 @@ fn active_json(a: &Active) -> String {
 impl sea_observe::StudyApi for Shared {
     fn submit(&self, spec_json: &str) -> Result<String, String> {
         let (canonical, spec) = canonicalize_spec(spec_json)?;
-        if spec.study.journal_format != JournalFormat::Binary {
-            return Err(
-                "fleet studies require \"journal_format\":\"bin\" — the deterministic \
-                 merge operates on binary .seaj shard journals"
-                    .to_string(),
-            );
-        }
         let id = study_id(&canonical);
         let mut studies = lock(&self.studies);
         if let Some(existing) = studies.iter().find(|s| s.id == id) {
@@ -883,7 +874,7 @@ impl sea_observe::StudyApi for Shared {
             if k > 0 {
                 suite.push(',');
             }
-            let total = total_runs(&spec, *w);
+            let total = total_runs(&spec);
             let merged_path = self.reg.merged_path(id, w.name());
             let merged = merged_path.exists();
             // A margin-stopped merge covers less than `total`, so count
@@ -1150,19 +1141,13 @@ mod tests {
         let spec = StudySpec::from_json(spec_json).unwrap();
         let w = spec.suite[0];
         let built = w.build(spec.study.scale);
-        let mut icfg = spec.study.injection_config_for(w);
-        icfg.journal = Some(JournalSpec {
-            dir: dir.to_path_buf(),
-            resume: false,
-            format: JournalFormat::Binary,
-            fsync: Default::default(),
-        });
+        let mut icfg = spec.study.injection_config();
+        icfg.journal = Some(JournalSpec::new(dir));
         run_campaign(w.name(), &built, &icfg).unwrap();
         std::fs::read(sea_injection::supervisor::journal_file(
             dir,
             "inject",
             w.name(),
-            JournalFormat::Binary,
         ))
         .unwrap()
     }
@@ -1180,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_rejects_jsonl_and_is_idempotent() {
+    fn submit_is_idempotent() {
         let root = std::env::temp_dir().join(format!("sea-fleet-api-{}", std::process::id()));
         let cfg = DaemonConfig {
             root: root.clone(),
@@ -1188,10 +1173,6 @@ mod tests {
             ..DaemonConfig::default()
         };
         let d = Daemon::start(cfg).unwrap();
-        let err = d
-            .submit(r#"{"scale":"tiny","journal_format":"jsonl","suite":["CRC32"]}"#)
-            .unwrap_err();
-        assert!(err.contains("journal_format"), "{err}");
         assert!(d.submit("][").is_err());
 
         let a = d.submit(tiny_spec()).unwrap();
@@ -1362,6 +1343,39 @@ mod tests {
             "header-only merge == single-process --samples 0 journal"
         );
         assert!(scan_done(&merged).is_empty());
+
+        request_stop();
+        daemon.join().unwrap();
+        clear_stop();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_worker_that_connects_after_the_study_finished_is_told_to_exit() {
+        let _guard = sea_trace::test_lock();
+        clear_stop();
+        let root = std::env::temp_dir().join(format!("sea-fleet-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let d = Daemon::start(DaemonConfig {
+            root: root.join("fleet"),
+            workers: 0,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let spec_json =
+            r#"{"scale":"tiny","samples_per_component":0,"threads":1,"suite":["CRC32"]}"#;
+        let id = ack_id(&d.submit(spec_json).unwrap());
+        let shared = d.shared.clone();
+        let addr = d.worker_addr().to_string();
+        let daemon = std::thread::spawn(move || d.run());
+        assert!(await_done(&shared, &id).contains("\"state\":\"done\""));
+
+        let mut link = crate::worker::Link::dial(&addr).unwrap();
+        let asked = Instant::now();
+        link.send(&ToDaemon::Hello).unwrap();
+        let reply = link.recv().unwrap();
+        assert!(matches!(reply, ToWorker::Exit), "got {reply:?}");
+        assert!(asked.elapsed() < LONG_POLL, "took {:?}", asked.elapsed());
 
         request_stop();
         daemon.join().unwrap();

@@ -16,7 +16,6 @@
 
 use sea_core::StudySpec;
 use sea_injection::supervisor::{fnv1a, journal_file};
-use sea_injection::JournalFormat;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -59,12 +58,7 @@ impl Registry {
 
     /// The merged journal for one workload of a study.
     pub fn merged_path(&self, id: &str, workload: &str) -> PathBuf {
-        journal_file(
-            &self.study_dir(id).join("merged"),
-            "inject",
-            workload,
-            JournalFormat::Binary,
-        )
+        journal_file(&self.study_dir(id).join("merged"), "inject", workload)
     }
 
     /// Persist a study's canonical spec, creating its directory.
@@ -127,14 +121,7 @@ impl Registry {
     pub fn shard_journals(&self, id: &str, workload: &str) -> Vec<PathBuf> {
         self.existing_shards(id)
             .into_iter()
-            .map(|k| {
-                journal_file(
-                    &self.shard_dir(id, k),
-                    "inject",
-                    workload,
-                    JournalFormat::Binary,
-                )
-            })
+            .map(|k| journal_file(&self.shard_dir(id, k), "inject", workload))
             .collect()
     }
 

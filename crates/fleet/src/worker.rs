@@ -22,7 +22,7 @@ use sea_injection::supervisor::{
 };
 use sea_injection::{
     class_index, open_journal, run_cycles_snapshot, stop_requested, verdict_line, CampaignPlan,
-    JournalFormat, JournalSpec,
+    JournalSpec,
 };
 use sea_observe::TailSink;
 use sea_trace::json::{self, Json};
@@ -330,14 +330,13 @@ pub fn run_worker(connect: &str) -> Result<(), WorkerError> {
 
         // Build the identical plan a single-process campaign would use.
         let built = w.build(spec.study.scale);
-        let cfg = spec.study.injection_config_for(w);
+        let cfg = spec.study.injection_config();
         let plan = CampaignPlan::new(w.name(), &built, &cfg)
             .map_err(|e| fail(format!("plan for {w}: {e}")))?;
         let jspec = JournalSpec {
-            dir: shard_dir.clone(),
             resume: true,
-            format: JournalFormat::Binary,
             fsync: spec.study.journal_fsync,
+            ..JournalSpec::new(&shard_dir)
         };
         let (journal, entries) =
             open_journal(&jspec, &plan.header()).map_err(|e| fail(format!("journal: {e}")))?;
@@ -345,7 +344,7 @@ pub fn run_worker(connect: &str) -> Result<(), WorkerError> {
             .iter()
             .filter_map(|e| e.get("i").and_then(Json::as_u64))
             .collect();
-        let journal_path = journal_file(&jspec.dir, "inject", w.name(), jspec.format);
+        let journal_path = journal_file(&jspec.dir, "inject", w.name());
 
         // Execute grants for this workload until the daemon switches us to
         // another one (or tells us to stop).

@@ -342,7 +342,7 @@ pub fn drive<P: RunPlan>(plan: &P) -> Result<Driven<P::Outcome>, JournalError> {
     let journal_path = cfg
         .journal
         .as_ref()
-        .map(|s| journal_file(&s.dir, header.kind, workload, s.format));
+        .map(|s| journal_file(&s.dir, header.kind, workload));
     sea_observe::publish_journal(journal_path.as_deref());
     if let Some(addr) = &cfg.serve {
         match sea_observe::serve(addr) {

@@ -13,13 +13,13 @@
 //! * **Bounded retry + quarantine** — [`crate::CampaignPlan::attempt`]
 //!   retries a panicking run up to [`SupervisorConfig::max_attempts`]
 //!   times, distinguishing deterministic panics from flaky ones, and
-//!   appends every anomaly to a replayable JSONL [`Quarantine`] file (see
-//!   the `replay` bench binary).
+//!   appends every anomaly to a replayable [`Quarantine`] file (see the
+//!   `replay` bench binary).
 //! * **Journal + resume** — [`Journal`] is an append-only, crash-consistent
-//!   outcome log built on `sea-durable`: by default a `.seaj` binary file
-//!   of CRC32-framed, sequence-numbered records (payloads are the exact
-//!   JSONL line bytes, so export is lossless), with
-//!   `--journal-format jsonl` as a compatibility mode. On resume the
+//!   outcome log built on `sea-durable`: a `.seaj` binary file of
+//!   CRC32-framed, sequence-numbered records whose payloads are JSON lines
+//!   (`journal export` prints them). The quarantine is the same container
+//!   under its own header. On resume the
 //!   header (seed, config hash, golden hash, total) is validated, a torn
 //!   or corrupt tail from the crash is truncated, and completed runs are
 //!   skipped, so a killed campaign continues where it stopped without
@@ -32,15 +32,13 @@
 //!   once the respawn budget is exhausted.
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use sea_durable::{DurableWriter, SeajError};
+use sea_durable::{DurableWriter, Scan, SeajError};
 pub use sea_durable::{FsyncPolicy, JournalFormat};
 use sea_platform::{postmortem, CheckpointSet, RunLimits};
 use sea_trace::json::{self, Json, ObjWriter};
@@ -142,7 +140,7 @@ pub struct SupervisorConfig {
     /// Total worker respawns allowed before the pool degrades to fewer
     /// threads.
     pub max_worker_respawns: usize,
-    /// Quarantine file for anomaly records (append-only JSONL).
+    /// Quarantine file for anomaly records (a `.seaj` log).
     pub quarantine: Option<PathBuf>,
     /// Test-only fault hook, called *inside* the caught region with the
     /// spec index before each attempt.
@@ -254,43 +252,55 @@ pub fn golden_hash(workload: &BuiltWorkload) -> u64 {
 // Quarantine
 // ---------------------------------------------------------------------------
 
-/// Append-only JSONL file of [`RunAnomaly`] records, shared by all workers
-/// of a campaign.
+/// Header blob of a quarantine file; its records are [`RunAnomaly`]
+/// JSON lines.
+const QUARANTINE_HEADER: &[u8] = br#"{"journal":"sea-quarantine","v":1}"#;
+
+/// Append-only `.seaj` log of [`RunAnomaly`] records, shared by all
+/// workers of a campaign. Each record is `fdatasync`ed as it lands, so a
+/// crash or power cut costs at most the record being appended.
 pub struct Quarantine {
-    w: Mutex<File>,
+    inner: Mutex<JournalInner>,
     written: AtomicU64,
 }
 
 impl Quarantine {
-    /// Opens (creating if needed) the quarantine file for appending.
-    ///
-    /// A crash mid-record leaves a newline-less torn tail that would wedge
-    /// `replay` on a half-record and let the next append concatenate onto
-    /// it; the tail is truncated away before appending resumes.
+    /// Opens the quarantine at `path` for appending, creating it (header
+    /// first) when it is missing or empty. A torn or corrupt tail left by
+    /// a crash is truncated away, as a journal's is on resume.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error.
+    /// I/O failures, and `InvalidData` for an existing file that is not a
+    /// quarantine (it is left untouched).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Quarantine> {
         let path = path.as_ref();
-        if let Ok(bytes) = std::fs::read(path) {
-            let keep = sea_durable::jsonl_tail_offset(&bytes);
-            if keep < bytes.len() {
-                let dropped = sea_durable::truncate_file(path, keep as u64)?;
+        let fsync = FsyncPolicy::EveryN(1);
+        let existing = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let (w, next_seq) = if existing.is_empty() {
+            let mut w = DurableWriter::create(path, fsync)?;
+            w.append(&sea_durable::encode_file_header(QUARANTINE_HEADER))?;
+            (w, 1)
+        } else {
+            let scan = scan_quarantine(path, &existing)?;
+            if scan.torn_bytes > 0 {
                 event!(Subsystem::Injection, Level::Warn, "quarantine.torn_tail";
                        "path" => path.display().to_string(),
-                       "dropped_bytes" => dropped);
+                       "dropped_bytes" => scan.torn_bytes as u64);
             }
-        }
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
+            let w = DurableWriter::open_at(path, scan.valid_len as u64, fsync)?;
+            (w, scan.last_seq + 1)
+        };
         Ok(Quarantine {
-            w: Mutex::new(f),
+            inner: Mutex::new(JournalInner { w, next_seq }),
             written: AtomicU64::new(0),
         })
     }
 
-    /// Appends one anomaly record (one line, flushed immediately so a
-    /// subsequent campaign crash cannot lose it).
+    /// Appends one anomaly record.
     pub fn record(&self, a: &RunAnomaly) {
         let mut o = ObjWriter::new();
         o.str_field("rec", "anomaly")
@@ -306,11 +316,14 @@ impl Quarantine {
             .bool_field("deterministic", a.deterministic)
             .str_field("panic", &a.panic_msg)
             .str_field("postmortem", &a.postmortem);
-        let mut line = o.finish();
-        line.push('\n');
-        let mut w = self.w.lock();
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.flush();
+        let mut inner = self.inner.lock();
+        let rec = sea_durable::encode_record(inner.next_seq, o.finish().as_bytes());
+        if let Err(e) = inner.w.append(&rec) {
+            event!(Subsystem::Injection, Level::Error, "quarantine.write_failed";
+                   "error" => e.to_string());
+            return;
+        }
+        inner.next_seq += 1;
         self.written.fetch_add(1, Ordering::Relaxed);
         QUARANTINED.inc();
     }
@@ -321,31 +334,38 @@ impl Quarantine {
     }
 }
 
+/// CRC-walks the image of the quarantine at `path`, refusing anything
+/// that is not one.
+fn scan_quarantine<'a>(path: &Path, bytes: &'a [u8]) -> std::io::Result<Scan<'a>> {
+    let invalid = |why: &dyn std::fmt::Display| {
+        let why = format!("{}: {why}", path.display());
+        std::io::Error::new(std::io::ErrorKind::InvalidData, why)
+    };
+    let scan = sea_durable::scan(bytes).map_err(|e| invalid(&e))?;
+    if scan.header != QUARANTINE_HEADER {
+        return Err(invalid(&"not a quarantine file"));
+    }
+    Ok(scan)
+}
+
 fn parse_hex64(j: Option<&Json>) -> Option<u64> {
     u64::from_str_radix(j?.as_str()?, 16).ok()
 }
 
-/// Loads every parseable anomaly record from a quarantine file.
-///
-/// Lines that do not parse (e.g. a torn tail write) are skipped.
+/// Loads every anomaly record in the valid prefix of a quarantine file.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error.
+/// I/O failures, and `InvalidData` for a file that is not a quarantine.
 pub fn load_quarantine(path: impl AsRef<Path>) -> std::io::Result<Vec<RunAnomaly>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Ok(j) = json::parse(line) else { continue };
-        if j.get("rec").and_then(Json::as_str) != Some("anomaly") {
-            continue;
-        }
-        let Some(a) = decode_anomaly(&j) else {
-            continue;
-        };
-        out.push(a);
-    }
-    Ok(out)
+    let path = path.as_ref();
+    let bytes = std::fs::read(path)?;
+    let scan = scan_quarantine(path, &bytes)?;
+    Ok(scan
+        .records
+        .iter()
+        .filter_map(|r| decode_anomaly(&json::parse(std::str::from_utf8(r).ok()?).ok()?))
+        .collect())
 }
 
 fn decode_anomaly(j: &Json) -> Option<RunAnomaly> {
@@ -382,16 +402,16 @@ pub struct JournalSpec {
     /// Validate an existing journal and skip its completed runs instead of
     /// truncating it.
     pub resume: bool,
-    /// On-disk representation: CRC-framed binary (`.seaj`, the default) or
-    /// plain JSONL compatibility mode.
+    /// Always [`JournalFormat::Binary`], the only format; kept for the
+    /// benchmark's `JournalSpec` literal.
     pub format: JournalFormat,
     /// How often appended records are `fdatasync`ed.
     pub fsync: FsyncPolicy,
 }
 
 impl JournalSpec {
-    /// A fresh (non-resuming) journal in `dir` with the default binary
-    /// format and fsync cadence.
+    /// A fresh (non-resuming) journal in `dir` with the default fsync
+    /// cadence.
     pub fn new(dir: impl Into<PathBuf>) -> JournalSpec {
         JournalSpec {
             dir: dir.into(),
@@ -453,9 +473,9 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// The journal file for one (workload, kind, format) triple inside a
-/// journal dir.
-pub fn journal_file(dir: &Path, kind: &str, workload: &str, format: JournalFormat) -> PathBuf {
+/// The `.seaj` journal file for one (workload, kind) pair inside a journal
+/// dir.
+pub fn journal_file(dir: &Path, kind: &str, workload: &str) -> PathBuf {
     let slug: String = workload
         .chars()
         .map(|c| {
@@ -466,15 +486,13 @@ pub fn journal_file(dir: &Path, kind: &str, workload: &str, format: JournalForma
             }
         })
         .collect();
-    dir.join(format!("{slug}.{kind}.{}", format.extension()))
+    dir.join(format!("{slug}.{kind}.seaj"))
 }
 
 /// Write-side summary of one journal's life in this process — the row
 /// behind the post-run journal audit table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalAudit {
-    /// On-disk representation.
-    pub format: JournalFormat,
     /// Records appended by this handle.
     pub appended: u64,
     /// Records replayed from an existing journal on resume.
@@ -496,13 +514,11 @@ struct JournalInner {
 }
 
 /// An open append-only outcome journal backed by a [`DurableWriter`]:
-/// records are CRC32-framed (binary mode) or newline-terminated lines
-/// (JSONL mode), fsynced per the [`FsyncPolicy`], and written
+/// records are CRC32-framed, fsynced per the [`FsyncPolicy`], and written
 /// all-or-nothing so a crash or write fault always leaves a valid
 /// resumable prefix.
 pub struct Journal {
     inner: Mutex<JournalInner>,
-    format: JournalFormat,
     sub: Subsystem,
     appended: AtomicU64,
     resumed: u64,
@@ -512,27 +528,14 @@ pub struct Journal {
 
 impl Journal {
     /// Appends one entry line (the caller provides the serialized object,
-    /// without trailing newline). In binary mode the line bytes become a
-    /// framed record payload — which is what makes the JSONL export of a
-    /// binary journal byte-identical to a JSONL-mode journal.
+    /// without trailing newline) as a framed record payload.
     pub fn append(&self, line: &str) {
         if self.poisoned.load(Ordering::Relaxed) {
             return;
         }
         let mut inner = self.inner.lock();
-        let res = match self.format {
-            JournalFormat::Binary => {
-                let rec = sea_durable::encode_record(inner.next_seq, line.as_bytes());
-                inner.w.append(&rec)
-            }
-            JournalFormat::Jsonl => {
-                let mut bytes = Vec::with_capacity(line.len() + 1);
-                bytes.extend_from_slice(line.as_bytes());
-                bytes.push(b'\n');
-                inner.w.append(&bytes)
-            }
-        };
-        match res {
+        let rec = sea_durable::encode_record(inner.next_seq, line.as_bytes());
+        match inner.w.append(&rec) {
             Ok(()) => {
                 inner.next_seq += 1;
                 self.appended.fetch_add(1, Ordering::Relaxed);
@@ -564,7 +567,6 @@ impl Journal {
     pub fn audit(&self) -> JournalAudit {
         let stats = self.inner.lock().w.stats();
         JournalAudit {
-            format: self.format,
             appended: self.appended.load(Ordering::Relaxed),
             resumed: self.resumed,
             torn_bytes: self.torn_bytes,
@@ -667,12 +669,11 @@ fn journal_sub(kind: &str) -> Subsystem {
 /// plus the already-completed entry objects (empty for a fresh journal).
 ///
 /// On resume the header is validated against `header`, then the record
-/// region is walked with CRC/sequence validation (binary) or line parsing
-/// (JSONL). A torn or corrupt *tail* — a partial record from the crash, a
-/// flipped bit, a sequence gap — is truncated away with a warning and
-/// those runs are simply re-executed; only an untrustworthy header is a
-/// hard error. An existing but *empty* file (crashed before the header
-/// landed) is recreated fresh.
+/// region is walked with CRC/sequence validation. A torn or corrupt
+/// *tail* — a partial record from the crash, a flipped bit, a sequence
+/// gap — is truncated away with a warning and those runs are simply
+/// re-executed; only an untrustworthy header is a hard error. An existing
+/// but *empty* file (crashed before the header landed) is recreated fresh.
 ///
 /// # Errors
 ///
@@ -683,7 +684,7 @@ pub fn open_journal(
     header: &JournalHeader,
 ) -> Result<(Journal, Vec<Json>), JournalError> {
     std::fs::create_dir_all(&spec.dir).map_err(JournalError::Io)?;
-    let path = journal_file(&spec.dir, header.kind, &header.workload, spec.format);
+    let path = journal_file(&spec.dir, header.kind, &header.workload);
     let sub = journal_sub(header.kind);
     let existing = if spec.resume && path.exists() {
         std::fs::read(&path).map_err(JournalError::Io)?
@@ -699,87 +700,46 @@ pub fn open_journal(
     }
 
     if !existing.is_empty() {
+        let scan = sea_durable::scan(&existing).map_err(|e| match e {
+            SeajError::NotSeaj | SeajError::Version(_) => {
+                JournalError::Corrupt(format!("{}: {e}", path.display()))
+            }
+            SeajError::CorruptHeader(_) => JournalError::Corrupt(format!(
+                "{}: {e}; the campaign identity cannot be trusted",
+                path.display()
+            )),
+        })?;
+        let header_str = std::str::from_utf8(scan.header).map_err(|_| {
+            JournalError::Corrupt(format!("{}: header is not UTF-8", path.display()))
+        })?;
+        validate_header(header_str, header).map_err(JournalError::Header)?;
+        // Walk records tracking byte offsets so a CRC-valid but non-entry
+        // payload (should never happen) truncates too.
+        let record_bytes: usize = scan
+            .records
+            .iter()
+            .map(|r| r.len() + sea_durable::RECORD_OVERHEAD)
+            .sum();
+        let mut valid_len = scan.valid_len - record_bytes;
+        let mut next_seq = 1u64;
         let mut entries = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
-        let mut push_entry = |line: &str| -> bool {
-            let Ok(j) = json::parse(line) else {
-                return false;
+        for payload in &scan.records {
+            let Some(j) = std::str::from_utf8(payload)
+                .ok()
+                .and_then(|line| json::parse(line).ok())
+            else {
+                break;
             };
             let Some(i) = j.get("i").and_then(Json::as_u64) else {
-                return false;
+                break;
             };
             if i < header.total && seen.insert(i) {
                 entries.push(j);
             }
-            true
-        };
-
-        let (valid_len, next_seq) = match spec.format {
-            JournalFormat::Binary => {
-                let scan = sea_durable::scan(&existing).map_err(|e| match e {
-                    SeajError::NotSeaj | SeajError::Version(_) => {
-                        JournalError::Corrupt(format!("{}: {e}", path.display()))
-                    }
-                    SeajError::CorruptHeader(_) => JournalError::Corrupt(format!(
-                        "{}: {e}; the campaign identity cannot be trusted",
-                        path.display()
-                    )),
-                })?;
-                let header_str = std::str::from_utf8(scan.header).map_err(|_| {
-                    JournalError::Corrupt(format!("{}: header is not UTF-8", path.display()))
-                })?;
-                validate_header(header_str, header).map_err(JournalError::Header)?;
-                // Walk records tracking byte offsets so a CRC-valid but
-                // non-entry payload (should never happen) truncates too.
-                let record_bytes: usize = scan
-                    .records
-                    .iter()
-                    .map(|r| r.len() + sea_durable::RECORD_OVERHEAD)
-                    .sum();
-                let preamble = existing.len() - scan.torn_bytes - record_bytes;
-                let mut off = preamble;
-                let mut seq = 0u64;
-                for payload in &scan.records {
-                    let parsed = match std::str::from_utf8(payload) {
-                        Ok(line) => push_entry(line),
-                        Err(_) => false,
-                    };
-                    if !parsed {
-                        break;
-                    }
-                    off += payload.len() + sea_durable::RECORD_OVERHEAD;
-                    seq += 1;
-                }
-                (off, seq + 1)
-            }
-            JournalFormat::Jsonl => {
-                let text = String::from_utf8_lossy(&existing);
-                let header_end = match text.find('\n') {
-                    Some(nl) => nl + 1,
-                    None => {
-                        return Err(JournalError::Corrupt(format!(
-                            "{}: torn header line; the campaign identity cannot be trusted",
-                            path.display()
-                        )))
-                    }
-                };
-                validate_header(text[..header_end - 1].trim_end(), header)
-                    .map_err(JournalError::Header)?;
-                let mut off = header_end;
-                let mut replayed = 0u64;
-                while off < text.len() {
-                    let Some(nl) = text[off..].find('\n') else {
-                        break; // newline-less torn tail
-                    };
-                    if !push_entry(&text[off..off + nl]) {
-                        break; // unparseable line: truncate from here
-                    }
-                    replayed += 1;
-                    off += nl + 1;
-                }
-                (off, replayed + 1)
-            }
-        };
+            valid_len += payload.len() + sea_durable::RECORD_OVERHEAD;
+            next_seq += 1;
+        }
 
         let torn_bytes = (existing.len() - valid_len) as u64;
         if torn_bytes > 0 {
@@ -799,7 +759,6 @@ pub fn open_journal(
         return Ok((
             Journal {
                 inner: Mutex::new(JournalInner { w, next_seq }),
-                format: spec.format,
                 sub,
                 appended: AtomicU64::new(0),
                 resumed,
@@ -812,22 +771,15 @@ pub fn open_journal(
 
     // Fresh journal (or an empty leftover being recreated).
     let mut w = DurableWriter::create(&path, spec.fsync).map_err(JournalError::Io)?;
-    let line = header_line(header);
-    let bytes = match spec.format {
-        JournalFormat::Binary => sea_durable::encode_file_header(line.as_bytes()),
-        JournalFormat::Jsonl => {
-            let mut b = line.into_bytes();
-            b.push(b'\n');
-            b
-        }
-    };
-    w.append(&bytes).map_err(JournalError::Io)?;
+    w.append(&sea_durable::encode_file_header(
+        header_line(header).as_bytes(),
+    ))
+    .map_err(JournalError::Io)?;
     // The identity must survive a crash even under `--fsync none`.
     w.sync();
     Ok((
         Journal {
             inner: Mutex::new(JournalInner { w, next_seq: 1 }),
-            format: spec.format,
             sub,
             appended: AtomicU64::new(0),
             resumed: 0,
@@ -1233,12 +1185,63 @@ mod tests {
 
     #[test]
     fn journal_file_slugs_workload_names() {
-        let p = journal_file(Path::new("j"), "inject", "Jpeg C", JournalFormat::Binary);
+        let p = journal_file(Path::new("j"), "inject", "Jpeg C");
         assert_eq!(p, PathBuf::from("j/jpeg_c.inject.seaj"));
-        let p = journal_file(Path::new("j"), "beam", "CRC32", JournalFormat::Binary);
+        let p = journal_file(Path::new("j"), "beam", "CRC32");
         assert_eq!(p, PathBuf::from("j/crc32.beam.seaj"));
-        let p = journal_file(Path::new("j"), "inject", "CRC32", JournalFormat::Jsonl);
-        assert_eq!(p, PathBuf::from("j/crc32.inject.jsonl"));
+    }
+
+    fn anomaly(index: u64) -> RunAnomaly {
+        RunAnomaly {
+            index,
+            spec: InjectionSpec {
+                component: sea_microarch::Component::L1D,
+                bit: index,
+                cycle: 100 * index,
+            },
+            workload: "CRC32".to_string(),
+            seed: 1,
+            config_hash: 2,
+            golden_hash: 3,
+            attempts: 2,
+            deterministic: true,
+            panic_msg: format!("panic {index}"),
+            postmortem: "pc=0x8000".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_record_cut_mid_append_costs_only_that_record() {
+        let dir = std::env::temp_dir().join(format!("sea_quarantine_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("q.seaj");
+        let q = Quarantine::open(&path).unwrap();
+        q.record(&anomaly(1));
+        let one = std::fs::metadata(&path).unwrap().len();
+        q.record(&anomaly(2));
+        let two = std::fs::metadata(&path).unwrap().len();
+        drop(q);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..((one + two) / 2) as usize]).unwrap();
+
+        let q = Quarantine::open(&path).unwrap();
+        q.record(&anomaly(3));
+        drop(q);
+        assert_eq!(
+            load_quarantine(&path).unwrap(),
+            vec![anomaly(1), anomaly(3)]
+        );
+
+        // A file that is not a quarantine is refused and left as it was.
+        let journal = sea_durable::encode_file_header(br#"{"journal":"sea-campaign"}"#);
+        for other in [journal, b"{\"rec\":\"anomaly\"}\n".to_vec()] {
+            std::fs::write(&path, &other).unwrap();
+            assert!(Quarantine::open(&path).is_err());
+            assert!(load_quarantine(&path).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), other);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -20,8 +20,7 @@ use proptest::prelude::*;
 use sea_injection::supervisor::journal_file;
 use sea_injection::warp::{FASTPATH_UOP_HITS, WARP_HANDOFFS};
 use sea_injection::{
-    run_campaign, run_one, CampaignConfig, CampaignResult, InjectionSpec, JournalFormat,
-    JournalSpec,
+    run_campaign, run_one, CampaignConfig, CampaignResult, InjectionSpec, JournalSpec,
 };
 use sea_microarch::{Component, System};
 use sea_platform::{boot, golden_run_with_checkpoints, Board, CheckpointSet, GoldenRun, RunLimits};
@@ -74,7 +73,7 @@ fn campaign(w: Workload, built: &BuiltWorkload, mut cfg: CampaignConfig, dir: &P
     cfg.threads = 2;
     cfg.journal = Some(JournalSpec::new(dir));
     let result = run_campaign(w.name(), built, &cfg).unwrap();
-    let journal = journal_file(dir, "inject", w.name(), JournalFormat::Binary);
+    let journal = journal_file(dir, "inject", w.name());
     (fs::read(journal).unwrap(), result)
 }
 

@@ -9,7 +9,7 @@ use sea_durable::RECORD_OVERHEAD;
 use sea_injection::supervisor::journal_file;
 use sea_injection::{
     load_quarantine, run_campaign, run_one_caught, CampaignConfig, CampaignError, InjectionSpec,
-    JournalFormat, JournalSpec,
+    JournalSpec,
 };
 use sea_microarch::Component;
 use sea_workloads::{Scale, Workload};
@@ -40,7 +40,7 @@ fn deterministic_panic_hook(index: u64, _spec: &InjectionSpec) {
 #[test]
 fn panicking_run_is_quarantined_and_the_campaign_completes() {
     let dir = scratch("quarantine");
-    let qfile = dir.join("anomalies.jsonl");
+    let qfile = dir.join("anomalies.seaj");
     let w = Workload::Crc32.build(Scale::Tiny);
     let mut cfg = tiny_cfg();
     cfg.supervisor.panic_hook = Some(deterministic_panic_hook);
@@ -127,7 +127,7 @@ fn resumed_campaign_reproduces_the_uninterrupted_result() {
     let mut cfg = tiny_cfg();
     cfg.journal = Some(JournalSpec::new(dir.clone()));
     run_campaign("CRC32", &w, &cfg).unwrap();
-    let jpath = journal_file(&dir, "inject", "CRC32", JournalFormat::Binary);
+    let jpath = journal_file(&dir, "inject", "CRC32");
     let clean = fs::read(&jpath).unwrap();
     let scan = sea_durable::scan(&clean).unwrap();
     assert_eq!(scan.records.len(), 8, "8 outcome records");
@@ -167,43 +167,6 @@ fn resumed_campaign_reproduces_the_uninterrupted_result() {
 }
 
 #[test]
-fn resumed_jsonl_campaign_truncates_the_torn_tail_too() {
-    let dir = scratch("resume_jsonl");
-    let w = Workload::Crc32.build(Scale::Tiny);
-    let jsonl = JournalSpec {
-        format: JournalFormat::Jsonl,
-        ..JournalSpec::new(dir.clone())
-    };
-
-    let mut cfg = tiny_cfg();
-    cfg.journal = Some(jsonl.clone());
-    run_campaign("CRC32", &w, &cfg).unwrap();
-    let jpath = journal_file(&dir, "inject", "CRC32", JournalFormat::Jsonl);
-    let clean = fs::read(&jpath).unwrap();
-    let text = std::str::from_utf8(&clean).unwrap();
-    assert_eq!(text.lines().count(), 9, "header + 8 outcomes:\n{text}");
-    // Keep the header, four complete lines, and half of the fifth.
-    let cut = text.match_indices('\n').nth(4).map(|(i, _)| i + 1).unwrap() + 4;
-    fs::write(&jpath, &clean[..cut]).unwrap();
-
-    let mut cfg = tiny_cfg();
-    cfg.journal = Some(JournalSpec {
-        resume: true,
-        ..jsonl
-    });
-    let resumed = run_campaign("CRC32", &w, &cfg).unwrap();
-
-    assert_eq!(resumed.supervision.resumed, 4);
-    assert_eq!(resumed.supervision.completed, 8);
-    let audit = resumed.journal.expect("journal audit");
-    assert_eq!(audit.resumed, 4);
-    assert_eq!(audit.torn_bytes, 4);
-    assert_eq!(fs::read(&jpath).unwrap(), clean);
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn resume_recovers_the_prefix_before_a_flipped_record_byte() {
     let dir = scratch("bitflip");
     let w = Workload::Crc32.build(Scale::Tiny);
@@ -211,7 +174,7 @@ fn resume_recovers_the_prefix_before_a_flipped_record_byte() {
     let mut cfg = tiny_cfg();
     cfg.journal = Some(JournalSpec::new(dir.clone()));
     run_campaign("CRC32", &w, &cfg).unwrap();
-    let jpath = journal_file(&dir, "inject", "CRC32", JournalFormat::Binary);
+    let jpath = journal_file(&dir, "inject", "CRC32");
     let clean = fs::read(&jpath).unwrap();
     let scan = sea_durable::scan(&clean).unwrap();
     // Flip a byte inside the sixth record's payload: the record CRC must
@@ -245,7 +208,7 @@ fn resume_recovers_the_prefix_before_a_flipped_record_byte() {
 fn resume_of_an_empty_journal_restarts_cleanly() {
     let dir = scratch("empty");
     let w = Workload::Crc32.build(Scale::Tiny);
-    let jpath = journal_file(&dir, "inject", "CRC32", JournalFormat::Binary);
+    let jpath = journal_file(&dir, "inject", "CRC32");
     fs::write(&jpath, b"").unwrap();
 
     let mut cfg = tiny_cfg();
@@ -266,7 +229,7 @@ fn resume_of_an_empty_journal_restarts_cleanly() {
 fn resume_rejects_a_file_that_is_not_a_seaj_journal() {
     let dir = scratch("notseaj");
     let w = Workload::Crc32.build(Scale::Tiny);
-    let jpath = journal_file(&dir, "inject", "CRC32", JournalFormat::Binary);
+    let jpath = journal_file(&dir, "inject", "CRC32");
     fs::write(&jpath, b"this is not a journal, it is a text file\n").unwrap();
 
     let mut cfg = tiny_cfg();

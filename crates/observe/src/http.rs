@@ -275,25 +275,17 @@ fn journal_tail(stream: &mut TcpStream, query: &str) {
     };
     match std::fs::read(&path) {
         Ok(bytes) => {
-            // Binary `.seaj` journals are decoded to their lossless JSONL
-            // form first (magic-sniffed, so a `--journal-format jsonl`
-            // journal — or any plain-text file — is served as-is).
-            let text = if bytes.starts_with(&sea_durable::SEAJ_MAGIC) {
-                match sea_durable::export_jsonl(&bytes) {
-                    Ok(jsonl) => String::from_utf8_lossy(&jsonl).into_owned(),
-                    Err(_) => {
-                        respond(
-                            stream,
-                            "500 Internal Server Error",
-                            "text/plain",
-                            b"journal corrupt\n",
-                        );
-                        return;
-                    }
-                }
-            } else {
-                String::from_utf8_lossy(&bytes).into_owned()
+            // The `.seaj` journal is served as its lossless JSONL export.
+            let Ok(jsonl) = sea_durable::export_jsonl(&bytes) else {
+                respond(
+                    stream,
+                    "500 Internal Server Error",
+                    "text/plain",
+                    b"journal corrupt\n",
+                );
+                return;
             };
+            let text = String::from_utf8_lossy(&jsonl);
             let all: Vec<&str> = text.lines().collect();
             let start = all.len().saturating_sub(lines);
             let mut body = all[start..].join("\n");
@@ -478,6 +470,15 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A `.seaj` journal of three one-key records.
+    fn three_record_journal() -> Vec<u8> {
+        let mut bytes = sea_durable::encode_file_header(b"{\"journal\":\"sea\"}");
+        for (seq, line) in [(1u64, "{\"i\":0}"), (2, "{\"i\":1}"), (3, "{\"i\":2}")] {
+            bytes.extend_from_slice(&sea_durable::encode_record(seq, line.as_bytes()));
+        }
+        bytes
+    }
+
     #[test]
     fn status_metrics_and_journal_follow_the_hub() {
         let _guard = sea_trace::test_lock();
@@ -488,8 +489,8 @@ mod tests {
             "{\"state\":\"running\",\"done\":3}".into()
         })));
         hub::publish_metrics(Some(StdArc::new(|| "sea_campaign_runs_done 3\n".into())));
-        let path = std::env::temp_dir().join(format!("sea_observe_j_{}.jsonl", std::process::id()));
-        std::fs::write(&path, "{\"i\":0}\n{\"i\":1}\n{\"i\":2}\n").unwrap();
+        let path = std::env::temp_dir().join(format!("sea_observe_h_{}.seaj", std::process::id()));
+        std::fs::write(&path, three_record_journal()).unwrap();
         hub::publish_journal(Some(&path));
 
         let st = get(addr, "/status");
@@ -503,7 +504,7 @@ mod tests {
         let j = get(addr, "/journal/tail?lines=2");
         assert_eq!(body(&j), "{\"i\":1}\n{\"i\":2}\n");
         let all = get(addr, "/journal/tail");
-        assert_eq!(body(&all).lines().count(), 3);
+        assert_eq!(body(&all).lines().count(), 4); // header line + 3 records
 
         hub::publish_status(None);
         hub::publish_metrics(None);
@@ -522,10 +523,7 @@ mod tests {
         let addr = srv.addr();
 
         let path = std::env::temp_dir().join(format!("sea_observe_j_{}.seaj", std::process::id()));
-        let mut bytes = sea_durable::encode_file_header(b"{\"journal\":\"sea\"}");
-        for (seq, line) in [(1u64, "{\"i\":0}"), (2, "{\"i\":1}"), (3, "{\"i\":2}")] {
-            bytes.extend_from_slice(&sea_durable::encode_record(seq, line.as_bytes()));
-        }
+        let mut bytes = three_record_journal();
         // A torn tail must not break serving: the valid prefix is decoded.
         bytes.extend_from_slice(&7u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();

@@ -127,10 +127,10 @@ mod tests {
 
         publish_status(Some(Arc::new(|| "{\"state\":\"running\"}".to_string())));
         publish_metrics(Some(Arc::new(|| "sea_up 1\n".to_string())));
-        publish_journal(Some(Path::new("/tmp/x.jsonl")));
+        publish_journal(Some(Path::new("/tmp/x.seaj")));
         assert_eq!(status_document(), "{\"state\":\"running\"}");
         assert_eq!(metrics_document(), "sea_up 1\n");
-        assert_eq!(journal_path().unwrap(), Path::new("/tmp/x.jsonl"));
+        assert_eq!(journal_path().unwrap(), Path::new("/tmp/x.seaj"));
 
         publish_status(None);
         publish_metrics(None);

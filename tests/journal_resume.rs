@@ -4,11 +4,12 @@
 //! depend on the thread count: at two and four threads, a full run, a run
 //! cut mid-record — what a SIGKILL during an append leaves — and resumed,
 //! and a margin-stopped run all write exactly the one-thread bytes. And a
-//! binary journal's JSONL export is byte-identical to a JSONL-mode journal.
+//! journal's JSONL export is pinned to the bytes the retired JSONL writer
+//! wrote for the same campaign.
 
 use sea_core::durable::export_jsonl;
-use sea_core::injection::supervisor::journal_file;
-use sea_core::{JournalFormat, Scale, Study, Workload};
+use sea_core::injection::supervisor::{fnv1a, journal_file};
+use sea_core::{Scale, Study, Workload};
 use std::path::{Path, PathBuf};
 
 const W: Workload = Workload::Crc32;
@@ -51,12 +52,12 @@ impl Kind {
         let built = W.build(s.scale);
         match self {
             Kind::Inject => {
-                let cfg = s.injection_config_for(W);
+                let cfg = s.injection_config();
                 let r = sea_core::injection::run_campaign(W.name(), &built, &cfg).expect("run");
                 (format!("{:?}", r.per_component), r.supervision.resumed)
             }
             Kind::Beam => {
-                let cfg = s.beam_config_for(W);
+                let cfg = s.beam_config();
                 let r = sea_core::beam::run_session(W.name(), &built, &cfg, s.beam_strikes)
                     .expect("session");
                 let tallies = format!("{:?} {:?} {:e}", r.counts, r.by_origin, r.fluence);
@@ -65,8 +66,8 @@ impl Kind {
         }
     }
 
-    fn journal(self, dir: &Path, format: JournalFormat) -> PathBuf {
-        journal_file(dir, self.name(), W.name(), format)
+    fn journal(self, dir: &Path) -> PathBuf {
+        journal_file(dir, self.name(), W.name())
     }
 }
 
@@ -76,7 +77,7 @@ fn journaled(kind: Kind, mut s: Study, name: &str) -> ((String, u64), Vec<u8>) {
     let dir = temp_dir(&format!("{name}_{kind:?}_t{}", s.threads));
     s.journal_dir = Some(dir.clone());
     let results = kind.run(&s);
-    let bytes = std::fs::read(kind.journal(&dir, JournalFormat::Binary)).expect("journal");
+    let bytes = std::fs::read(kind.journal(&dir)).expect("journal");
     let _ = std::fs::remove_dir_all(&dir);
     (results, bytes)
 }
@@ -101,7 +102,7 @@ fn a_torn_journal_resumes_at_any_thread_count_to_the_one_thread_bytes() {
         for threads in [2, 4] {
             let dir = temp_dir(&format!("torn_{kind:?}_t{threads}"));
             kind.run(&study(threads, Some(&dir)));
-            let path = kind.journal(&dir, JournalFormat::Binary);
+            let path = kind.journal(&dir);
             let bytes = std::fs::read(&path).expect("journal");
             same_bytes(&bytes, &want, &format!("{kind:?} full, {threads} threads"));
             std::fs::write(&path, &bytes[..bytes.len() * 6 / 10]).expect("cut");
@@ -146,18 +147,24 @@ fn a_margin_stop_writes_the_one_thread_prefix_at_any_thread_count() {
     }
 }
 
+/// FNV-1a of the JSONL text of each kind's one-thread journal, as the
+/// retired JSONL writer wrote it. `journal export` must keep printing
+/// exactly these bytes.
+const JSONL_FNV: [(Kind, u64); 2] = [
+    (Kind::Inject, 0xe9fc_696a_381e_a3d7),
+    (Kind::Beam, 0xe6a5_ae4f_7cb2_cc5b),
+];
+
 #[test]
 fn a_binary_journal_exports_to_the_jsonl_journal_bytes() {
-    for kind in [Kind::Inject, Kind::Beam] {
-        let mut logs = Vec::new();
-        for format in [JournalFormat::Binary, JournalFormat::Jsonl] {
-            let dir = temp_dir(&format!("{format:?}_{kind:?}"));
-            let mut s = study(1, Some(&dir));
-            s.journal_format = format;
-            kind.run(&s);
-            logs.push(std::fs::read(kind.journal(&dir, format)).expect("journal"));
-        }
-        let exported = export_jsonl(&logs[0]).expect("binary journal");
-        assert_eq!(exported, logs[1], "{kind:?}: export differs from JSONL");
+    for (kind, want) in JSONL_FNV {
+        let (_, bytes) = journaled(kind, study(1, None), "export");
+        let exported = export_jsonl(&bytes).expect("binary journal");
+        assert_eq!(
+            fnv1a(&exported),
+            want,
+            "{kind:?}: the export of {} bytes differs from the pinned JSONL journal",
+            exported.len()
+        );
     }
 }

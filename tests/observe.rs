@@ -61,11 +61,11 @@ fn served_campaign_journal_is_byte_identical_and_endpoints_answer() {
     let built = w.build(Scale::Tiny);
 
     let plain_dir = temp_dir("plain");
-    let cfg = study(&plain_dir).injection_config_for(w);
+    let cfg = study(&plain_dir).injection_config();
     sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("plain campaign");
 
     let served_dir = temp_dir("served");
-    let mut cfg = study(&served_dir).injection_config_for(w);
+    let mut cfg = study(&served_dir).injection_config();
     cfg.serve = Some("127.0.0.1:0".to_string());
     let r = sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("served campaign");
 
@@ -123,12 +123,12 @@ fn early_stopped_journal_is_a_byte_prefix_within_margin() {
     let threshold = 0.35;
 
     let full_dir = temp_dir("full");
-    let mut cfg = study(&full_dir).injection_config_for(w);
+    let mut cfg = study(&full_dir).injection_config();
     cfg.samples_per_component = 30;
     sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("full campaign");
 
     let stopped_dir = temp_dir("stopped");
-    let mut cfg = study(&stopped_dir).injection_config_for(w);
+    let mut cfg = study(&stopped_dir).injection_config();
     cfg.samples_per_component = 30;
     cfg.stop_at_margin = Some(threshold);
     let r = sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("stopped campaign");
@@ -159,7 +159,7 @@ fn early_stopped_journal_is_a_byte_prefix_within_margin() {
     // journal is a valid restart point, not a corrupt artifact.
     let mut s = study(&stopped_dir);
     s.resume = true;
-    let mut cfg = s.injection_config_for(w);
+    let mut cfg = s.injection_config();
     cfg.samples_per_component = 30;
     let resumed = sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("resume");
     let total: u64 = resumed.per_component.iter().map(|c| c.counts.total()).sum();

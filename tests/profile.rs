@@ -120,7 +120,7 @@ fn predicted_vs_measured_avf_table_renders() {
     };
     let w = Workload::Crc32;
     let built = w.build(study.scale);
-    let cfg = study.injection_config_for(w);
+    let cfg = study.injection_config();
     let campaign =
         sea_core::injection::run_campaign(w.name(), &built, &cfg).expect("tiny campaign");
     let profile = study.profile_workload(w).expect("profile");
