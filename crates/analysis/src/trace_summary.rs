@@ -76,7 +76,13 @@ pub struct TierStats {
     /// Runs answered at the strike: the golden run never reads the struck
     /// cells again.
     pub dead_pruned: u64,
-    /// Runs ended as the golden run once their live state rejoined it.
+    /// Of those, runs whose struck line is read again but whose struck
+    /// byte is never consumed.
+    pub dead_pruned_bytes: u64,
+    /// Of those, runs that struck an invalid cache line or TLB entry (not
+    /// its valid bit).
+    pub dead_pruned_invalid: u64,
+    /// Runs cut at an epoch checkpoint whose live state they had rejoined.
     pub reconverged: u64,
     /// Golden cycles those runs left unsimulated.
     pub reconverge_cycles_saved: u64,
@@ -160,6 +166,8 @@ impl TraceSummary {
             t.fastpath_uop_hits += n("fastpath_uop_hits");
             t.fastpath_uop_misses += n("fastpath_uop_misses");
             t.dead_pruned += n("dead_pruned");
+            t.dead_pruned_bytes += n("dead_pruned_bytes");
+            t.dead_pruned_invalid += n("dead_pruned_invalid");
             t.reconverged += n("reconverged");
             t.reconverge_cycles_saved += n("reconverge_cycles_saved");
         }
@@ -230,7 +238,7 @@ impl TraceSummary {
         let t = &self.tier;
         if t.warp_campaigns + t.detailed_campaigns > 0 {
             out.push_str("\nexecution tiers\n");
-            let rows: [(&str, u64); 11] = [
+            let rows: [(&str, u64); 13] = [
                 ("warp campaigns", t.warp_campaigns),
                 ("detailed campaigns", t.detailed_campaigns),
                 ("warp handoffs", t.warp_handoffs),
@@ -240,6 +248,8 @@ impl TraceSummary {
                 ("fastpath µop hits", t.fastpath_uop_hits),
                 ("fastpath µop misses", t.fastpath_uop_misses),
                 ("dead-pruned runs", t.dead_pruned),
+                ("  unconsumed byte", t.dead_pruned_bytes),
+                ("  invalid entry", t.dead_pruned_invalid),
                 ("reconverged runs", t.reconverged),
                 ("suffix cycles saved", t.reconverge_cycles_saved),
             ];
@@ -416,7 +426,8 @@ mod tests {
              \"workload\":\"crc32\",\"tier\":\"warp\",\"warp_handoffs\":40,\
              \"warp_cursor_resets\":2,\"warp_prefix_cycles_saved\":90000,\
              \"warp_advance_cycles\":4500,\"fastpath_uop_hits\":800,\
-             \"fastpath_uop_misses\":20,\"dead_pruned\":57,\"reconverged\":31,\
+             \"fastpath_uop_misses\":20,\"dead_pruned\":57,\"dead_pruned_bytes\":9,\
+             \"dead_pruned_invalid\":6,\"reconverged\":31,\
              \"reconverge_cycles_saved\":700000}",
             "{\"ev\":\"injection.tier\",\"sub\":\"injection\",\"level\":\"info\",\
              \"workload\":\"matmul\",\"tier\":\"detailed\",\"warp_handoffs\":0,\
@@ -432,6 +443,8 @@ mod tests {
         assert_eq!(s.tier.warp_prefix_cycles_saved, 90000);
         assert_eq!(s.tier.fastpath_uop_hits, 800);
         assert_eq!(s.tier.dead_pruned, 57);
+        assert_eq!(s.tier.dead_pruned_bytes, 9);
+        assert_eq!(s.tier.dead_pruned_invalid, 6);
         assert_eq!(s.tier.reconverged, 31);
         assert_eq!(s.tier.reconverge_cycles_saved, 700000);
         let out = s.render();
@@ -439,6 +452,8 @@ mod tests {
         assert!(out.contains("warp handoffs"), "{out}");
         assert!(out.contains("prefix cycles saved"), "{out}");
         assert!(out.contains("dead-pruned runs"), "{out}");
+        assert!(out.contains("unconsumed byte"), "{out}");
+        assert!(out.contains("invalid entry"), "{out}");
         assert!(out.contains("reconverged runs"), "{out}");
     }
 

@@ -27,7 +27,7 @@ fn main() {
             eprintln!("  {w} / {name}...");
             let mut cfg = opts.study.injection_config();
             cfg.fault_model = model;
-            let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
+            let res = sea_bench::or_exit(w.name(), run_campaign(w.name(), &built, &cfg));
             let mut all = sea_core::ClassCounts::default();
             for c in &res.per_component {
                 all.masked += c.counts.masked;

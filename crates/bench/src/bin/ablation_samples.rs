@@ -18,7 +18,7 @@ fn main() {
         let mut cfg = opts.study.injection_config();
         cfg.samples_per_component = n;
         cfg.components = vec![Component::L1D];
-        let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
+        let res = sea_bench::or_exit(w.name(), run_campaign(w.name(), &built, &cfg));
         let c = res.component(Component::L1D);
         rows.push(vec![
             n.to_string(),

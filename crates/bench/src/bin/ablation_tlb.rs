@@ -18,7 +18,7 @@ fn main() {
         let mut cfg = opts.study.injection_config();
         cfg.components = vec![Component::ITlb, Component::DTlb];
         cfg.samples_per_component = cfg.samples_per_component.max(200);
-        let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
+        let res = sea_bench::or_exit(w.name(), run_campaign(w.name(), &built, &cfg));
         for c in &res.per_component {
             let tag = c.tag_counts;
             let data_total = c.counts.total() - tag.total();

@@ -16,7 +16,10 @@ fn main() {
     for fit_sys in [0.0, 13.0, 26.0, 52.0, 104.0] {
         let mut cfg = opts.study.beam_config();
         cfg.unmodeled.sigma_syscrash = fit_to_sigma(fit_sys);
-        let r = run_session(w.name(), &built, &cfg, opts.study.beam_strikes).expect("session");
+        let r = sea_bench::or_exit(
+            w.name(),
+            run_session(w.name(), &built, &cfg, opts.study.beam_strikes),
+        );
         rows.push(vec![
             format!("{fit_sys:.0}"),
             format!("{:.2}", r.fit(FaultClass::Sdc)),

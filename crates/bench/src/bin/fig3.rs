@@ -11,7 +11,10 @@ fn main() {
         eprintln!("  {w}...");
         let built = w.build(opts.study.scale);
         let cfg = opts.study.beam_config();
-        let r = run_session(w.name(), &built, &cfg, opts.study.beam_strikes).expect("session");
+        let r = sea_bench::or_exit(
+            w.name(),
+            run_session(w.name(), &built, &cfg, opts.study.beam_strikes),
+        );
         items.push((
             w.name().to_string(),
             vec![

@@ -13,7 +13,7 @@ fn main() {
         eprintln!("  {w}...");
         let built = w.build(opts.study.scale);
         let cfg = opts.study.injection_config();
-        let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
+        let res = sea_bench::or_exit(w.name(), run_campaign(w.name(), &built, &cfg));
         for c in &res.per_component {
             rows.push(vec![
                 w.name().to_string(),

@@ -13,7 +13,7 @@ fn main() {
         eprintln!("  {w}...");
         let built = w.build(opts.study.scale);
         let cfg = opts.study.injection_config();
-        let res = run_campaign(w.name(), &built, &cfg).expect("campaign");
+        let res = sea_bench::or_exit(w.name(), run_campaign(w.name(), &built, &cfg));
         let fit = fi_fit(&res, opts.study.fit_raw);
         items.push((
             w.name().to_string(),

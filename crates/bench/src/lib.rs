@@ -248,6 +248,16 @@ impl Drop for TraceSession {
     }
 }
 
+/// The value of a campaign or beam session, or — when it failed — the
+/// end of the process, as the `fleet` binary ends a failed study: one line
+/// `error: <workload>: <error>` on stderr and exit status 1, no panic.
+pub fn or_exit<T, E: std::fmt::Display>(workload: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {workload}: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Parses the common CLI flags from `std::env::args`.
 ///
 /// # Panics

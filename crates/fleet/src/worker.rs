@@ -167,6 +167,8 @@ impl Telemetry {
             &sea_injection::warp::FASTPATH_LATCH_HITS,
             &sea_injection::warp::FASTPATH_LINE_HITS,
             &sea_injection::DEAD_PRUNED,
+            &sea_injection::DEAD_PRUNED_BYTES,
+            &sea_injection::DEAD_PRUNED_INVALID,
             &sea_injection::RECONVERGED,
             &sea_injection::RECONVERGE_CYCLES_SAVED,
         ] {

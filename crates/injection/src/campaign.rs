@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use sea_kernel::KernelConfig;
-use sea_microarch::{ArrayKind, Component, FaultProbe, MachineConfig, RunEnd, System};
+use sea_microarch::{ArrayKind, Component, DeadCell, FaultProbe, MachineConfig, RunEnd, System};
 use sea_platform::{
     boot, classify, golden_run, golden_run_with_checkpoints, run_until_reconverged, Board,
     CheckpointSet, CheckpointStats, ClassCounts, FaultClass, GoldenRun, RunLimits,
@@ -32,9 +32,18 @@ static RUN_SIM_CYCLES: Histogram = Histogram::new("inject.run_sim_cycles");
 /// golden run never reads the struck cells again, so they were credited
 /// with the golden ending without being simulated at all.
 pub static DEAD_PRUNED: Counter = Counter::new("campaign.dead_pruned");
-/// Injected runs ended early by the reconvergence cut: their live state
-/// equalled the golden run's at the same cycle, so they were credited with
-/// the golden ending instead of being simulated to `exit()`.
+/// The share of [`DEAD_PRUNED`] that needed the byte-granular argument: a
+/// data bit of a line the golden run reads again, in a byte no CPU read
+/// consumes again ([`DeadCell::Unconsumed`]).
+pub static DEAD_PRUNED_BYTES: Counter = Counter::new("campaign.dead_pruned_bytes");
+/// The share of [`DEAD_PRUNED`] that needed the fill ledger: a cell of an
+/// invalid line or TLB entry other than its valid bit
+/// ([`DeadCell::Invalid`]).
+pub static DEAD_PRUNED_INVALID: Counter = Counter::new("campaign.dead_pruned_invalid");
+/// Injected runs ended early by the reconvergence cut at an epoch: their
+/// live state equalled the golden checkpoint's at the same cycle, so they
+/// were credited with the golden ending instead of being simulated to
+/// `exit()`.
 pub static RECONVERGED: Counter = Counter::new("campaign.reconverged");
 /// Golden cycles those runs left unsimulated (golden end − cut cycle).
 pub static RECONVERGE_CYCLES_SAVED: Counter = Counter::new("campaign.reconverge_cycles_saved");
@@ -349,8 +358,8 @@ pub(crate) fn machine_toward(
 /// Runs one injected execution: boots a fresh machine (or restores the
 /// nearest checkpoint), advances it to `spec.cycle`, flips the bit, and
 /// runs to a terminal state — or, with `ckpts`, only as far as one of the
-/// three early exits needs: none at all when the golden run never reads
-/// the struck cells again ([`dead_pruned`]), else to the first golden
+/// two early exits needs: no machine at all when the golden run never
+/// reads the struck cells again ([`dead_pruned`]), else to the first golden
 /// checkpoint the run has provably rejoined. `ckpts: None` is the uncut,
 /// from-reset reference every accelerated path is diffed against.
 pub fn run_one(
@@ -375,7 +384,7 @@ fn struck_bits(cfg: &CampaignConfig, spec: InjectionSpec, bits: u64) -> impl Ite
     (0..cfg.fault_model.width()).map(move |k| (spec.bit + k) % bits)
 }
 
-/// Dead-cell pruning, the first of the three early exits: when the sealed
+/// Dead-cell pruning, the first of the two early exits: when the sealed
 /// golden run reads none of the struck cells in any step from the strike
 /// on ([`sea_microarch::ReadHorizon`]), the struck machine can only finish
 /// as the golden run does, and the verdict is known without a flip, a
@@ -384,9 +393,10 @@ fn struck_bits(cfg: &CampaignConfig, spec: InjectionSpec, bits: u64) -> impl Ite
 /// struck cell is still live.
 ///
 /// The journal line still records what the struck cell held (`array`,
-/// `was_valid`), which only the golden machine at the strike boundary
-/// knows: it is read off this worker's cursor where it stands — no clone —
-/// or, without a cursor, off a restored machine stepped there.
+/// `was_valid`): the horizon's fill ledger knows that too, so no machine is
+/// acquired at all — unless provenance tracing wants the `dead@` record,
+/// which carries the golden machine's cycle and mode at the strike
+/// boundary.
 pub(crate) fn dead_pruned(
     workload: &BuiltWorkload,
     cfg: &CampaignConfig,
@@ -397,30 +407,34 @@ pub(crate) fn dead_pruned(
     let (_, golden) = ckpts?.golden_end(limits)?;
     let horizon = ckpts?.horizon()?;
     let bits = horizon.component_bits(spec.component);
-    if struck_bits(cfg, spec, bits).any(|b| horizon.reads_from(spec.component, b, spec.cycle)) {
-        return None;
+    let mut why = DeadCell::Unread;
+    for b in struck_bits(cfg, spec, bits) {
+        why = why.max(horizon.dead_at(spec.component, b, spec.cycle)?);
     }
-    let strike = |sys: &System<Board>| {
-        let site = sys.site_of(spec.component, spec.bit);
-        FaultProbe::dead(site, sys.cycles(), sys.cpu.cpsr.mode)
-    };
-    let probe = crate::warp::with_cursor_at(workload, cfg, ckpts, spec.cycle, strike)
-        .unwrap_or_else(|| {
-            let mut sys = machine_toward(workload, cfg, ckpts, spec.cycle);
-            while sys.cycles() < spec.cycle {
-                sys.step();
-            }
-            strike(&sys)
-        });
     DEAD_PRUNED.inc();
+    match why {
+        DeadCell::Unread => {}
+        DeadCell::Invalid => DEAD_PRUNED_INVALID.inc(),
+        DeadCell::Unconsumed => DEAD_PRUNED_BYTES.inc(),
+    }
+    let site = horizon.site_at(spec.component, spec.bit, spec.cycle);
     let class = classify(golden, &workload.golden);
     if sea_trace::enabled(Subsystem::Injection, Level::Info) {
+        let strike = |sys: &System<Board>| FaultProbe::dead(site, sys.cycles(), sys.cpu.cpsr.mode);
+        let probe = crate::warp::with_cursor_at(workload, cfg, ckpts, spec.cycle, strike)
+            .unwrap_or_else(|| {
+                let mut sys = machine_toward(workload, cfg, ckpts, spec.cycle);
+                while sys.cycles() < spec.cycle {
+                    sys.step();
+                }
+                strike(&sys)
+            });
         probe.emit_record(&class.to_string(), probe.flip_cycle, RunEnd::Dead);
     }
     Some(InjectionOutcome {
         spec,
-        array: probe.site.array,
-        was_valid: probe.site.was_valid,
+        array: site.array,
+        was_valid: site.was_valid,
         class,
     })
 }
@@ -462,16 +476,8 @@ pub(crate) fn inject_and_run(
                "wrapped" => b < spec.bit);
     }
     // Phase 2: run to a terminal state under the watchdog — or only until
-    // the machine has provably rejoined the golden path. A flip into a cell
-    // nothing reads (an invalid line or TLB entry) leaves it equal to this
-    // worker's fault-free cursor right here, with nothing to simulate.
-    let at_cursor = ckpts
-        .and_then(|c| c.golden_end(limits))
-        .filter(|_| crate::warp::cursor_converged(workload, cfg, sys));
-    let (outcome, saved) = match at_cursor {
-        Some((end, golden)) => (golden.clone(), Some(end.saturating_sub(sys.cycles()))),
-        None => run_until_reconverged(sys, limits, ckpts),
-    };
+    // the machine has provably rejoined the golden path at an epoch.
+    let (outcome, saved) = run_until_reconverged(sys, limits, ckpts);
     if let Some(saved) = saved {
         RECONVERGED.inc();
         RECONVERGE_CYCLES_SAVED.add(saved);
@@ -946,6 +952,8 @@ pub fn run_campaign(
            "fastpath_uop_hits" => crate::warp::FASTPATH_UOP_HITS.get(),
            "fastpath_uop_misses" => crate::warp::FASTPATH_UOP_MISSES.get(),
            "dead_pruned" => DEAD_PRUNED.get(),
+           "dead_pruned_bytes" => DEAD_PRUNED_BYTES.get(),
+           "dead_pruned_invalid" => DEAD_PRUNED_INVALID.get(),
            "reconverged" => RECONVERGED.get(),
            "reconverge_cycles_saved" => RECONVERGE_CYCLES_SAVED.get());
 

@@ -21,7 +21,7 @@ use sea_trace::{event, Level, Progress, Subsystem};
 
 use crate::campaign::{
     class_index, CampaignPlan, InjectionSpec, SupervisionStats, CLASS_LABELS, DEAD_PRUNED,
-    RECONVERGED, RECONVERGE_CYCLES_SAVED,
+    DEAD_PRUNED_BYTES, DEAD_PRUNED_INVALID, RECONVERGED, RECONVERGE_CYCLES_SAVED,
 };
 use crate::convergence::{status_document, ConvergenceTracker};
 use crate::supervisor::{
@@ -232,8 +232,18 @@ fn prom_document<P: RunPlan>(names: &Names, g: &P::Gauges, live: &Live) -> Strin
         DEAD_PRUNED.get(),
     );
     w.counter(
+        "sea_dead_pruned_bytes_total",
+        "Dead-pruned runs whose struck line is read again but whose struck byte is never consumed.",
+        DEAD_PRUNED_BYTES.get(),
+    );
+    w.counter(
+        "sea_dead_pruned_invalid_total",
+        "Dead-pruned runs that struck an invalid cache line or TLB entry, not its valid bit.",
+        DEAD_PRUNED_INVALID.get(),
+    );
+    w.counter(
         "sea_reconverged_total",
-        "Injected runs ended as the golden run once their live state rejoined it.",
+        "Injected runs cut at an epoch checkpoint whose live state they had rejoined.",
         RECONVERGED.get(),
     );
     w.counter(

@@ -31,7 +31,7 @@ pub use campaign::{
     acquire_golden_and_checkpoints, class_index, generate_specs, run_campaign, run_cycles_snapshot,
     run_one, verdict_line, CampaignConfig, CampaignError, CampaignPlan, CampaignResult,
     ComponentResult, FaultModel, InjectionOutcome, InjectionSpec, SupervisionStats, CLASS_LABELS,
-    DEAD_PRUNED, RECONVERGED, RECONVERGE_CYCLES_SAVED,
+    DEAD_PRUNED, DEAD_PRUNED_BYTES, DEAD_PRUNED_INVALID, RECONVERGED, RECONVERGE_CYCLES_SAVED,
 };
 pub use convergence::{ConvergenceTracker, StratumSnapshot};
 pub use drive::{drive, Driven, Live, RunPlan};

@@ -36,8 +36,9 @@ use sea_workloads::BuiltWorkload;
 use crate::campaign::CampaignConfig;
 use crate::supervisor::{config_hash, golden_hash};
 
-/// Runs whose prefix the cursor served instead of a fresh restore/boot: a
-/// clone of it, or — for a dead-pruned strike — just a look at it.
+/// Runs whose prefix the cursor served instead of a fresh restore/boot (a
+/// clone of it), plus — under provenance tracing only — the dead-pruned
+/// strikes whose `dead@` record was read off it.
 pub static WARP_HANDOFFS: Counter = Counter::new("campaign.warp_handoffs");
 /// Cursors discarded and re-seeded (target behind the cursor, a checkpoint
 /// ahead of it, or a different campaign on the same thread).
@@ -97,24 +98,6 @@ pub(crate) fn baseline(ckpts: Option<&CheckpointSet>, cycle: u64) -> u64 {
             .last()
             .copied()
             .unwrap_or(0)
-    })
-}
-
-/// True when this worker's cursor has the same live state as `sys`
-/// ([`System::converges_with`], cycle count included) and belongs to this
-/// campaign: the injected machine is still on the golden path, so its
-/// flip changed nothing any later step can read.
-pub(crate) fn cursor_converged(
-    workload: &BuiltWorkload,
-    cfg: &CampaignConfig,
-    sys: &System<Board>,
-) -> bool {
-    CURSOR.with(|slot| {
-        slot.borrow().as_ref().is_some_and(|c| {
-            // The hashes last: a live flip is rejected by a register
-            // compare before anything is hashed.
-            sys.converges_with(&c.sys) && c.key == (config_hash(cfg), golden_hash(workload))
-        })
     })
 }
 

@@ -2,15 +2,18 @@
 //! answers ("the golden run never reads these cells again") is also run
 //! uncut from reset with `platform::run`, and must end with the golden
 //! `RunOutcome` at exactly the golden cycle count — never having been
-//! read on the way. The production path must prune exactly the strikes the
-//! horizon calls dead, report the site a real flip would have reported, and
-//! agree with the from-reset campaign on every verdict, pruned or not.
+//! read on the way, or, for a byte the struck line holds but no CPU read
+//! consumes, never having made the core differ from the golden one at any
+//! step. The production path must prune exactly the strikes the horizon
+//! calls dead, report the site a real flip would have reported, and agree
+//! with the from-reset campaign on every verdict, pruned or not. The fill
+//! ledger the site comes from is checked against the golden machine itself.
 
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 use sea_injection::{run_one, CampaignConfig, FaultModel, InjectionSpec, DEAD_PRUNED};
-use sea_microarch::{ArrayKind, Cache, Component, System, Tlb};
+use sea_microarch::{ArrayKind, Cache, Component, DeadCell, System, Tlb};
 use sea_platform::{
     boot, golden_run_with_checkpoints, run, Board, CheckpointSet, FaultClass, GoldenRun, RunLimits,
     RunOutcome,
@@ -216,8 +219,40 @@ fn golden_at(f: &Fixture, cycle: u64) -> System<Board> {
     sys
 }
 
-/// One strike, checked every way: returns whether it was pruned.
-fn check(f: &Fixture, cell: Cell, model: FaultModel, pick: u64, within: u64, cycle: u64) -> bool {
+/// Steps the struck machine and an unstruck copy of the golden one together
+/// to the golden exit, and requires the core — registers, pc, cpsr, cycle
+/// count — to agree after every step: the corrupt byte is never consumed,
+/// so nothing it holds can reach the core.
+fn lockstep_to_exit(f: &Fixture, mut struck: System<Board>, mut golden: System<Board>) {
+    while golden.cycles() < f.golden.cycles {
+        struck.step();
+        golden.step();
+        let (a, b) = (&struck.cpu, &golden.cpu);
+        assert_eq!(
+            a.regs.words(),
+            b.regs.words(),
+            "registers at {}",
+            b.counters.cycles
+        );
+        assert_eq!(
+            (a.pc, a.cpsr),
+            (b.pc, b.cpsr),
+            "pc/cpsr at {}",
+            b.counters.cycles
+        );
+        assert_eq!(struck.cycles(), golden.cycles());
+    }
+}
+
+/// One strike, checked every way: returns why it was pruned, if it was.
+fn check(
+    f: &Fixture,
+    cell: Cell,
+    model: FaultModel,
+    pick: u64,
+    within: u64,
+    cycle: u64,
+) -> Option<DeadCell> {
     let mut sys = golden_at(f, cycle);
     let (component, bit) = strike_bit(&sys, cell, pick, within);
     let spec = InjectionSpec {
@@ -242,16 +277,24 @@ fn check(f: &Fixture, cell: Cell, model: FaultModel, pick: u64, within: u64, cyc
     let uncut = run_one(&f.built, &plain, None, spec, f.limits);
     prop_assert_eq!(cut, uncut, "{:?} {:?}", spec, model);
 
+    // The weakest argument any struck cell needed.
+    let why = cells
+        .iter()
+        .filter_map(|&b| horizon.dead_at(component, b, cycle))
+        .max()
+        .filter(|_| dead);
     if dead {
-        // The uncut run of a pruned strike is the golden run to `exit()`,
-        // and the provenance watch — armed at the accessors, not at the
-        // horizon's hooks — never sees the struck cell read.
+        // The uncut run of a pruned strike is the golden run to `exit()`.
+        let unstruck = sys.clone();
         let site = sys.flip_bit_probed(component, bit);
         for &b in &cells[1..] {
             sys.flip_bit(component, b);
         }
         prop_assert_eq!((cut.array, cut.was_valid), (site.array, site.was_valid));
         prop_assert_eq!(cut.class, FaultClass::Masked);
+        if why == Some(DeadCell::Unconsumed) {
+            lockstep_to_exit(f, sys.clone(), unstruck);
+        }
         prop_assert_eq!(
             run(&mut sys, f.limits),
             golden_exit(f),
@@ -260,10 +303,16 @@ fn check(f: &Fixture, cell: Cell, model: FaultModel, pick: u64, within: u64, cyc
             model
         );
         prop_assert_eq!(sys.cycles(), f.golden.cycles);
+        // The provenance watch — armed at the accessors, not at the
+        // horizon's hooks — never sees the struck cell read. It watches a
+        // whole line, so a byte-dead strike, whose line is read again, has
+        // the lockstep witness above instead.
         let probe = sys.take_probe().unwrap();
-        prop_assert!(!probe.activated(), "{:?} {:?}", spec, probe);
+        if why != Some(DeadCell::Unconsumed) {
+            prop_assert!(!probe.activated(), "{:?} {:?}", spec, probe);
+        }
     }
-    dead
+    why
 }
 
 proptest! {
@@ -285,16 +334,19 @@ proptest! {
 
 /// The property above is vacuous for a kind of cell the generators never
 /// prune, and toothless for one they always prune: every kind must yield
-/// both, on at least one workload. (Only FFT keeps FP registers live.)
+/// both, on at least one workload. (Only FFT keeps FP registers live.) And
+/// each of the three arguments must prune something, or its branch of the
+/// check above is never taken.
 #[test]
 fn every_kind_of_cell_yields_pruned_and_unpruned_strikes() {
+    let mut reasons = std::collections::BTreeSet::new();
     for (k, &cell) in CELLS.iter().enumerate() {
         let (mut pruned, mut live) = (0, 0);
         // A fixed low-discrepancy walk over (workload, word, bit, cycle).
         for n in 0..48u64 {
             let f = fixture((n % 4) as usize);
             let cycle = (n * 7919 + k as u64 * 104_729) * 1_000_003 % f.golden.cycles;
-            if check(
+            match check(
                 f,
                 cell,
                 FaultModel::SingleBit,
@@ -302,9 +354,11 @@ fn every_kind_of_cell_yields_pruned_and_unpruned_strikes() {
                 n * 40_503,
                 cycle,
             ) {
-                pruned += 1;
-            } else {
-                live += 1;
+                Some(why) => {
+                    pruned += 1;
+                    reasons.insert(why);
+                }
+                None => live += 1,
             }
             if pruned > 0 && live > 0 {
                 break;
@@ -314,6 +368,44 @@ fn every_kind_of_cell_yields_pruned_and_unpruned_strikes() {
             pruned > 0 && live > 0,
             "{cell:?}: {pruned} pruned, {live} live"
         );
+    }
+    assert_eq!(reasons.len(), 3, "arguments used: {reasons:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fill ledger is the golden machine's cache and TLB contents: at a
+    /// random cycle, every line's validity and address and every entry's
+    /// validity, read off the horizon, equal the machine's at that step
+    /// boundary, reached by restoring the nearest epoch and stepping.
+    #[test]
+    fn the_fill_ledger_is_the_golden_machines_contents(w in 0usize..4, cycle in any::<u64>()) {
+        let f = fixture(w);
+        let cycle = cycle % f.golden.cycles;
+        let horizon = f.ckpts.horizon().unwrap();
+        let mut sys = f.ckpts.restore_at(cycle).unwrap();
+        while sys.cycles() < cycle {
+            sys.step();
+        }
+        for c in [Component::L1I, Component::L1D, Component::L2] {
+            let cache = cache_of(&sys, c);
+            for line in 0..cache.lines() {
+                prop_assert_eq!(
+                    horizon.line_at(c, line, cycle),
+                    cache.line_addr(line),
+                    "{:?} line {} at {}",
+                    c,
+                    line,
+                    cycle
+                );
+            }
+        }
+        for c in [Component::ITlb, Component::DTlb] {
+            for bit in (0..sys.component_bits(c)).step_by(64) {
+                prop_assert_eq!(horizon.site_at(c, bit, cycle), sys.site_of(c, bit));
+            }
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 //! The read horizon: for every storage granule of the six injectable
-//! arrays, the last step of a fault-free run that *read* it.
+//! arrays, the last step of a fault-free run that *read* it; for every
+//! physical byte, the last step whose CPU read *consumed* it; and for every
+//! cache line and TLB entry, the ledger of what it held when.
 //!
 //! Dead-cell pruning in `sea-injection` asks it one question — does the
 //! golden run read this cell in any step that starts at or after cycle
@@ -9,7 +11,9 @@
 //! the cells it reads, so by induction over steps the struck machine
 //! executes the golden run's remaining steps exactly — writing the same
 //! values to the same places, which can only *remove* the difference —
-//! and ends as the golden run does. No simulation is needed to classify it.
+//! and ends as the golden run does. No simulation is needed to classify it,
+//! and [`ReadHorizon::site_at`] says what the struck cell held without a
+//! machine either.
 //!
 //! A granule is the unit a stamp covers; coarser is conservative. What
 //! stamps which granule (the recording hooks live in [`crate::profiler`],
@@ -19,6 +23,7 @@
 //! |---|---|---|
 //! | register file | word (r0–r12, `sp_usr`, `sp_svc`, `lr`, s0–s31) | every operand read, integer and FP, and `MRS SpUsr` |
 //! | cache, data bytes | line | every probe hit (load, fetch, refill to the level above; conservatively also a hit that only rewrites the line — a store, an L1D victim written into a resident L2 line — since the provenance watch calls every hit a touch), a write-back of the victim, clean-invalidate |
+//! | cache, data bytes | the physical byte the line holds | a load, an instruction fetch or a page-table walk that reads that byte, whichever level serves it |
 //! | cache, tag / valid / dirty | *set* | every probe of the set (its scan compares valid bits and tags way by way), the victim choice and dirty test that follow a miss, clean-invalidate |
 //! | TLB, PPN + permission bits `[19:0]`, `[43:41]` | entry | a lookup that hits the entry |
 //! | TLB, VPN + valid bits `[40:20]` | entry | every lookup whose scan reaches the slot (slots `0..=hit`, or all on a miss; the insert after a miss scans no further) |
@@ -28,13 +33,78 @@
 //! stamp nothing: they read no cell, and a later overwrite never un-reads
 //! an earlier read. Stamps are the starting cycle of the reading step plus
 //! one, so `0` means *never read*.
+//!
+//! A cell is dead at `c` when any of three arguments holds (the first that
+//! does is its [`DeadCell`] reason):
+//!
+//! 1. **Unread** — its granule's stamp is at or before `c`.
+//! 2. **Invalid** — its line or TLB entry is invalid at `c` (the fill
+//!    ledger says so) and it is not the valid bit. Every reader tests the
+//!    valid bit first — a probe, a victim choice, a write-back, a TLB scan
+//!    — and a fill or insert overwrites the tag, dirty bit, data and entry
+//!    word before it sets the valid bit again, so nothing reads the other
+//!    cells of an invalid line or entry before they are overwritten.
+//! 3. **Unconsumed** — it is a data bit of a line valid at `c`, and the
+//!    physical byte that line holds there is never consumed from `c` on.
+//!    Moving a line between levels — a refill, a write-back, an L1D victim
+//!    written into L2, clean-invalidate — copies its bytes to the *same*
+//!    physical address and decides nothing from their values: which line
+//!    moves where depends on tags, valid and dirty bits and LRU ranks only.
+//!    Stores replace bytes and never read them. So a corrupt byte, wherever
+//!    its copies travel, can change a step only through a CPU read of its
+//!    own address — a load, a fetch or a walk — and the byte stamp covers
+//!    all three. The line stamp is kept beside it, not replaced: a clean
+//!    eviction drops a corrupt copy before its address is read again, which
+//!    only the line stamp sees.
+//!
+//! The fill ledger records, per cache line, `(stamp, line address |
+//! invalid)` for the state at attach time and every fill and
+//! clean-invalidate after it, and per TLB entry `(stamp, valid)` for every
+//! insert and flush. The entry in force at a strike boundary `c` is the
+//! last one a step starting before `c` wrote (stamp `≤ c`).
 
-use crate::cache::Cache;
-use crate::fault::Component;
+use crate::cache::{ArrayKind, Cache};
+use crate::fault::{Component, InjectionSite};
+use crate::mmu::{PAGE_BYTES, PAGE_SHIFT};
 use crate::regfile::REGFILE_BITS;
+use crate::tlb::Tlb;
 
 /// Register-file words (the layout of [`crate::RegFile::flip_bit`]).
 const REG_WORDS: usize = (REGFILE_BITS / 32) as usize;
+
+/// The fill ledger's line address for "invalid": line bases are
+/// line-aligned, so bit 0 of a real one is clear.
+const INVALID: u32 = 1;
+
+/// Which argument calls a cell dead ([`ReadHorizon::dead_at`]), in the order
+/// they are tried. A strike of several cells is dead by the latest argument
+/// any of its cells needed (the maximum).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum DeadCell {
+    /// No step reads its granule from the strike on.
+    Unread,
+    /// Its cache line or TLB entry is invalid, and it is not the valid bit.
+    Invalid,
+    /// A data bit of a valid line whose physical byte no CPU read consumes
+    /// from the strike on.
+    Unconsumed,
+}
+
+/// A page of zero ("never consumed") stamps, allocated zeroed.
+#[cold]
+fn fresh_page() -> Box<Page> {
+    vec![0; PAGE_BYTES as usize]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page of stamps")
+}
+
+/// The ledger entry in force at the step boundary of `cycle`: the last one
+/// written by a step that started before `cycle`.
+fn in_force<T: Copy>(ledger: &[(u64, T)], cycle: u64) -> Option<T> {
+    let n = ledger.partition_point(|&(stamp, _)| stamp <= cycle);
+    n.checked_sub(1).map(|i| ledger[i].1)
+}
 
 /// Per-word read stamps of the register file.
 #[derive(Clone, Debug)]
@@ -50,31 +120,90 @@ impl RegHorizon {
     }
 }
 
-/// Read stamps of one cache. A set's tag, valid and dirty cells are read
-/// by every probe of the set, and every probe ends at one line of it — the
-/// line it hit, or the victim it chose — so both kinds of stamp are kept
-/// per line, one store per event, and a set's stamp is the latest over its
-/// ways.
+/// Per-physical-byte consumption stamps, one `u32` per byte in 4 KiB pages
+/// allocated on first touch. A stamp past `u32::MAX` saturates there, and a
+/// saturated stamp reads as "consumed later than any cycle" — conservative.
+#[derive(Clone, Debug)]
+pub(crate) struct ByteHorizon {
+    pages: Vec<Option<Box<Page>>>,
+}
+
+/// Consumption stamps of one 4 KiB page.
+type Page = [u32; PAGE_BYTES as usize];
+
+impl ByteHorizon {
+    pub(crate) fn new(mem_bytes: u32) -> ByteHorizon {
+        ByteHorizon {
+            pages: vec![None; mem_bytes.div_ceil(PAGE_BYTES) as usize],
+        }
+    }
+
+    /// A CPU read consumed `bytes` (1, 2 or 4, aligned, so within one page)
+    /// at `paddr`. Called for every load and fetch of a recorded run, so the
+    /// sizes are spelled out: each arm is a fixed-length store.
+    #[inline]
+    pub(crate) fn consume(&mut self, paddr: u32, bytes: u32, now: u64) {
+        let Some(slot) = self.pages.get_mut((paddr >> PAGE_SHIFT) as usize) else {
+            return;
+        };
+        let page = match slot {
+            Some(page) => page,
+            None => slot.insert(fresh_page()),
+        };
+        let stamp = now.min(u64::from(u32::MAX)) as u32;
+        let off = (paddr & (PAGE_BYTES - 1)) as usize;
+        match bytes {
+            4 => page[off & !3..][..4].fill(stamp),
+            2 => page[off & !1..][..2].fill(stamp),
+            _ => page[off] = stamp,
+        }
+    }
+
+    /// Does a CPU read consume the byte at `paddr` in a step that starts at
+    /// or after `cycle`?
+    fn consumed_from(&self, paddr: u32, cycle: u64) -> bool {
+        let stamp = self
+            .pages
+            .get((paddr >> PAGE_SHIFT) as usize)
+            .and_then(Option::as_deref)
+            .map_or(0, |page: &Page| page[(paddr & (PAGE_BYTES - 1)) as usize]);
+        stamp == u32::MAX || u64::from(stamp) > cycle
+    }
+}
+
+/// Read stamps and fill ledger of one cache. A set's tag, valid and dirty
+/// cells are read by every probe of the set, and every probe ends at one
+/// line of it — the line it hit, or the victim it chose — so both kinds of
+/// stamp are kept per line, one store per event, and a set's stamp is the
+/// latest over its ways.
 #[derive(Clone, Debug)]
 pub(crate) struct CacheHorizon {
     ways: usize,
     bits_per_line: u64,
     data_bits: u64,
+    tag_bits: u64,
     /// Per line: the last step that read its data bytes (a hit, or the
     /// write-back that evicted it).
     data: Vec<u64>,
     /// Per line: the last step whose missing probe chose it as the victim.
     evicted: Vec<u64>,
+    /// Per line, in stamp order: `(stamp, line base | INVALID)`.
+    ledger: Vec<Vec<(u64, u32)>>,
 }
 
 impl CacheHorizon {
     pub(crate) fn new(cache: &Cache) -> CacheHorizon {
+        let data_bits = 8 * u64::from(cache.line_bytes());
         CacheHorizon {
             ways: cache.ways() as usize,
             bits_per_line: cache.bits_per_line(),
-            data_bits: 8 * u64::from(cache.line_bytes()),
+            data_bits,
+            tag_bits: u64::from(cache.tag_bits()),
             data: vec![0; cache.lines() as usize],
             evicted: vec![0; cache.lines() as usize],
+            ledger: (0..cache.lines())
+                .map(|i| cache.line_addr(i).map(|a| (0, a)).into_iter().collect())
+                .collect(),
         }
     }
 
@@ -84,12 +213,16 @@ impl CacheHorizon {
     }
 
     /// A probe scanned the set of line `victim`, missed, and chose it for
-    /// eviction; `writeback` says its bytes were read out on the way.
-    pub(crate) fn miss(&mut self, victim: u32, writeback: bool, now: u64) {
-        self.evicted[victim as usize] = now;
+    /// eviction; `writeback` says its bytes were read out on the way. The
+    /// refill that follows in the same step installs the line of `paddr`.
+    pub(crate) fn miss(&mut self, victim: u32, paddr: u32, writeback: bool, now: u64) {
+        let v = victim as usize;
+        self.evicted[v] = now;
         if writeback {
-            self.data[victim as usize] = now;
+            self.data[v] = now;
         }
+        let line_bytes = (self.data_bits / 8) as u32;
+        self.ledger[v].push((now, paddr & !(line_bytes - 1)));
     }
 
     /// Clean-invalidate: every state cell is read and any dirty line is
@@ -97,10 +230,21 @@ impl CacheHorizon {
     /// made to tell which lines were dirty.
     pub(crate) fn flush_all(&mut self, now: u64) {
         self.data.fill(now);
+        for ledger in &mut self.ledger {
+            if ledger.last().is_some_and(|&(_, a)| a != INVALID) {
+                ledger.push((now, INVALID));
+            }
+        }
     }
 
     fn total_bits(&self) -> u64 {
         self.data.len() as u64 * self.bits_per_line
+    }
+
+    /// Base address of line `line` at the step boundary of `cycle`, `None`
+    /// while it is invalid.
+    fn line_at(&self, line: usize, cycle: u64) -> Option<u32> {
+        in_force(&self.ledger[line], cycle).filter(|&a| a != INVALID)
     }
 
     /// Stamp of the granule holding `bit` (layout of [`Cache::flip_bit`]).
@@ -116,12 +260,45 @@ impl CacheHorizon {
         };
         latest(&self.data).max(latest(&self.evicted))
     }
+
+    fn dead_at(&self, bit: u64, cycle: u64, bytes: &ByteHorizon) -> Option<DeadCell> {
+        if self.last_read(bit) <= cycle {
+            return Some(DeadCell::Unread);
+        }
+        let within = bit % self.bits_per_line;
+        match self.line_at((bit / self.bits_per_line) as usize, cycle) {
+            None if within != self.data_bits + self.tag_bits => Some(DeadCell::Invalid),
+            Some(base)
+                if within < self.data_bits
+                    && !bytes.consumed_from(base + (within / 8) as u32, cycle) =>
+            {
+                Some(DeadCell::Unconsumed)
+            }
+            _ => None,
+        }
+    }
+
+    /// What [`Cache::bit_info`] says of `bit` at the step boundary of
+    /// `cycle`.
+    fn site_at(&self, bit: u64, cycle: u64) -> (ArrayKind, bool) {
+        let within = bit % self.bits_per_line;
+        let array = if within < self.data_bits {
+            ArrayKind::Data
+        } else if within < self.data_bits + self.tag_bits {
+            ArrayKind::Tag
+        } else {
+            ArrayKind::State
+        };
+        let line = (bit / self.bits_per_line) as usize;
+        (array, self.line_at(line, cycle).is_some())
+    }
 }
 
-/// Read stamps of one TLB. A lookup scans the slots in order and reads the
-/// VPN and valid bits of each until one hits, so a slot's tag stamp is the
-/// latest over the last miss (which scanned them all) and the hits on
-/// itself and every later slot — one store per lookup, not one per slot.
+/// Read stamps and fill ledger of one TLB. A lookup scans the slots in
+/// order and reads the VPN and valid bits of each until one hits, so a
+/// slot's tag stamp is the latest over the last miss (which scanned them
+/// all) and the hits on itself and every later slot — one store per lookup,
+/// not one per slot.
 #[derive(Clone, Debug)]
 pub(crate) struct TlbHorizon {
     /// Per entry: the last lookup that hit it, reading its PPN and
@@ -130,13 +307,22 @@ pub(crate) struct TlbHorizon {
     /// The last lookup that missed. The insert that follows a successful
     /// walk happens in the same step and scans no further.
     miss: u64,
+    /// Per entry, in stamp order: `(stamp, valid)`.
+    ledger: Vec<Vec<(u64, bool)>>,
 }
 
 impl TlbHorizon {
-    pub(crate) fn new(entries: u32) -> TlbHorizon {
+    pub(crate) fn new(tlb: &Tlb) -> TlbHorizon {
+        let entries = (tlb.total_bits() / 64) as usize;
         TlbHorizon {
-            hit: vec![0; entries as usize],
+            hit: vec![0; entries],
             miss: 0,
+            ledger: (0..entries)
+                .map(|i| {
+                    let valid = tlb.bit_info(64 * i as u64).1;
+                    valid.then_some((0, true)).into_iter().collect()
+                })
+                .collect(),
         }
     }
 
@@ -150,6 +336,24 @@ impl TlbHorizon {
         self.miss = now;
     }
 
+    /// A walked translation was inserted into `slot`.
+    pub(crate) fn fill(&mut self, slot: usize, now: u64) {
+        self.ledger[slot].push((now, true));
+    }
+
+    /// Every entry was invalidated.
+    pub(crate) fn flush_all(&mut self, now: u64) {
+        for ledger in &mut self.ledger {
+            if ledger.last().is_some_and(|&(_, valid)| valid) {
+                ledger.push((now, false));
+            }
+        }
+    }
+
+    fn valid_at(&self, slot: usize, cycle: u64) -> bool {
+        in_force(&self.ledger[slot], cycle).unwrap_or(false)
+    }
+
     /// Stamp of the granule holding `bit` (layout of [`crate::TlbEntry`]).
     fn last_read(&self, bit: u64) -> u64 {
         let slot = (bit / 64) as usize;
@@ -157,6 +361,16 @@ impl TlbHorizon {
             0..=19 | 41..=43 => self.hit[slot],
             20..=40 => self.hit[slot..].iter().fold(self.miss, |a, &b| a.max(b)),
             _ => 0,
+        }
+    }
+
+    fn dead_at(&self, bit: u64, cycle: u64) -> Option<DeadCell> {
+        if self.last_read(bit) <= cycle {
+            Some(DeadCell::Unread)
+        } else if bit % 64 != 40 && !self.valid_at((bit / 64) as usize, cycle) {
+            Some(DeadCell::Invalid)
+        } else {
+            None
         }
     }
 }
@@ -172,6 +386,7 @@ pub struct ReadHorizon {
     pub(crate) l2: CacheHorizon,
     pub(crate) itlb: TlbHorizon,
     pub(crate) dtlb: TlbHorizon,
+    pub(crate) bytes: ByteHorizon,
     /// Stamp of the run's final step.
     pub(crate) last_step: u64,
 }
@@ -199,15 +414,80 @@ impl ReadHorizon {
     ///
     /// Panics if `bit` is outside the component.
     pub fn reads_from(&self, c: Component, bit: u64, cycle: u64) -> bool {
-        let last_read = match c {
-            Component::RegFile => self.regs.0[(bit / 32) as usize],
-            Component::L1I => self.l1i.last_read(bit),
-            Component::L1D => self.l1d.last_read(bit),
-            Component::L2 => self.l2.last_read(bit),
-            Component::ITlb => self.itlb.last_read(bit),
-            Component::DTlb => self.dtlb.last_read(bit),
-        };
+        self.dead_at(c, bit, cycle).is_none()
+    }
+
+    /// Why the cell at (`c`, `bit`) is dead at `cycle` — `None` exactly
+    /// when [`ReadHorizon::reads_from`] is `true`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the component.
+    pub fn dead_at(&self, c: Component, bit: u64, cycle: u64) -> Option<DeadCell> {
+        assert!(bit < self.component_bits(c), "{c} bit index out of range");
         // Stamps are start cycle + 1: `stamp > cycle` is `start >= cycle`.
-        self.last_step <= cycle || last_read > cycle
+        if self.last_step <= cycle {
+            return None;
+        }
+        match c {
+            Component::RegFile => {
+                (self.regs.0[(bit / 32) as usize] <= cycle).then_some(DeadCell::Unread)
+            }
+            Component::L1I => self.l1i.dead_at(bit, cycle, &self.bytes),
+            Component::L1D => self.l1d.dead_at(bit, cycle, &self.bytes),
+            Component::L2 => self.l2.dead_at(bit, cycle, &self.bytes),
+            Component::ITlb => self.itlb.dead_at(bit, cycle),
+            Component::DTlb => self.dtlb.dead_at(bit, cycle),
+        }
+    }
+
+    /// What [`crate::System::site_of`] reports for (`c`, `bit`) on the
+    /// tracked machine at the step boundary of `cycle` — the array from the
+    /// geometry, `was_valid` from the fill ledger — with no machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the component.
+    pub fn site_at(&self, c: Component, bit: u64, cycle: u64) -> InjectionSite {
+        assert!(bit < self.component_bits(c), "{c} bit index out of range");
+        let tlb = |h: &TlbHorizon| {
+            let array = if crate::TlbEntry::bit_is_tag((bit % 64) as u32) {
+                ArrayKind::Tag
+            } else {
+                ArrayKind::Data
+            };
+            (array, h.valid_at((bit / 64) as usize, cycle))
+        };
+        let (array, was_valid) = match c {
+            Component::RegFile => (ArrayKind::Data, true),
+            Component::L1I => self.l1i.site_at(bit, cycle),
+            Component::L1D => self.l1d.site_at(bit, cycle),
+            Component::L2 => self.l2.site_at(bit, cycle),
+            Component::ITlb => tlb(&self.itlb),
+            Component::DTlb => tlb(&self.dtlb),
+        };
+        InjectionSite {
+            component: c,
+            bit,
+            array,
+            was_valid,
+        }
+    }
+
+    /// Base address of line `line` of cache `c` at the step boundary of
+    /// `cycle`, `None` while it is invalid — the fill ledger's view of
+    /// [`Cache::line_addr`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a cache or `line` is outside it.
+    pub fn line_at(&self, c: Component, line: u32, cycle: u64) -> Option<u32> {
+        let cache = match c {
+            Component::L1I => &self.l1i,
+            Component::L1D => &self.l1d,
+            Component::L2 => &self.l2,
+            _ => panic!("{c} is not a cache"),
+        };
+        cache.line_at(line as usize, cycle)
     }
 }

@@ -56,7 +56,7 @@ pub use exception::{
 };
 pub use fastpath::{FastPathConfig, FastPathStats};
 pub use fault::{Component, InjectionSite};
-pub use horizon::ReadHorizon;
+pub use horizon::{DeadCell, ReadHorizon};
 pub use mem::{Device, NullDevice, PhysMemory, DEVICE_BASE};
 pub use memsys::MemSystem;
 pub use mmu::{

@@ -83,7 +83,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.miss(idx, wb.is_some(), ctr.cycles, p.now);
+                    p.l2.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, data)) = wb {
                     dram_write_line(&mut self.phys, addr, &data);
@@ -112,7 +112,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.miss(idx, wb.is_some(), ctr.cycles, p.now);
+                    p.l2.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, old)) = wb {
                     dram_write_line(&mut self.phys, addr, &old);
@@ -128,6 +128,9 @@ impl MemSystem {
     pub fn walk_read(&mut self, paddr: u32, ctr: &mut Counters) -> (u32, u32) {
         if self.mode == ExecMode::Atomic {
             return (self.phys.read(paddr, MemSize::Word), 1);
+        }
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.consume(paddr, 4);
         }
         let mut buf = vec![0u8; self.line as usize];
         let lat = self.l2_read_line(paddr, &mut buf, ctr);
@@ -150,6 +153,7 @@ impl MemSystem {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
                     p.l1d.hit(idx, ctr.cycles, p.now);
+                    p.consume(paddr, size.bytes());
                 }
                 (self.l1d.read(idx, paddr, size.bytes()), self.lat_l1)
             }
@@ -158,7 +162,8 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.miss(idx, wb.is_some(), ctr.cycles, p.now);
+                    p.l1d.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
+                    p.consume(paddr, size.bytes());
                 }
                 if let Some((addr, data)) = wb {
                     extra += self.l2_write_line(addr, &data, ctr);
@@ -192,7 +197,7 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.miss(idx, wb.is_some(), ctr.cycles, p.now);
+                    p.l1d.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
                 }
                 if let Some((addr, data)) = wb {
                     extra += self.l2_write_line(addr, &data, ctr);
@@ -218,6 +223,7 @@ impl MemSystem {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
                     p.l1i.hit(idx, ctr.cycles, p.now);
+                    p.consume(paddr, 4);
                 }
                 (self.l1i.read(idx, paddr, 4), self.lat_l1)
             }
@@ -225,7 +231,8 @@ impl MemSystem {
                 ctr.l1i_miss += 1;
                 let (idx, _) = self.l1i.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1i.miss(idx, false, ctr.cycles, p.now);
+                    p.l1i.miss(idx, paddr, false, ctr.cycles, p.now);
+                    p.consume(paddr, 4);
                 }
                 let mut buf = vec![0u8; self.line as usize];
                 let lat = self.l2_read_line(paddr, &mut buf, ctr);
@@ -249,6 +256,7 @@ impl MemSystem {
         ctr.l1i_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
             p.l1i.hit(idx, ctr.cycles, p.now);
+            p.consume(paddr, 4);
         }
         Some((self.l1i.read(idx, paddr, 4), self.lat_l1))
     }
@@ -268,6 +276,7 @@ impl MemSystem {
         ctr.l1d_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
             p.l1d.hit(idx, ctr.cycles, p.now);
+            p.consume(paddr, size.bytes());
         }
         Some((self.l1d.read(idx, paddr, size.bytes()), self.lat_l1))
     }
@@ -317,11 +326,6 @@ impl MemSystem {
 
     /// Cleans (writes back) and invalidates every cache level, top down.
     pub fn clean_invalidate_all(&mut self) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.l1i.flush_all(p.now);
-            p.l1d.flush_all(p.now);
-            p.l2.flush_all(p.now);
-        }
         let mut l1_spill: Vec<(u32, Vec<u8>)> = Vec::new();
         self.l1d
             .clean_invalidate_all(|addr, data| l1_spill.push((addr, data.to_vec())));
@@ -333,6 +337,13 @@ impl MemSystem {
         let phys = &mut self.phys;
         self.l2
             .clean_invalidate_all(|addr, data| dram_write_line(phys, addr, data));
+        // After the spill, whose L1D victims the L2 hooks saw land in L2:
+        // the fill ledger must end with every line invalid.
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.l1i.flush_all(p.now);
+            p.l1d.flush_all(p.now);
+            p.l2.flush_all(p.now);
+        }
     }
 
     /// Live-state equality (see [`crate::System::converges_with`]): the

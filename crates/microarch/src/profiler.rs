@@ -19,10 +19,10 @@
 //! [`Component`]: crate::Component
 
 use crate::cache::Cache;
-use crate::config::MachineConfig;
 use crate::counters::Counters;
-use crate::horizon::{CacheHorizon, RegHorizon, TlbHorizon};
+use crate::horizon::{ByteHorizon, CacheHorizon, RegHorizon, TlbHorizon};
 use crate::regfile::REGFILE_BITS;
+use crate::tlb::Tlb;
 use sea_profile::{PcSampler, SampleCounters, StructureReport, StructureResidency};
 use std::ops::{Deref, DerefMut};
 
@@ -164,14 +164,15 @@ impl Observer<CacheHorizon> {
         }
     }
 
-    /// A probe missed and line `victim` of the probed set is about to be
-    /// refilled; `writeback` says the victim's bytes were read out first.
-    pub(crate) fn miss(&mut self, victim: u32, writeback: bool, cycle: u64, now: u64) {
+    /// A probe of `paddr` missed and line `victim` of the probed set is
+    /// about to be refilled with it; `writeback` says the victim's bytes
+    /// were read out first.
+    pub(crate) fn miss(&mut self, victim: u32, paddr: u32, writeback: bool, cycle: u64, now: u64) {
         if let Some(r) = &mut self.residency {
             r.fill(victim as usize, cycle, writeback);
         }
         if let Some(h) = &mut self.horizon {
-            h.miss(victim, writeback, now);
+            h.miss(victim, paddr, writeback, now);
         }
     }
 
@@ -187,17 +188,17 @@ impl Observer<CacheHorizon> {
 }
 
 impl Observer<TlbHorizon> {
-    fn tlb(name: &'static str, entries: u32, horizon: bool) -> Self {
+    fn tlb(name: &'static str, tlb: &Tlb, horizon: bool) -> Self {
         let residency = || {
             StructureResidency::new(
                 name,
-                entries as usize,
+                (tlb.total_bits() / 64) as usize,
                 TLB_BITS_ACE,
                 TLB_BITS_AUX,
                 TLB_BITS_DEAD,
             )
         };
-        Observer::new(horizon, residency, || TlbHorizon::new(entries))
+        Observer::new(horizon, residency, || TlbHorizon::new(tlb))
     }
 
     /// A lookup hit entry `slot`.
@@ -218,16 +219,22 @@ impl Observer<TlbHorizon> {
     }
 
     /// The walked translation was inserted into `slot`.
-    pub(crate) fn fill(&mut self, slot: usize, cycle: u64) {
+    pub(crate) fn fill(&mut self, slot: usize, cycle: u64, now: u64) {
         if let Some(r) = &mut self.residency {
             r.fill(slot, cycle, false);
+        }
+        if let Some(h) = &mut self.horizon {
+            h.fill(slot, now);
         }
     }
 
     /// The TLB was flushed — a pure overwrite, nothing is read.
-    pub(crate) fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self, now: u64) {
         if let Some(r) = &mut self.residency {
             r.flush_all();
+        }
+        if let Some(h) = &mut self.horizon {
+            h.flush_all(now);
         }
     }
 }
@@ -249,10 +256,10 @@ pub(crate) struct SysProfiler {
 }
 
 impl SysProfiler {
-    /// Observers sized for `config`'s machine, recording the read horizon
+    /// Observers sized for the machine's TLBs, recording the read horizon
     /// when `horizon` is set and residency plus the per-PC profile
     /// otherwise.
-    pub(crate) fn new(config: &MachineConfig, horizon: bool) -> SysProfiler {
+    pub(crate) fn new(itlb: &Tlb, dtlb: &Tlb, horizon: bool) -> SysProfiler {
         SysProfiler {
             now: 0,
             pc: (!horizon).then(|| PcSampler::new(PC_SAMPLE_PERIOD)),
@@ -261,8 +268,8 @@ impl SysProfiler {
                 || StructureResidency::new("RF", (REGFILE_BITS / 32) as usize, 32, 0, 0),
                 RegHorizon::new,
             ),
-            itlb: Observer::tlb("ITLB", config.itlb_entries, horizon),
-            dtlb: Observer::tlb("DTLB", config.dtlb_entries, horizon),
+            itlb: Observer::tlb("ITLB", itlb, horizon),
+            dtlb: Observer::tlb("DTLB", dtlb, horizon),
         }
     }
 }
@@ -278,17 +285,36 @@ pub(crate) struct MemProfiler {
     pub(crate) l1d: Observer<CacheHorizon>,
     /// Unified L2 lines.
     pub(crate) l2: Observer<CacheHorizon>,
+    /// Per-physical-byte consumption stamps (read horizon only).
+    pub(crate) bytes: Option<ByteHorizon>,
 }
 
 impl MemProfiler {
-    /// Observers matching the three caches' geometry; `horizon` as for
-    /// [`SysProfiler::new`].
-    pub(crate) fn new(l1i: &Cache, l1d: &Cache, l2: &Cache, horizon: bool) -> MemProfiler {
+    /// Observers matching the three caches' geometry and `mem_bytes` of
+    /// DRAM; `horizon` as for [`SysProfiler::new`].
+    pub(crate) fn new(
+        l1i: &Cache,
+        l1d: &Cache,
+        l2: &Cache,
+        mem_bytes: u32,
+        horizon: bool,
+    ) -> MemProfiler {
         MemProfiler {
             now: 0,
             l1i: Observer::cache("L1I$", l1i, horizon),
             l1d: Observer::cache("L1D$", l1d, horizon),
             l2: Observer::cache("L2$", l2, horizon),
+            bytes: horizon.then(|| ByteHorizon::new(mem_bytes)),
+        }
+    }
+
+    /// A CPU read — a load, a fetch or a page-table walk — consumed
+    /// `bytes` at `paddr`. Fills, write-backs and clean-invalidate only copy
+    /// bytes between levels and never call this.
+    #[inline]
+    pub(crate) fn consume(&mut self, paddr: u32, bytes: u32) {
+        if let Some(b) = &mut self.bytes {
+            b.consume(paddr, bytes, self.now);
         }
     }
 }

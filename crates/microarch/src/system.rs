@@ -335,11 +335,12 @@ impl<D: Device> System<D> {
     // ----- observers -------------------------------------------------------
 
     fn observers_attach(&mut self, horizon: bool) {
-        *self.prof = Some(Box::new(SysProfiler::new(&self.cfg, horizon)));
+        *self.prof = Some(Box::new(SysProfiler::new(&self.itlb, &self.dtlb, horizon)));
         *self.mem.prof = Some(Box::new(MemProfiler::new(
             &self.mem.l1i,
             &self.mem.l1d,
             &self.mem.l2,
+            self.cfg.mem_bytes,
             horizon,
         )));
     }
@@ -396,6 +397,7 @@ impl<D: Device> System<D> {
             l2: memp.l2.horizon?,
             itlb: sysp.itlb.horizon?,
             dtlb: sysp.dtlb.horizon?,
+            bytes: memp.bytes?,
             last_step: sysp.now,
         })
     }
@@ -600,9 +602,9 @@ impl<D: Device> System<D> {
                     let cyc = self.cpu.counters.cycles;
                     if let Some(p) = self.prof.as_deref_mut() {
                         if is_fetch {
-                            p.itlb.fill(slot, cyc);
+                            p.itlb.fill(slot, cyc, p.now);
                         } else {
-                            p.dtlb.fill(slot, cyc);
+                            p.dtlb.fill(slot, cyc, p.now);
                         }
                     }
                 }
@@ -2034,8 +2036,8 @@ impl<D: Device> System<D> {
                         self.warp_flush();
                         if MODE == tier::REF {
                             if let Some(p) = self.prof.as_deref_mut() {
-                                p.itlb.flush_all();
-                                p.dtlb.flush_all();
+                                p.itlb.flush_all(p.now);
+                                p.dtlb.flush_all(p.now);
                             }
                         }
                     }
@@ -2058,8 +2060,8 @@ impl<D: Device> System<D> {
                             self.warp_flush();
                             if MODE == tier::REF {
                                 if let Some(p) = self.prof.as_deref_mut() {
-                                    p.itlb.flush_all();
-                                    p.dtlb.flush_all();
+                                    p.itlb.flush_all(p.now);
+                                    p.dtlb.flush_all(p.now);
                                 }
                             }
                         }

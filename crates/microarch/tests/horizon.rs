@@ -7,9 +7,10 @@
 use std::collections::BTreeMap;
 
 use sea_isa::{s, Asm, Cond, Insn, MemSize, Reg, SysReg};
+use sea_microarch::ArrayKind;
 use sea_microarch::{
-    l1_entry, pte, Component, MachineConfig, NullDevice, ReadHorizon, StepOutcome, System,
-    PTE_EXEC, PTE_VALID, PTE_WRITE,
+    l1_entry, pte, Component, DeadCell, MachineConfig, NullDevice, ReadHorizon, StepOutcome,
+    System, PTE_EXEC, PTE_VALID, PTE_WRITE,
 };
 
 const TTBR: u32 = 0x0000_4000;
@@ -198,10 +199,18 @@ fn a_cache_hit_stamps_the_line_and_a_refill_does_not() {
     // A line that was filled and never hit was never read ...
     let cold = t.line_bit(Component::L1D, DATA + 64);
     t.never_read(Component::L1D, cold);
-    // ... but its set was probed: the tag and state cells of all its ways.
+    // ... but its set was probed: the valid bits of all its ways. Its tag
+    // and dirty bit were cells of an invalid line until that probe's
+    // refill, which nothing reads.
     let per = t.sys.mem.l1d.bits_per_line();
-    t.last_read(Component::L1D, cold + per - 1, other);
-    t.last_read(Component::L1D, cold + per - 3, other);
+    t.last_read(Component::L1D, cold + per - 2, other);
+    let start = t.step_of[&other];
+    for bit in [cold + per - 1, cold + per - 3] {
+        assert_eq!(
+            t.horizon.dead_at(Component::L1D, bit, start),
+            Some(DeadCell::Invalid)
+        );
+    }
 }
 
 #[test]
@@ -256,8 +265,14 @@ fn a_tlb_lookup_stamps_the_entries_its_scan_reaches() {
     // scanned by the last miss.
     t.last_read(dtlb, 25, again);
     t.last_read(dtlb, 64 + 40, again);
-    t.last_read(dtlb, 2 * 64 + 25, third);
+    t.last_read(dtlb, 2 * 64 + 40, third);
     t.last_read(dtlb, 63 * 64 + 40, third);
+    // Slot 2's VPN was scanned by that miss too, but the slot was invalid
+    // until the insert that followed it.
+    assert_eq!(
+        t.horizon.dead_at(dtlb, 2 * 64 + 25, t.step_of[&third]),
+        Some(DeadCell::Invalid)
+    );
     // Unimplemented cells have no reader.
     t.never_read(dtlb, 64 + 44);
     t.never_read(dtlb, 63);
@@ -265,6 +280,144 @@ fn a_tlb_lookup_stamps_the_entries_its_scan_reaches() {
     assert!(t
         .horizon
         .reads_from(Component::ITlb, 3, t.step_of[&again] + 1));
+}
+
+#[test]
+fn a_byte_no_read_consumes_is_dead_in_a_line_read_again() {
+    let (mut second, mut third) = (0, 0);
+    let t = traced(|a| {
+        a.mov32(Reg::R2, DATA);
+        a.ldr(Reg::R0, Reg::R2, 0); // fills the line, consumes bytes 0–3
+        second = a.here();
+        a.ldr(Reg::R1, Reg::R2, 0); // hits the line, consumes bytes 0–3
+        third = a.here();
+        a.ldr(Reg::R1, Reg::R2, 8); // hits the line, consumes bytes 8–11
+    });
+    let l1d = Component::L1D;
+    let line = t.line_bit(l1d, DATA);
+    let at = t.step_of[&second];
+    // The line is hit again, so its granule is live; byte 1 is consumed
+    // again, byte 5 never is, and byte 9 only by the third load.
+    assert!(t.horizon.reads_from(l1d, line + 8 + 3, at));
+    assert_eq!(
+        t.horizon.dead_at(l1d, line + 5 * 8, at),
+        Some(DeadCell::Unconsumed)
+    );
+    t.last_read(l1d, line + 9 * 8, third);
+    // Tag and state cells are not bytes: the set stamp alone decides.
+    let per = t.sys.mem.l1d.bits_per_line();
+    assert!(t.horizon.reads_from(l1d, line + per - 1, at));
+}
+
+#[test]
+fn fetches_and_walks_consume_the_bytes_they_read() {
+    let mut second = 0;
+    let t = traced(|a| {
+        a.mov32(Reg::R2, DATA);
+        a.ldr(Reg::R0, Reg::R2, 0); // walks: PTE for DATA's page
+        a.mov32(Reg::R3, DATA + 0x1000);
+        second = a.here();
+        a.ldr(Reg::R0, Reg::R3, 0); // walks: the next PTE, same L2 line
+        a.mov_imm(Reg::R4, 1);
+    });
+    let l2 = Component::L2;
+    let at = t.step_of[&second];
+    // DATA lies in the fourth MiB, page 0; the two PTEs are adjacent words
+    // of one L2 line, which the second walk hits. Only its own PTE is read.
+    let pte = L2_POOL + 3 * 0x400;
+    let line = t.line_bit(l2, pte);
+    t.last_read(l2, line + 4 * 8, second);
+    assert_eq!(t.horizon.dead_at(l2, line, at), Some(DeadCell::Unconsumed));
+    // The first code line holds the whole program up to the last two
+    // instructions and is hit by every fetch from it: the second load's
+    // word is fetched at `at`, the first instruction's never again.
+    let l1i = Component::L1I;
+    let cache = &t.sys.mem.l1i;
+    let code = u64::from(cache.find_line(sea_isa::TEXT_BASE).unwrap()) * cache.bits_per_line();
+    assert!(t.horizon.reads_from(l1i, code + u64::from(second) * 8, at));
+    assert_eq!(t.horizon.dead_at(l1i, code, at), Some(DeadCell::Unconsumed));
+}
+
+#[test]
+fn the_fill_ledger_follows_fills_and_flushes() {
+    let (mut flush, mut reload) = (0, 0);
+    let t = traced(|a| {
+        a.mov32(Reg::R2, DATA);
+        a.mov_imm(Reg::R5, 3);
+        a.ldr(Reg::R0, Reg::R2, 0);
+        flush = a.here();
+        a.msr(SysReg::CacheOp, Reg::R5); // clean-invalidate + TLB flush
+        reload = a.here();
+        a.ldr(Reg::R0, Reg::R2, 0);
+    });
+    let (l1d, dtlb) = (Component::L1D, Component::DTlb);
+    let cache = &t.sys.mem.l1d;
+    let idx = cache.find_line(DATA).unwrap();
+    let tag = u64::from(idx) * cache.bits_per_line() + 8 * u64::from(cache.line_bytes());
+    let (before, filled, flushed) = (0, t.step_of[&flush], t.step_of[&reload]);
+    let base = Some(DATA & !(cache.line_bytes() - 1));
+    assert_eq!(t.horizon.line_at(l1d, idx, before), None);
+    assert_eq!(t.horizon.line_at(l1d, idx, filled), base);
+    assert_eq!(t.horizon.line_at(l1d, idx, flushed), None);
+    assert_eq!(t.horizon.line_at(l1d, idx, flushed + 1), base);
+    // An invalid line's tag is dead, though its set is probed again; its
+    // valid bit is not. The site says what a flip there would report.
+    assert_eq!(
+        t.horizon.dead_at(l1d, tag, flushed),
+        Some(DeadCell::Invalid)
+    );
+    assert!(t
+        .horizon
+        .reads_from(l1d, tag + u64::from(cache.tag_bits()), flushed));
+    let site = t.horizon.site_at(l1d, tag, flushed);
+    assert_eq!((site.array, site.was_valid), (ArrayKind::Tag, false));
+    assert!(t.horizon.site_at(l1d, tag, filled).was_valid);
+    // DATA's translation sat in a DTLB slot until the flush.
+    let slot = 64
+        * (0..64)
+            .find(|&s| t.horizon.site_at(dtlb, 64 * s, filled).was_valid)
+            .unwrap();
+    assert!(!t.horizon.site_at(dtlb, slot, flushed).was_valid);
+    // Its VPN is scanned by the reload's miss, but the entry is invalid.
+    assert_eq!(
+        t.horizon.dead_at(dtlb, slot + 25, flushed),
+        Some(DeadCell::Invalid)
+    );
+    assert!(t.horizon.site_at(dtlb, slot, flushed + 1).was_valid);
+}
+
+#[test]
+fn clean_invalidate_leaves_every_line_invalid_in_the_ledger() {
+    let mut after = 0;
+    let t = traced(|a| {
+        a.mov32(Reg::R2, DATA);
+        a.mov_imm(Reg::R0, 0x5A);
+        a.str(Reg::R0, Reg::R2, 0);
+        // Eight lines of DATA's L2 set (64 KiB apart, so of its L1D set
+        // too) push DATA out of L2; touching DATA after each keeps it in
+        // L1D, dirty.
+        for k in 1..=8u32 {
+            a.mov32(Reg::R3, DATA + k * 0x1_0000);
+            a.ldr(Reg::R1, Reg::R3, 0);
+            a.ldr(Reg::R1, Reg::R2, 0);
+        }
+        a.mov_imm(Reg::R5, 1);
+        // The spill misses in L2 and fills a line there before the
+        // whole hierarchy is invalidated.
+        a.msr(SysReg::CacheOp, Reg::R5);
+        after = a.here();
+        a.mov_imm(Reg::R5, 0);
+    });
+    let at = t.step_of[&after];
+    for (c, cache) in [
+        (Component::L1I, &t.sys.mem.l1i),
+        (Component::L1D, &t.sys.mem.l1d),
+        (Component::L2, &t.sys.mem.l2),
+    ] {
+        for line in 0..cache.lines() {
+            assert_eq!(t.horizon.line_at(c, line, at), None, "{c:?} line {line}");
+        }
+    }
 }
 
 #[test]
