@@ -103,12 +103,6 @@ pub struct BeamConfig {
     /// strike's machine. A runtime-only knob like `checkpoint_interval`:
     /// bit-exact by construction, excluded from the session hash.
     pub fast_path: bool,
-    /// Serve each strike's machine from a per-worker warp cursor (see
-    /// `sea_injection::warp`) instead of re-simulating the fault-free
-    /// prefix. A runtime-only knob like `fast_path`: cursor clones are
-    /// bit-equivalent to from-reset machines, excluded from the session
-    /// hash.
-    pub warp: bool,
     /// Bind address for the live observability server (`None` = no
     /// server). A runtime-only knob like `threads`: it is excluded from
     /// the session hash and a served session writes a byte-identical
@@ -142,7 +136,6 @@ impl Default for BeamConfig {
             journal: None,
             checkpoint_interval: 0,
             fast_path: false,
-            warp: false,
             serve: None,
             stop_at_margin: None,
         }

@@ -223,7 +223,10 @@ impl<'a> BeamPlan<'a> {
             fast_path: cfg.fast_path,
             serve: cfg.serve.clone(),
             stop_at_margin: cfg.stop_at_margin,
-            warp: cfg.warp,
+            // Strikes arrive in sampling order, not cycle order, so a
+            // cursor would be re-seeded on almost every hand-off and add a
+            // clone to the restore + advance every strike pays anyway.
+            warp: false,
         };
         let id = RunIdentity {
             workload: name.to_string(),

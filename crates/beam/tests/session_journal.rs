@@ -77,7 +77,6 @@ fn checkpointed_sessions_write_the_from_reset_log() {
         let mut cfg = config(&temp_dir(&format!("ckpt_{w}")));
         cfg.checkpoint_interval = 8_192;
         cfg.fast_path = true;
-        cfg.warp = true;
         let (ckpt, ckpt_log) = session(w, &built, &cfg);
         assert!(ckpt.checkpoints.is_some_and(|s| s.epochs > 0), "{w}");
         assert_eq!(reset_log, ckpt_log, "{w}: checkpointing changed the log");

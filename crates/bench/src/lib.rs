@@ -41,7 +41,8 @@
 //!
 //! Speed (see README "Performance"): by default every run is served from
 //! the fast path (µop cache + translation latches), a per-worker warp
-//! cursor and in-memory golden-run epoch checkpoints every ~65,536 cycles,
+//! cursor (injection campaigns only) and in-memory golden-run epoch
+//! checkpoints at an initial stride of 65,536 cycles,
 //! which also arm the reconvergence cut and dead-cell pruning. All of it
 //! is journal-neutral. `--reference` switches the three off, so every run
 //! boots from reset on the reference tier — the differential oracle.

@@ -62,8 +62,10 @@ impl std::fmt::Display for StudyError {
 impl std::error::Error for StudyError {}
 
 /// Initial epoch interval of the default in-memory checkpoints, in
-/// cycles. The epoch recorder's cap of 32 checkpoints adapts the stride to
-/// the golden run's actual length.
+/// cycles. The epoch recorder only ever doubles the stride (when it hits
+/// its cap of 32 checkpoints); it never shortens it. A golden run shorter
+/// than the interval keeps only the cycle-0 epoch: tiny CRC32 runs
+/// 50,918 cycles, so it gets one.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 65_536;
 
 /// Configuration of a full reproduction study.
@@ -132,7 +134,8 @@ pub struct Study {
     /// prefix from the nearest checkpoint (or reset). Bit-exact like
     /// `fast_path` — the cursor clone is bit-equivalent to a from-reset
     /// machine by the determinism contract — so journals and verdicts are
-    /// byte-identical either way; a pure speed knob (default on).
+    /// byte-identical either way; a pure speed knob (default on). Steers
+    /// injection campaigns only: beam sessions never use the cursor.
     pub warp: bool,
     /// Bind address for the live observability HTTP server (e.g.
     /// `127.0.0.1:9099`; `None` = no server). Serves `/status`,
@@ -246,7 +249,6 @@ impl Study {
             journal: self.journal_spec(),
             checkpoint_interval: self.checkpoint_interval,
             fast_path: self.fast_path,
-            warp: self.warp,
             serve: self.serve.clone(),
             stop_at_margin: self.stop_at_margin,
             ..BeamConfig::default()

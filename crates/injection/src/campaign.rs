@@ -224,7 +224,9 @@ pub struct CampaignConfig {
     pub journal: Option<JournalSpec>,
     /// Initial epoch interval, in cycles, of the in-memory checkpoints the
     /// golden run captures (0 = off: every run boots from reset). The
-    /// recorder adapts the stride to the golden run's actual length.
+    /// recorder only ever doubles the stride, at its cap of 32
+    /// checkpoints; a golden run shorter than the interval keeps only the
+    /// cycle-0 epoch.
     ///
     /// A runtime-only knob, like `threads`: it changes how fast a campaign
     /// runs, never what it computes, so it is excluded from the campaign

@@ -3,13 +3,13 @@
 //! Campaign wall-clock is dominated by the fault-free prefix — every run
 //! must land on the golden path at its strike cycle before the flip, and
 //! with sparse (or no) checkpoints that means re-simulating the same
-//! prefix over and over. The microarch warp tier (fused-trace functional
-//! execution) cannot serve that prefix directly: its timing and residency
-//! are approximate, and campaign journals are a *byte-exact* contract.
+//! prefix over and over. Campaign journals are a *byte-exact* contract, so
+//! the prefix can only be skipped by something bit-exact; this cursor is
+//! the only "warp" in the stack, and it steps the detailed model itself.
 //!
-//! The cursor closes the gap with the determinism contract instead: each
-//! worker thread keeps one long-lived fault-free machine — the **cursor**
-//! — pinned to the golden path. Specs are cycle-sorted and workers claim
+//! The cursor relies on the determinism contract: each worker thread
+//! keeps one long-lived fault-free machine — the **cursor** — pinned to
+//! the golden path. Specs are cycle-sorted and workers claim
 //! contiguous ascending index blocks, so across a block the cursor only
 //! ever moves *forward*; reaching the next strike cycle costs the delta
 //! from the previous one, not the whole prefix. The run's machine is then
@@ -158,8 +158,39 @@ pub(crate) fn with_cursor_at<R>(
 mod tests {
     use super::*;
 
+    use sea_platform::golden_run_with_checkpoints;
+    use sea_workloads::{Scale, Workload};
+
     #[test]
     fn baseline_picks_nearest_epoch_at_or_before() {
         assert_eq!(baseline(None, 1234), 0);
+        let cfg = CampaignConfig::default();
+        let w = Workload::Crc32.build(Scale::Tiny);
+        let (_, set) = golden_run_with_checkpoints(
+            cfg.machine,
+            &w.image,
+            &cfg.kernel,
+            cfg.golden_budget_cycles,
+            8_192,
+        )
+        .expect("tiny CRC32 golden run");
+        let e = set.epoch_cycles();
+        assert!(e.len() >= 3 && e[0] == 0, "epochs {e:?}");
+        let last = *e.last().expect("epochs");
+        let ckpts = Some(&set);
+        assert_eq!(
+            baseline(ckpts, e[1] - 1),
+            0,
+            "before the first non-zero epoch"
+        );
+        assert_eq!(baseline(ckpts, e[1]), e[1], "exactly on an epoch");
+        let mid = (e[1] + e[2]) / 2;
+        assert!(e[1] < mid && mid < e[2]);
+        assert_eq!(baseline(ckpts, mid), e[1], "between two epochs");
+        assert_eq!(
+            baseline(ckpts, last + 1_000_000),
+            last,
+            "past the last epoch"
+        );
     }
 }

@@ -4,12 +4,9 @@
 //! journaled campaign, from reset or checkpointed, writes the reference
 //! tier's journal bytes.
 //!
-//! (The functional warp tier's own bar — architectural lockstep with
-//! detailed stepping across SMC, mode changes and TLB flushes — lives in
-//! `sea-microarch/tests/warp.rs`. This file holds the handoff bar: a
-//! machine cloned off the fault-free cursor is *bit-exact* detailed
-//! state, indistinguishable from stepping a fresh boot to the same
-//! cycle.)
+//! (The handoff bar: a machine cloned off the fault-free cursor is
+//! *bit-exact* detailed state, indistinguishable from stepping a fresh
+//! boot to the same cycle.)
 
 mod equivalence;
 

@@ -149,7 +149,6 @@ impl<D: Device> System<D> {
     /// Panics if `bit >= component_bits(c)`.
     pub fn flip_bit(&mut self, c: Component, bit: u64) -> InjectionSite {
         self.fastpath_invalidate();
-        self.warp_invalidate();
         let site = self.site_of(c, bit);
         match c {
             Component::RegFile => self.cpu.regs.flip_bit(bit),

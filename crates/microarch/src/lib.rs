@@ -45,7 +45,6 @@ mod provenance;
 mod regfile;
 mod system;
 mod tlb;
-mod warp;
 
 pub use cache::{ArrayKind, Cache, FlipInfo, Probe, WatchReport};
 pub use config::{CacheConfig, ExecMode, Latencies, MachineConfig};
@@ -65,6 +64,5 @@ pub use mmu::{
 };
 pub use provenance::{FaultProbe, Hop, HopKind, Residence, RunEnd};
 pub use regfile::{Cpsr, Mode, RegFile, REGFILE_BITS};
-pub use system::{Cpu, StepOutcome, System};
+pub use system::{Cpu, StepOutcome, System, WarpConfig};
 pub use tlb::{Tlb, TlbEntry};
-pub use warp::{WarpConfig, WarpStats};

@@ -308,20 +308,6 @@ impl MemSystem {
         self.mode == ExecMode::Detailed
     }
 
-    /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Switches execution modes in place. Callers that drop from
-    /// [`ExecMode::Detailed`] to [`ExecMode::Atomic`] must drain the
-    /// hierarchy first ([`MemSystem::clean_invalidate_all`]): atomic
-    /// accesses go straight to DRAM, so any dirty line left behind would
-    /// shear reads from writes.
-    pub(crate) fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     // ----- maintenance ----------------------------------------------------------
 
     /// Cleans (writes back) and invalidates every cache level, top down.

@@ -83,8 +83,7 @@ impl Cpsr {
 #[derive(Clone, Debug)]
 pub struct RegFile {
     /// Flat storage in [`RegFile::flip_bit`] layout: r0–r12, `sp_usr`,
-    /// `sp_svc`, `lr`. Keeping the integer file contiguous lets the warp
-    /// tier's pre-lowered µops address operands as one array index.
+    /// `sp_svc`, `lr`.
     words: [u32; 16],
     fp: [u32; 32],
     /// Fault-provenance watch: flat word index (layout of [`RegFile::flip_bit`])
@@ -161,26 +160,6 @@ impl RegFile {
         let word = Self::word_index(reg, mode);
         self.note_overwrite(word);
         self.words[word] = value;
-    }
-
-    /// Reads an integer-register word by flat index ([`RegFile::word_index`]
-    /// layout: r0–r12, `sp_usr`, `sp_svc`, `lr`). The warp tier resolves
-    /// banked operands to these indices once, when it lowers a block.
-    #[inline]
-    pub fn word(&self, idx: usize) -> u32 {
-        debug_assert!(idx < 16);
-        let i = idx & 15;
-        self.note_read(i);
-        self.words[i]
-    }
-
-    /// Writes an integer-register word by flat index.
-    #[inline]
-    pub fn set_word(&mut self, idx: usize, value: u32) {
-        debug_assert!(idx < 16);
-        let i = idx & 15;
-        self.note_overwrite(i);
-        self.words[i] = value;
     }
 
     /// Reads the user-mode stack pointer regardless of current mode

@@ -5,7 +5,7 @@ use sea_isa::{
     SysReg,
 };
 
-use crate::config::{ExecMode, MachineConfig};
+use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::exception::{AbortCause, Exception, VECTOR_BASE};
 use crate::fastpath::{FastPath, FastPathConfig, FastPathStats};
@@ -17,20 +17,15 @@ use crate::profiler::{sample_counters, MemProfiler, Observers, SysProfiler};
 use crate::provenance::FaultProbe;
 use crate::regfile::{Cpsr, Mode, RegFile};
 use crate::tlb::{Tlb, TlbEntry};
-use crate::warp::{
-    Uop, WarpBlock, WarpConfig, WarpEngine, WarpStats, MEM_IMM, MEM_PRE, MEM_SUB, MEM_WB, NO_REG,
-};
 use sea_profile::ProfileData;
 
 /// Monomorphization selector for the pipeline stages shared by the
-/// execution tiers. One generic body compiles into three builds:
+/// execution tiers. One generic body compiles into two builds:
 ///
 /// * [`tier::REF`] — the reference build: profiler and trace-ring
 ///   branches live, no memoization;
 /// * [`tier::FAST`] — the fast-path build: µop cache, translation
-///   latches and MRU line hits, no profiler branches (PR 5);
-/// * [`tier::WARP`] — the functional-tier build: warp translation
-///   cache, no predictor training, no profiler or probe branches.
+///   latches and MRU line hits, no profiler branches (PR 5).
 ///
 /// `u8` because stable const generics cannot take a custom enum; the
 /// constants are the closed set of values ever instantiated.
@@ -39,8 +34,6 @@ pub(crate) mod tier {
     pub const REF: u8 = 0;
     /// Fast-path build (µop cache + latches, PR 5).
     pub const FAST: u8 = 1;
-    /// Warp functional-tier build (see [`crate::warp`]).
-    pub const WARP: u8 = 2;
 }
 
 /// Result of one [`System::step`].
@@ -55,6 +48,14 @@ pub enum StepOutcome {
     /// this a system crash.
     LockedUp,
 }
+
+/// The argument of [`System::warp_enable`]; it configures nothing.
+///
+/// Exists only for the `microarch.warp_msteps_per_s` probe of
+/// `sea-bench-layers`, which still names it; it goes with ROADMAP item 2
+/// step 0.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WarpConfig {}
 
 /// The processor core's architectural and microarchitectural state.
 #[derive(Clone, Debug)]
@@ -192,10 +193,6 @@ pub struct System<D> {
     /// [`System::fastpath_enable`]. Pure memoization — not machine state,
     /// and dropping it is always equivalence-preserving.
     pub(crate) fast: Option<Box<FastPath>>,
-    /// Functional-tier trace cache (fused basic blocks), armed by
-    /// [`System::warp_enable`] and consumed by [`System::run_warp`].
-    /// Like the fast path: not machine state, absent by default.
-    pub(crate) warp: Option<Box<WarpEngine>>,
 }
 
 impl<D: Device> System<D> {
@@ -216,7 +213,6 @@ impl<D: Device> System<D> {
             probe: None,
             prof: Observers::DETACHED,
             fast: None,
-            warp: None,
         }
     }
 
@@ -278,58 +274,32 @@ impl<D: Device> System<D> {
         }
     }
 
-    // ----- the warp tier ----------------------------------------------------
+    // ----- delegates kept for the layer probe ------------------------------
 
-    /// Arms the functional execution tier: a fused-basic-block trace
-    /// cache executed with architectural state only (see [`crate::warp`]).
-    /// Starts cold; replaces any previous warp state. Arming changes
-    /// nothing until [`System::run_warp`] is called — detailed stepping
-    /// stays bit-exact with the engine parked.
+    /// Arms the execution fast path with its default configuration.
     ///
-    /// # Panics
+    /// Exists only for the `microarch.warp_msteps_per_s` probe of
+    /// `sea-bench-layers`, which still names it; it goes with ROADMAP
+    /// item 2 step 0. Call [`System::fastpath_enable`] instead.
+    pub fn warp_enable(&mut self, _cfg: WarpConfig) {
+        self.fastpath_enable(FastPathConfig::default());
+    }
+
+    /// Steps the machine up to `n` times and returns the first outcome
+    /// that is not [`StepOutcome::Executed`] (or `Executed` once `n` steps
+    /// have run).
     ///
-    /// Panics if the configuration is invalid.
-    pub fn warp_enable(&mut self, cfg: WarpConfig) {
-        self.warp = Some(Box::new(WarpEngine::new(&cfg)));
-    }
-
-    /// Drops the warp tier and its cached traces.
-    pub fn warp_disable(&mut self) {
-        self.warp = None;
-    }
-
-    /// Whether the warp tier is armed.
-    pub fn warp_enabled(&self) -> bool {
-        self.warp.is_some()
-    }
-
-    /// Warp-tier effectiveness counters; `None` when disarmed.
-    pub fn warp_stats(&self) -> Option<WarpStats> {
-        self.warp.as_deref().map(WarpEngine::stats)
-    }
-
-    /// Flushes every cached warp trace (if the tier is armed). Called
-    /// wherever a cached decode could go stale for non-SMC reasons:
-    /// translation changes (TTBR writes, TLB flushes), mode changes
-    /// (CPSR writes, exception entry/return) and fault injection.
-    fn warp_flush(&mut self) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.flush();
+    /// Exists only for the `microarch.warp_msteps_per_s` probe of
+    /// `sea-bench-layers`, which still names it; it goes with ROADMAP
+    /// item 2 step 0. Call [`System::step`] instead.
+    pub fn run_warp(&mut self, n: u64) -> StepOutcome {
+        for _ in 0..n {
+            let out = self.step();
+            if out != StepOutcome::Executed {
+                return out;
+            }
         }
-    }
-
-    /// SMC hygiene for the warp tier: a store into a physical page with
-    /// cached blocks drops them. A single `Option` test when disarmed.
-    fn warp_note_write(&mut self, paddr: u32) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.note_write(paddr);
-        }
-    }
-
-    /// Full warp invalidation on an injected fault — a corrupted code
-    /// byte (or page table) must never execute from a stale trace.
-    pub(crate) fn warp_invalidate(&mut self) {
-        self.warp_flush();
+        StepOutcome::Executed
     }
 
     // ----- observers -------------------------------------------------------
@@ -494,8 +464,8 @@ impl<D: Device> System<D> {
     /// ([`Tlb::converges_with`]); the performance counters other than
     /// cycles and instructions, and the TLB hit/miss statistics (only
     /// `MRS Cycles` reads a counter); the PC trace ring, the provenance
-    /// probe and watches, the profilers; and the fast-path and warp
-    /// memoization, which is bit-transparent by its own contract.
+    /// probe and watches, the profilers; and the fast-path memoization,
+    /// which is bit-transparent by its own contract.
     ///
     /// [`Cache::converges_with`]: crate::Cache::converges_with
     pub fn converges_with(&self, golden: &System<D>) -> bool
@@ -527,21 +497,6 @@ impl<D: Device> System<D> {
     ) -> Result<(u32, u32), Exception> {
         let vpn = vaddr >> mmu::PAGE_SHIFT;
         let is_fetch = matches!(access, Access::Fetch);
-        if MODE == tier::WARP {
-            // The warp translation cache: a direct-mapped vpn → entry
-            // array with TLB semantics (stale until an explicit flush,
-            // like hardware TLBs) but O(1) probes instead of the
-            // reference TLB's associative scan. Permissions are still
-            // checked per access against the live mode.
-            if let Some(entry) = self
-                .warp
-                .as_deref()
-                .expect("warp tier")
-                .translate_lookup(vpn)
-            {
-                return Self::check_translation(vaddr, access, self.cpu.cpsr.mode, entry, 0);
-            }
-        }
         if MODE == tier::FAST {
             // Same-page streak: revalidate the last (vpn, slot) latched for
             // this access class against the live TLB. A hit replays exactly
@@ -613,12 +568,6 @@ impl<D: Device> System<D> {
         };
         if MODE == tier::FAST {
             self.fast_state().latch_set(access as usize, vpn, slot);
-        }
-        if MODE == tier::WARP {
-            self.warp
-                .as_deref_mut()
-                .expect("warp tier")
-                .translate_insert(entry);
         }
         Self::check_translation(vaddr, access, self.cpu.cpsr.mode, entry, lat)
     }
@@ -763,9 +712,6 @@ impl<D: Device> System<D> {
             self.dev.write(paddr - DEVICE_BASE, size, value);
             return Ok(());
         }
-        // Warp-tier SMC hygiene: one `Option` test when the tier is
-        // disarmed (every campaign machine), a page-filter probe when not.
-        self.warp_note_write(paddr);
         if MODE == tier::FAST {
             // Self-modifying code: a store into a predecoded word drops its
             // µop line. (The (paddr, word) key already guarantees the next
@@ -857,7 +803,6 @@ impl<D: Device> System<D> {
         self.cpu.pc = VECTOR_BASE + e.vector_offset();
         self.cpu.counters.cycles += 3; // pipeline flush on exception entry
         self.fastpath_clear_latches(); // mode change
-        self.warp_flush(); // mode change: cached traces carry mode-checked decodes
     }
 
     // ----- operand helpers ----------------------------------------------------
@@ -1042,13 +987,10 @@ impl<D: Device> System<D> {
         if !insn.cond().holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
             self.cpu.counters.cycles += 1;
             // Conditional branches whose condition fails still train the
-            // predictor — except in the warp build, where branches carry
-            // a flat unit cost (timing is approximate by contract).
+            // predictor.
             if let Insn::Branch { .. } = insn {
                 self.cpu.counters.branches += 1;
-                if MODE != tier::WARP {
-                    self.predict_and_train(pc, false);
-                }
+                self.predict_and_train(pc, false);
             }
             return Ok(Flow::Next);
         }
@@ -1119,516 +1061,6 @@ impl<D: Device> System<D> {
                 StepOutcome::Executed
             }
         }
-    }
-
-    // ----- the warp tier's run loop -----------------------------------------
-
-    /// Executes up to `max_steps` steps in the functional warp tier.
-    ///
-    /// The tier runs fused basic-block traces (see [`crate::warp`]) with
-    /// architectural state only: entering drains the detailed cache
-    /// hierarchy and switches memory to [`ExecMode::Atomic`]; leaving
-    /// restores the previous mode with the hierarchy cold. One "step"
-    /// counts exactly what one [`System::step`] call would: an
-    /// instruction retired, an exception vectored, or a WFI idle beat —
-    /// so `run_warp(n)` covers the same instruction stream as `n`
-    /// detailed steps while IRQs are quiescent.
-    ///
-    /// Returns early on [`StepOutcome::Halted`] / [`StepOutcome::LockedUp`],
-    /// otherwise [`StepOutcome::Executed`] once the budget is spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the warp tier is not armed ([`System::warp_enable`]).
-    pub fn run_warp(&mut self, max_steps: u64) -> StepOutcome {
-        assert!(self.warp.is_some(), "run_warp without warp_enable");
-        debug_assert!(
-            self.prof.is_none(),
-            "the warp tier skips the bookkeeping profilers sample; detach them first"
-        );
-        debug_assert!(
-            self.probe.is_none(),
-            "the warp tier is fault-free only; it skips the provenance probe"
-        );
-        let saved = self.mem.exec_mode();
-        if saved == ExecMode::Detailed {
-            // Atomic accesses go straight to DRAM; drain dirty lines so
-            // they see committed state (and the detailed tier restarts
-            // cold instead of reading lines warp's stores bypassed).
-            self.mem.clean_invalidate_all();
-        }
-        self.mem.set_exec_mode(ExecMode::Atomic);
-        let out = self.warp_run_inner(max_steps);
-        self.mem.set_exec_mode(saved);
-        out
-    }
-
-    fn warp_run_inner(&mut self, max_steps: u64) -> StepOutcome {
-        let mut steps = 0u64;
-        let mut insns = 0u64;
-        let mut local_hits = 0u64;
-        // The last block executed, kept in a local so a tight loop
-        // re-enters its body without touching the engine at all — no slot
-        // hash, no `Arc` refcount traffic. The generation stamp makes a
-        // stale block unreachable: any invalidation bumps it.
-        let mut cached: Option<(u64, WarpBlock)> = None;
-        while steps < max_steps {
-            if let Some(out) = self.stage_interrupt() {
-                steps += 1;
-                if out != StepOutcome::Executed {
-                    break;
-                }
-                continue;
-            }
-            let pc = self.cpu.pc;
-            let gen_now = self.warp.as_ref().expect("armed").generation;
-            match &cached {
-                Some((g, b)) if *g == gen_now && b.vaddr == pc => local_hits += 1,
-                _ => {
-                    let block = match self.warp_block_at(pc) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            steps += 1;
-                            // A *fetch* fault in the vector page is a
-                            // lockup, as on the detailed path; an
-                            // undecodable word vectors Undefined from
-                            // anywhere.
-                            if !matches!(e, Exception::Undefined { .. }) && Self::in_vector_page(pc)
-                            {
-                                self.bank_warp_stats(insns, local_hits);
-                                return StepOutcome::LockedUp;
-                            }
-                            self.take_exception(e, pc);
-                            continue;
-                        }
-                    };
-                    let gen = self.warp.as_ref().expect("armed").generation;
-                    cached = Some((gen, block));
-                }
-            }
-            let (gen, block) = cached.as_ref().expect("cached above");
-            let gen = *gen;
-            // Budget is enforced by slicing the block up front, so the
-            // µop loop carries no per-step budget check.
-            let n = block.uops.len().min((max_steps - steps) as usize);
-            let base = pc;
-            let mut k = 0usize;
-            // While `linear` holds, the program counter is implicit
-            // (`base + 4k`) and never stored; µops that redirect it —
-            // taken branches, exceptions, the slow path — store it
-            // themselves and clear the flag.
-            let mut linear = true;
-            let mut done = StepOutcome::Executed;
-            while k < n {
-                let upc = base.wrapping_add(4 * k as u32);
-                if let Some(t) = self.cpu.trace.as_mut() {
-                    t.push(upc);
-                }
-                self.cpu.counters.instructions += 1;
-                k += 1;
-                match block.uops[k - 1] {
-                    // The Alu µops were proven side-effect-free at
-                    // lowering time (unconditional, no pc operands): no
-                    // exception, control-flow, wfi or invalidation
-                    // checks apply.
-                    Uop::AluRI { op, s, rd, rn, imm } => {
-                        self.cpu.counters.cycles += 1;
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, imm, c_in, c_in);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::AluRR { op, s, rd, rn, rm } => {
-                        self.cpu.counters.cycles += 1;
-                        let b = self.cpu.regs.word(rm as usize);
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, b, c_in, c_in);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::AluRRS {
-                        op,
-                        s,
-                        rd,
-                        rn,
-                        rm,
-                        shift,
-                        amount,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let v = self.cpu.regs.word(rm as usize);
-                        let amt = amount as u32;
-                        let b = shift.apply(v, amount);
-                        // Shifter carry exactly as eval_op2 computes it.
-                        let shifter_c = match shift {
-                            Shift::Lsl => amt <= 32 && (v >> (32 - amt)) & 1 == 1,
-                            Shift::Lsr => amt <= 32 && (v >> (amt - 1)) & 1 == 1,
-                            Shift::Asr => (v >> (amt - 1).min(31)) & 1 == 1,
-                            Shift::Ror => (b >> 31) & 1 == 1,
-                        };
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, b, c_in, shifter_c);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::MovW { top, rd, imm } => {
-                        self.cpu.counters.cycles += 1;
-                        let v = if top {
-                            (self.cpu.regs.word(rd as usize) & 0xFFFF) | ((imm as u32) << 16)
-                        } else {
-                            imm as u32
-                        };
-                        self.cpu.regs.set_word(rd as usize, v);
-                    }
-                    Uop::Ldr {
-                        size,
-                        rd,
-                        rn,
-                        flags,
-                        rm,
-                        shl,
-                        off,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let base_v = self.cpu.regs.word(rn as usize);
-                        let off_v = if flags & MEM_IMM != 0 {
-                            off
-                        } else {
-                            self.cpu.regs.word(rm as usize) << shl
-                        };
-                        let indexed = if flags & MEM_SUB != 0 {
-                            base_v.wrapping_sub(off_v)
-                        } else {
-                            base_v.wrapping_add(off_v)
-                        };
-                        let vaddr = if flags & MEM_PRE != 0 {
-                            indexed
-                        } else {
-                            base_v
-                        };
-                        match self.read_mem::<{ tier::WARP }>(vaddr, size) {
-                            Ok(v) => {
-                                if flags & MEM_WB != 0 {
-                                    self.cpu.regs.set_word(rn as usize, indexed);
-                                }
-                                self.cpu.regs.set_word(rd as usize, v);
-                            }
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                linear = false;
-                                break;
-                            }
-                        }
-                    }
-                    Uop::Str {
-                        size,
-                        rd,
-                        rn,
-                        flags,
-                        rm,
-                        shl,
-                        off,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let base_v = self.cpu.regs.word(rn as usize);
-                        let off_v = if flags & MEM_IMM != 0 {
-                            off
-                        } else {
-                            self.cpu.regs.word(rm as usize) << shl
-                        };
-                        let indexed = if flags & MEM_SUB != 0 {
-                            base_v.wrapping_sub(off_v)
-                        } else {
-                            base_v.wrapping_add(off_v)
-                        };
-                        let vaddr = if flags & MEM_PRE != 0 {
-                            indexed
-                        } else {
-                            base_v
-                        };
-                        let v = self.cpu.regs.word(rd as usize);
-                        match self.write_mem::<{ tier::WARP }>(vaddr, size, v) {
-                            Ok(()) => {
-                                if flags & MEM_WB != 0 {
-                                    self.cpu.regs.set_word(rn as usize, indexed);
-                                }
-                                // A store is the one lowered µop that can
-                                // invalidate the block it runs in (SMC);
-                                // leave the trace if it just did.
-                                if self.warp.as_deref().expect("armed").generation != gen {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                linear = false;
-                                break;
-                            }
-                        }
-                    }
-                    Uop::B { cond, link, target } => {
-                        self.cpu.counters.cycles += 1;
-                        self.cpu.counters.branches += 1;
-                        let cpsr = self.cpu.cpsr;
-                        if cond.holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
-                            if link {
-                                self.cpu.regs.set(
-                                    sea_isa::Reg::Lr,
-                                    self.cpu.cpsr.mode,
-                                    upc.wrapping_add(4),
-                                );
-                            }
-                            self.cpu.pc = target;
-                            linear = false;
-                            break;
-                        }
-                    }
-                    Uop::Slow(insn) => {
-                        // Slow-path instructions observe (and may keep) the
-                        // architectural pc — e.g. Halt/Wfi leave it in
-                        // place — so materialize the deferred value first.
-                        self.cpu.pc = upc;
-                        let out = match self.warp_issue(insn, upc) {
-                            Ok(flow) => self.stage_retire(upc, flow),
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                StepOutcome::Executed
-                            }
-                        };
-                        linear = false;
-                        if out != StepOutcome::Executed {
-                            done = out;
-                            break;
-                        }
-                        // Leave the trace when control flow did, when the
-                        // core went idle, or when an invalidation (SMC,
-                        // mode/translation change) killed the block.
-                        if self.cpu.pc != upc.wrapping_add(4)
-                            || self.cpu.wfi
-                            || self.warp.as_deref().expect("armed").generation != gen
-                        {
-                            break;
-                        }
-                        linear = true;
-                    }
-                }
-            }
-            steps += k as u64;
-            insns += k as u64;
-            if linear {
-                self.cpu.pc = base.wrapping_add(4 * k as u32);
-            }
-            if done != StepOutcome::Executed {
-                self.bank_warp_stats(insns, local_hits);
-                return done;
-            }
-        }
-        self.bank_warp_stats(insns, local_hits);
-        StepOutcome::Executed
-    }
-
-    fn bank_warp_stats(&mut self, insns: u64, local_hits: u64) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.insns += insns;
-            w.block_hits += local_hits;
-        }
-    }
-
-    /// The warp tier's issue stage: `stage_issue::<{ tier::WARP }>` with
-    /// the µops that dominate fused traces — data-processing, single
-    /// loads/stores and direct branches — inlined into the block loop
-    /// instead of dispatched through the full `execute` match (whose size
-    /// keeps it out of line; the call alone roughly doubles a Dp µop's
-    /// cost). The arms are verbatim WARP instantiations of the shared
-    /// ones, so the two paths stay architecturally identical; everything
-    /// else falls through to `execute` itself.
-    #[inline(always)]
-    fn warp_issue(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
-        let cpsr = self.cpu.cpsr;
-        if !insn.cond().holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
-            self.cpu.counters.cycles += 1;
-            if let Insn::Branch { .. } = insn {
-                self.cpu.counters.branches += 1;
-            }
-            return Ok(Flow::Next);
-        }
-        match insn {
-            Insn::Dp {
-                op, s, rd, rn, op2, ..
-            } => {
-                self.cpu.counters.cycles += 1;
-                let (b, shifter_c) = self.eval_op2::<{ tier::WARP }>(op2)?;
-                let a = if op.ignores_rn() {
-                    0
-                } else {
-                    self.reg_read::<{ tier::WARP }>(rn)?
-                };
-                let c_in = self.cpu.cpsr.c;
-                let (result, carry, overflow) = alu(op, a, b, c_in, shifter_c);
-                if s {
-                    self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                    self.cpu.cpsr.z = result == 0;
-                    self.cpu.cpsr.c = carry;
-                    self.cpu.cpsr.v = overflow;
-                }
-                if !op.is_compare() {
-                    self.reg_write::<{ tier::WARP }>(rd, result)?;
-                }
-                Ok(Flow::Next)
-            }
-            Insn::Mem {
-                load,
-                size,
-                rd,
-                rn,
-                offset,
-                mode,
-                ..
-            } => {
-                self.cpu.counters.cycles += 1;
-                let base = self.reg_read::<{ tier::WARP }>(rn)?;
-                let off = match offset {
-                    MemOffset::Imm(i) => i as u32,
-                    MemOffset::Reg { rm, shl } => self.reg_read::<{ tier::WARP }>(rm)? << shl,
-                };
-                let indexed = if mode.up {
-                    base.wrapping_add(off)
-                } else {
-                    base.wrapping_sub(off)
-                };
-                let vaddr = if mode.pre { indexed } else { base };
-                if load {
-                    let v = self.read_mem::<{ tier::WARP }>(vaddr, size)?;
-                    if mode.writeback {
-                        self.reg_write::<{ tier::WARP }>(rn, indexed)?;
-                    }
-                    self.reg_write::<{ tier::WARP }>(rd, v)?;
-                } else {
-                    let v = self.reg_read::<{ tier::WARP }>(rd)?;
-                    self.write_mem::<{ tier::WARP }>(vaddr, size, v)?;
-                    if mode.writeback {
-                        self.reg_write::<{ tier::WARP }>(rn, indexed)?;
-                    }
-                }
-                Ok(Flow::Next)
-            }
-            Insn::Branch { link, offset, .. } => {
-                self.cpu.counters.cycles += 1;
-                self.cpu.counters.branches += 1;
-                if link {
-                    self.cpu
-                        .regs
-                        .set(sea_isa::Reg::Lr, self.cpu.cpsr.mode, pc.wrapping_add(4));
-                }
-                Ok(Flow::Jump(
-                    pc.wrapping_add(4).wrapping_add((offset as u32) << 2),
-                ))
-            }
-            _ => self.execute::<{ tier::WARP }>(insn, pc),
-        }
-    }
-
-    /// The cached block starting at `pc`, building (fetch + decode +
-    /// fuse) on a miss. `Err` carries the fault the *first* fetch or
-    /// decode raised — faults on lookahead words just end the block,
-    /// exactly as the per-step path would discover them later.
-    fn warp_block_at(&mut self, pc: u32) -> Result<WarpBlock, Exception> {
-        if let Some(b) = self.warp.as_deref_mut().expect("armed").lookup(pc) {
-            return Ok(b);
-        }
-        let (paddr, word) = self.fetch_insn::<{ tier::REF }>(pc)?;
-        let Ok(first) = decode(word) else {
-            return Err(Exception::Undefined { word });
-        };
-        let max_len = self.warp.as_deref().expect("armed").max_block_len;
-        let mut decoded = vec![first];
-        while (decoded.len() as u32) < max_len
-            && !Self::warp_ends_block(decoded.last().expect("nonempty"))
-        {
-            let va = pc.wrapping_add(4 * decoded.len() as u32);
-            if va >> 12 != pc >> 12 {
-                break; // blocks never cross a page
-            }
-            let Ok((_, w)) = self.fetch_insn::<{ tier::REF }>(va) else {
-                break;
-            };
-            let Ok(i) = decode(w) else {
-                break;
-            };
-            decoded.push(i);
-        }
-        // Lowering resolves banked registers against the current mode —
-        // sound because every mode change flushes the trace cache.
-        let mode = self.cpu.cpsr.mode;
-        let uops: Vec<Uop> = decoded
-            .into_iter()
-            .enumerate()
-            .map(|(k, i)| crate::warp::lower(i, mode, pc.wrapping_add(4 * k as u32)))
-            .collect();
-        let block = WarpBlock {
-            vaddr: pc,
-            ppn: paddr >> 12,
-            uops: uops.into(),
-        };
-        self.warp
-            .as_deref_mut()
-            .expect("armed")
-            .insert(block.clone());
-        Ok(block)
-    }
-
-    /// Instructions that terminate a fused block: anything redirecting
-    /// control flow, raising, or changing machine context — plus `CPS`,
-    /// so an IRQ unmasked mid-trace is polled at the next block boundary
-    /// rather than an unbounded trace later.
-    fn warp_ends_block(insn: &Insn) -> bool {
-        matches!(
-            insn,
-            Insn::Branch { .. }
-                | Insn::Bx { .. }
-                | Insn::Svc { .. }
-                | Insn::Msr { .. }
-                | Insn::Cps { .. }
-                | Insn::Eret { .. }
-                | Insn::Halt { .. }
-                | Insn::Wfi { .. }
-        )
     }
 
     /// Decode via the µop cache: a `(paddr, word)` hit skips the decoder
@@ -1805,11 +1237,9 @@ impl<D: Device> System<D> {
                 };
                 let vaddr = if mode.pre { indexed } else { base };
                 if load {
-                    // The warp build skips the provenance probe: the tier
-                    // only ever runs fault-free (`run_warp` asserts it).
-                    let pre = MODE != tier::WARP && self.probe_data_touched();
+                    let pre = self.probe_data_touched();
                     let v = self.read_mem::<MODE>(vaddr, size)?;
-                    if MODE != tier::WARP && !pre && self.probe_data_touched() {
+                    if !pre && self.probe_data_touched() {
                         // This load consumed the corrupted cache line.
                         self.note_register_fill();
                     }
@@ -1876,7 +1306,7 @@ impl<D: Device> System<D> {
             Insn::Branch { link, offset, .. } => {
                 self.cpu.counters.cycles += 1;
                 self.cpu.counters.branches += 1;
-                if MODE != tier::WARP && insn.cond() != Cond::Al {
+                if insn.cond() != Cond::Al {
                     self.predict_and_train(pc, true);
                 }
                 if link {
@@ -2021,7 +1451,6 @@ impl<D: Device> System<D> {
                     SysReg::Cpsr => {
                         self.cpu.cpsr = Cpsr::from_bits(v);
                         self.fastpath_clear_latches(); // possible mode change
-                        self.warp_flush();
                     }
                     SysReg::Spsr => self.cpu.spsr = v,
                     SysReg::Cycles => {} // read-only
@@ -2033,7 +1462,6 @@ impl<D: Device> System<D> {
                         self.itlb.flush();
                         self.dtlb.flush();
                         self.fastpath_clear_latches();
-                        self.warp_flush();
                         if MODE == tier::REF {
                             if let Some(p) = self.prof.as_deref_mut() {
                                 p.itlb.flush_all(p.now);
@@ -2057,7 +1485,6 @@ impl<D: Device> System<D> {
                             self.itlb.flush();
                             self.dtlb.flush();
                             self.fastpath_clear_latches();
-                            self.warp_flush();
                             if MODE == tier::REF {
                                 if let Some(p) = self.prof.as_deref_mut() {
                                     p.itlb.flush_all(p.now);
@@ -2080,7 +1507,6 @@ impl<D: Device> System<D> {
                 self.require_svc(0x5000)?;
                 self.cpu.cpsr = Cpsr::from_bits(self.cpu.spsr);
                 self.fastpath_clear_latches(); // mode change on return
-                self.warp_flush();
                 Ok(Flow::Jump(self.cpu.elr))
             }
             Insn::Nop { .. } => {

@@ -8,7 +8,7 @@
 use sea_isa::{Asm, Cond, MemSize, Reg, SysReg};
 use sea_microarch::{
     l1_entry, pte, Component, Device, FastPathConfig, MachineConfig, NullDevice, StepOutcome,
-    System, PAGE_SHIFT, PTE_EXEC, PTE_VALID, PTE_WRITE,
+    System, WarpConfig, PAGE_SHIFT, PTE_EXEC, PTE_VALID, PTE_WRITE,
 };
 
 const TTBR: u32 = 0x0000_4000; // 16 KB L1 table at 16 KB
@@ -299,4 +299,21 @@ fn enabling_mid_run_keeps_equivalence() {
     fast.fastpath_enable(FastPathConfig::default());
     let out = run_lockstep(&mut fast, &mut slow, 200_000);
     assert_eq!(out, Some(StepOutcome::Halted));
+}
+
+/// `warp_enable` + `run_warp` survive only as delegates for the
+/// `sea-bench-layers` probe: together they must step the fast tier exactly
+/// as far as `n` plain steps do.
+#[test]
+fn run_warp_steps_the_fast_tier_like_plain_stepping() {
+    const N: u64 = 500;
+    let mut probed = mixed_machine();
+    let mut twin = mixed_machine();
+    probed.warp_enable(WarpConfig::default());
+    assert!(probed.fastpath_enabled());
+    assert_eq!(probed.run_warp(N), StepOutcome::Executed);
+    for _ in 0..N {
+        assert_eq!(twin.step(), StepOutcome::Executed);
+    }
+    assert!(probed.converges_with(&twin));
 }
