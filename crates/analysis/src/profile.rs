@@ -1,17 +1,18 @@
 //! Attribution-profile rendering: cycle hotspots and predicted-vs-measured
 //! AVF.
 //!
-//! Takes the [`ProfileData`] a profiled golden run produces (residency/
-//! liveness tracking plus the per-PC cycle sampler) and renders the two
-//! views the paper's methodology discussion motivates:
+//! Takes the [`ProfileData`] a profiled golden run produces (the read
+//! horizon's liveness reports plus the per-PC cycle sampler) and renders
+//! the two views the paper's methodology discussion motivates:
 //!
 //! * **hot PCs** — where the workload's cycles went, with an indicative
 //!   stall attribution per PC (which miss counter advanced most there);
-//! * **predicted vs measured AVF** — the ACE-style liveness prediction per
-//!   structure next to the injection campaign's measured AVF and its 99%
-//!   error margin, quantifying how conservative the lifetime analysis is
-//!   (ACE analysis never under-estimates; the interesting number is by
-//!   *how much* it over-estimates, per structure).
+//! * **predicted vs measured AVF** — per structure, the share of uniform
+//!   strikes the read horizon cannot prove Masked next to the injection
+//!   campaign's measured AVF and its 99% error margin. Every strike left
+//!   out of the prediction is Masked, so measured ≤ predicted holds strike
+//!   by strike; the interesting number is by *how much* liveness
+//!   over-estimates, per structure.
 
 use crate::report::bar;
 use sea_injection::CampaignResult;
@@ -60,7 +61,7 @@ pub fn render_hotspots(profile: &ProfileData, n: usize) -> String {
 /// Render the predicted-vs-measured AVF table.
 ///
 /// One row per structure in the paper's reporting order: occupancy,
-/// ACE-predicted AVF, and — when a campaign result is supplied — the
+/// predicted AVF, and — when a campaign result is supplied — the
 /// injection-measured AVF with its 99%-confidence margin and the
 /// prediction/measurement ratio.
 pub fn render_avf_table(profile: &ProfileData, measured: Option<&CampaignResult>) -> String {
@@ -117,7 +118,7 @@ pub fn render_avf_table(profile: &ProfileData, measured: Option<&CampaignResult>
 }
 
 /// Render the full profiling report for one workload: run header, cycle
-/// hotspots, the AVF table, and per-structure traffic counters.
+/// hotspots and the AVF table.
 pub fn render_profile(
     workload: &str,
     profile: &ProfileData,
@@ -139,14 +140,6 @@ pub fn render_profile(
     out.push_str(&render_hotspots(profile, 10));
     out.push('\n');
     out.push_str(&render_avf_table(profile, measured));
-    out.push_str("\nstructure traffic (fills / touches over the golden run)\n");
-    for s in &profile.structures {
-        let _ = writeln!(
-            out,
-            "  {:<5} {:>6} slots  {:>10} fills  {:>12} touches",
-            s.name, s.slots, s.fills, s.touches
-        );
-    }
     out
 }
 
@@ -192,13 +185,9 @@ mod tests {
             structures: vec![StructureReport {
                 name: "RF".into(),
                 slots: 48,
-                bits_ace: 32,
-                bits_aux: 0,
-                bits_dead: 0,
-                ace_cycles: 4800,
-                resident_cycles: 9600,
-                fills: 7,
-                touches: 20,
+                bits: 48 * 32,
+                live_bit_cycles: 153_600,
+                valid_slot_cycles: 48_000,
                 total_cycles: 1000,
             }],
         }
@@ -219,8 +208,7 @@ mod tests {
     fn avf_table_renders_predicted_without_measurement() {
         let out = render_avf_table(&profile(), None);
         assert!(out.contains("RF"), "{out}");
-        // ace_cycles 4800 of 48 slots × 32 bits × 1000 cycles, all-ACE bits
-        // → 4800/48000 = 10%.
+        // 153,600 live bit-cycles of 1,536 bits × 1000 cycles → 10%.
         assert!(out.contains("10.00%"), "{out}");
         assert!(out.contains('-'), "{out}");
     }
@@ -231,6 +219,5 @@ mod tests {
         assert!(out.contains("profile — crc32"), "{out}");
         assert!(out.contains("hot PCs"), "{out}");
         assert!(out.contains("predicted vs measured AVF"), "{out}");
-        assert!(out.contains("structure traffic"), "{out}");
     }
 }

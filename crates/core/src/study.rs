@@ -324,8 +324,9 @@ impl Study {
         measure_fit_raw(&self.beam_config(), strikes)
     }
 
-    /// Profiles one workload's golden run (residency/ACE tracking plus the
-    /// per-PC cycle sampler), when `profile_out` asks for profiling.
+    /// Profiles one workload's golden run (the read horizon's liveness
+    /// reports plus the per-PC cycle sampler), when `profile_out` asks for
+    /// profiling.
     ///
     /// Runs on a dedicated boot — campaign machines never carry profilers,
     /// so journals and checkpoints are byte-identical with profiling on or

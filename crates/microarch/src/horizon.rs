@@ -16,8 +16,7 @@
 //! machine either.
 //!
 //! A granule is the unit a stamp covers; coarser is conservative. What
-//! stamps which granule (the recording hooks live in [`crate::profiler`],
-//! at the sites the residency profilers already observe):
+//! stamps which granule (the recording hooks live in [`crate::profiler`]):
 //!
 //! | array | granule | stamped by |
 //! |---|---|---|
@@ -62,12 +61,21 @@
 //! clean-invalidate after it, and per TLB entry `(stamp, valid)` for every
 //! insert and flush. The entry in force at a strike boundary `c` is the
 //! last one a step starting before `c` wrote (stamp `≤ c`).
+//!
+//! The same stamps and ledger intervals count, per cell, the strike cycles
+//! at which it is *not* dead ([`ReadHorizon::live_cycles`]). Summed over a
+//! component and divided by its bits × the run's cycles, that is the
+//! probability that a uniform campaign strike survives pruning — the
+//! predicted AVF the profiler reports ([`ReadHorizon::report`]). Every
+//! strike it leaves out is Masked, so it bounds the measured AVF from
+//! above, strike by strike.
 
 use crate::cache::{ArrayKind, Cache};
 use crate::fault::{Component, InjectionSite};
 use crate::mmu::{PAGE_BYTES, PAGE_SHIFT};
 use crate::regfile::REGFILE_BITS;
 use crate::tlb::Tlb;
+use sea_profile::StructureReport;
 
 /// Register-file words (the layout of [`crate::RegFile::flip_bit`]).
 const REG_WORDS: usize = (REGFILE_BITS / 32) as usize;
@@ -104,6 +112,18 @@ fn fresh_page() -> Box<Page> {
 fn in_force<T: Copy>(ledger: &[(u64, T)], cycle: u64) -> Option<T> {
     let n = ledger.partition_point(|&(stamp, _)| stamp <= cycle);
     n.checked_sub(1).map(|i| ledger[i].1)
+}
+
+/// Cycles `t < until` spent in the ledger's entries that `keep` accepts,
+/// each entry cut short at the cycle `keep` returns for it: entry `i` is in
+/// force over `[stamp_i, stamp_i+1)`, the last one to the end of time.
+fn cycles_in<T: Copy>(ledger: &[(u64, T)], until: u64, keep: impl Fn(T) -> Option<u64>) -> u64 {
+    let ends = ledger.iter().skip(1).map(|&(stamp, _)| stamp);
+    ledger
+        .iter()
+        .zip(ends.chain([u64::MAX]))
+        .filter_map(|(&(from, v), to)| Some(to.min(until).min(keep(v)?).saturating_sub(from)))
+        .sum()
 }
 
 /// Per-word read stamps of the register file.
@@ -159,15 +179,20 @@ impl ByteHorizon {
         }
     }
 
-    /// Does a CPU read consume the byte at `paddr` in a step that starts at
-    /// or after `cycle`?
-    fn consumed_from(&self, paddr: u32, cycle: u64) -> bool {
+    /// The first strike boundary from which no CPU read consumes the byte
+    /// at `paddr` (`u64::MAX` for a saturated stamp): a step that starts at
+    /// or after `cycle` consumes it exactly when `cycle` is below this.
+    fn consumed_until(&self, paddr: u32) -> u64 {
         let stamp = self
             .pages
             .get((paddr >> PAGE_SHIFT) as usize)
             .and_then(Option::as_deref)
             .map_or(0, |page: &Page| page[(paddr & (PAGE_BYTES - 1)) as usize]);
-        stamp == u32::MAX || u64::from(stamp) > cycle
+        if stamp == u32::MAX {
+            u64::MAX
+        } else {
+            u64::from(stamp)
+        }
     }
 }
 
@@ -270,12 +295,36 @@ impl CacheHorizon {
             None if within != self.data_bits + self.tag_bits => Some(DeadCell::Invalid),
             Some(base)
                 if within < self.data_bits
-                    && !bytes.consumed_from(base + (within / 8) as u32, cycle) =>
+                    && bytes.consumed_until(base + (within / 8) as u32) <= cycle =>
             {
                 Some(DeadCell::Unconsumed)
             }
             _ => None,
         }
+    }
+
+    /// The boundaries `t < known` at which [`CacheHorizon::dead_at`] is
+    /// `None`: before the granule's last read, and — but for the valid bit
+    /// — while the line is valid, and for a data bit while its byte is
+    /// still consumed.
+    fn live_cycles(&self, bit: u64, known: u64, bytes: &ByteHorizon) -> u64 {
+        let until = self.last_read(bit).min(known);
+        let within = bit % self.bits_per_line;
+        if within == self.data_bits + self.tag_bits {
+            return until;
+        }
+        let byte = (within < self.data_bits).then_some((within / 8) as u32);
+        let ledger = &self.ledger[(bit / self.bits_per_line) as usize];
+        cycles_in(ledger, until, |base| {
+            let valid = base != INVALID;
+            valid.then(|| byte.map_or(u64::MAX, |b| bytes.consumed_until(base + b)))
+        })
+    }
+
+    /// Σ over lines of the cycles `t < end` the line is valid.
+    fn valid_cycles(&self, end: u64) -> u64 {
+        let valid = |base| (base != INVALID).then_some(u64::MAX);
+        self.ledger.iter().map(|l| cycles_in(l, end, valid)).sum()
     }
 
     /// What [`Cache::bit_info`] says of `bit` at the step boundary of
@@ -373,6 +422,24 @@ impl TlbHorizon {
             None
         }
     }
+
+    /// The boundaries `t < known` at which [`TlbHorizon::dead_at`] is
+    /// `None`: before the granule's last read and, but for the valid bit,
+    /// while the entry is valid.
+    fn live_cycles(&self, bit: u64, known: u64) -> u64 {
+        let until = self.last_read(bit).min(known);
+        if bit % 64 == 40 {
+            return until;
+        }
+        let valid = |v: bool| v.then_some(u64::MAX);
+        cycles_in(&self.ledger[(bit / 64) as usize], until, valid)
+    }
+
+    /// Σ over entries of the cycles `t < end` the entry is valid.
+    fn valid_cycles(&self, end: u64) -> u64 {
+        let valid = |v: bool| v.then_some(u64::MAX);
+        self.ledger.iter().map(|l| cycles_in(l, end, valid)).sum()
+    }
 }
 
 /// The read horizon of one complete fault-free run (see the module
@@ -389,6 +456,9 @@ pub struct ReadHorizon {
     pub(crate) bytes: ByteHorizon,
     /// Stamp of the run's final step.
     pub(crate) last_step: u64,
+    /// The cycle count the run ended at: strikes are drawn from
+    /// `[0, end)`.
+    pub(crate) end: u64,
 }
 
 impl ReadHorizon {
@@ -441,6 +511,60 @@ impl ReadHorizon {
         }
     }
 
+    /// How many strike boundaries `t` in `[0, end)`, `end` the tracked
+    /// run's cycle count, leave the cell at (`c`, `bit`) live: the `t` at
+    /// which [`ReadHorizon::dead_at`] is `None`. Counted from the granule's
+    /// stamps and the fill ledger's intervals, not by scanning cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the component.
+    pub fn live_cycles(&self, c: Component, bit: u64) -> u64 {
+        assert!(bit < self.component_bits(c), "{c} bit index out of range");
+        // From the start of the final step on, every boundary is live.
+        let known = self.last_step.min(self.end);
+        let before = match c {
+            Component::RegFile => self.regs.0[(bit / 32) as usize].min(known),
+            Component::L1I => self.l1i.live_cycles(bit, known, &self.bytes),
+            Component::L1D => self.l1d.live_cycles(bit, known, &self.bytes),
+            Component::L2 => self.l2.live_cycles(bit, known, &self.bytes),
+            Component::ITlb => self.itlb.live_cycles(bit, known),
+            Component::DTlb => self.dtlb.live_cycles(bit, known),
+        };
+        before + (self.end - known)
+    }
+
+    /// [`ReadHorizon::live_cycles`] summed over every bit of `c`.
+    pub fn component_live_cycles(&self, c: Component) -> u64 {
+        (0..self.component_bits(c))
+            .map(|bit| self.live_cycles(c, bit))
+            .sum()
+    }
+
+    /// The liveness report of `c` over the tracked run: its predicted AVF
+    /// is the share of uniform strikes (bit × cycle in `[0, end)`) that
+    /// dead-cell pruning must simulate, its occupancy the time-weighted
+    /// share of lines or entries the fill ledger holds valid (the register
+    /// file is always full).
+    pub fn report(&self, c: Component) -> StructureReport {
+        let (slots, valid_slot_cycles) = match c {
+            Component::RegFile => (REG_WORDS as u64, REG_WORDS as u64 * self.end),
+            Component::L1I => (self.l1i.data.len() as u64, self.l1i.valid_cycles(self.end)),
+            Component::L1D => (self.l1d.data.len() as u64, self.l1d.valid_cycles(self.end)),
+            Component::L2 => (self.l2.data.len() as u64, self.l2.valid_cycles(self.end)),
+            Component::ITlb => (self.itlb.hit.len() as u64, self.itlb.valid_cycles(self.end)),
+            Component::DTlb => (self.dtlb.hit.len() as u64, self.dtlb.valid_cycles(self.end)),
+        };
+        StructureReport {
+            name: c.short_name().to_string(),
+            slots,
+            bits: self.component_bits(c),
+            live_bit_cycles: self.component_live_cycles(c),
+            valid_slot_cycles,
+            total_cycles: self.end,
+        }
+    }
+
     /// What [`crate::System::site_of`] reports for (`c`, `bit`) on the
     /// tracked machine at the step boundary of `cycle` — the array from the
     /// geometry, `was_valid` from the fill ledger — with no machine.
@@ -489,5 +613,127 @@ impl ReadHorizon {
             _ => panic!("{c} is not a cache"),
         };
         cache.line_at(line as usize, cycle)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CacheConfig;
+
+    const L1D: Component = Component::L1D;
+
+    /// One set of two 32-byte lines.
+    fn cache() -> Cache {
+        let cfg = CacheConfig {
+            size_bytes: 64,
+            ways: 2,
+            line_bytes: 32,
+        };
+        Cache::new(cfg, true)
+    }
+
+    /// A horizon over [`cache`]-sized caches, one-entry TLBs and one page
+    /// of bytes, for a run that ends at cycle 100 after a one-cycle final
+    /// step. `record` plays the L1D's events; `l1d` is its state at attach.
+    fn horizon(
+        l1d: &Cache,
+        record: impl FnOnce(&mut CacheHorizon, &mut ByteHorizon),
+    ) -> ReadHorizon {
+        let (mut l1d, mut bytes) = (CacheHorizon::new(l1d), ByteHorizon::new(PAGE_BYTES));
+        record(&mut l1d, &mut bytes);
+        ReadHorizon {
+            regs: RegHorizon::new(),
+            l1i: CacheHorizon::new(&cache()),
+            l1d,
+            l2: CacheHorizon::new(&cache()),
+            itlb: TlbHorizon::new(&Tlb::new(1)),
+            dtlb: TlbHorizon::new(&Tlb::new(1)),
+            bytes,
+            last_step: 100,
+            end: 100,
+        }
+    }
+
+    /// `live_cycles` of (`c`, `bit`), checked against a scan of `dead_at`.
+    fn live(h: &ReadHorizon, c: Component, bit: u64) -> u64 {
+        let scanned = (0..h.end).filter(|&t| h.dead_at(c, bit, t).is_none());
+        assert_eq!(
+            h.live_cycles(c, bit),
+            scanned.count() as u64,
+            "{c} bit {bit}"
+        );
+        h.live_cycles(c, bit)
+    }
+
+    /// Cells of line 0 of [`cache`]: the first data bit, the first of its
+    /// 27 tag bits, and its valid bit.
+    const DATA0: u64 = 0;
+    const TAG0: u64 = 256;
+    const VALID0: u64 = 256 + 27;
+
+    #[test]
+    fn a_word_is_live_until_its_last_read() {
+        let mut h = horizon(&cache(), |_, _| {});
+        h.regs.read(3, 41); // the step starting at cycle 40
+        assert_eq!(live(&h, Component::RegFile, 3 * 32 + 5), 41);
+        assert_eq!(live(&h, Component::RegFile, 4 * 32), 0);
+        // Past the start of the final step, every boundary is live.
+        h.last_step = 90;
+        assert_eq!(live(&h, Component::RegFile, 3 * 32), 41 + 10);
+        assert_eq!(live(&h, Component::RegFile, 4 * 32), 10);
+    }
+
+    #[test]
+    fn a_write_back_keeps_the_victims_data_live_to_the_eviction() {
+        let run = |writeback| {
+            horizon(&cache(), |l1d, bytes| {
+                l1d.miss(0, 0x100, false, 1); // filled by the step at 0
+                l1d.hit(0, 11);
+                bytes.consume(0x100, 4, 11);
+                l1d.miss(0, 0x200, writeback, 51); // evicted at 50
+                bytes.consume(0x100, 4, 81); // the address is read again
+            })
+        };
+        // Clean: the copy dies with the last hit. Dirty: its bytes are read
+        // out at the eviction, and the address is consumed afterwards.
+        assert_eq!(live(&run(false), L1D, DATA0), 10);
+        assert_eq!(live(&run(true), L1D, DATA0), 50);
+        // The state cells are read by both probes either way.
+        let h = run(false);
+        assert_eq!(live(&h, L1D, TAG0), 50);
+        assert_eq!(live(&h, L1D, VALID0), 51);
+    }
+
+    #[test]
+    fn a_line_valid_at_attach_is_in_the_ledger_from_cycle_zero() {
+        let mut resident = cache();
+        resident.fill(0, 0x100, &[0; 32], false);
+        let h = horizon(&resident, |l1d, bytes| {
+            l1d.hit(0, 31);
+            bytes.consume(0x100, 1, 61);
+        });
+        assert_eq!(live(&h, L1D, TAG0), 31);
+        assert_eq!(live(&h, L1D, DATA0), 31);
+        assert_eq!(h.report(L1D).valid_slot_cycles, 100, "one of two lines");
+        assert_eq!(h.report(L1D).occupancy(), 0.5);
+    }
+
+    #[test]
+    fn a_flush_ends_every_lines_valid_interval() {
+        let h = horizon(&cache(), |l1d, bytes| {
+            l1d.miss(1, 0x120, false, 1);
+            bytes.consume(0x120, 4, 1);
+            l1d.flush_all(21);
+        });
+        let line1 = h.l1d.bits_per_line;
+        // The flush reads every state cell and ends the line's validity.
+        assert_eq!(live(&h, L1D, line1 + TAG0), 20);
+        assert_eq!(live(&h, L1D, line1 + VALID0), 21);
+        assert_eq!(live(&h, L1D, line1 + DATA0), 0, "never consumed again");
+        let r = h.report(L1D);
+        assert_eq!(r.valid_slot_cycles, 20);
+        let bits: u64 = (0..r.bits).map(|b| live(&h, L1D, b)).sum();
+        assert_eq!(r.live_bit_cycles, bits);
     }
 }

@@ -74,7 +74,7 @@ impl MemSystem {
         match self.l2.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.hit(idx, ctr.cycles, p.now);
+                    p.l2.hit(idx, p.now);
                 }
                 self.l2.read_full_line(idx, buf);
                 self.lat_l2
@@ -83,7 +83,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
+                    p.l2.miss(idx, paddr, wb.is_some(), p.now);
                 }
                 if let Some((addr, data)) = wb {
                     dram_write_line(&mut self.phys, addr, &data);
@@ -103,7 +103,7 @@ impl MemSystem {
         match self.l2.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.hit(idx, ctr.cycles, p.now);
+                    p.l2.hit(idx, p.now);
                 }
                 self.l2.write_full_line(idx, data);
                 self.lat_l2
@@ -112,7 +112,7 @@ impl MemSystem {
                 ctr.l2_miss += 1;
                 let (idx, wb) = self.l2.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l2.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
+                    p.l2.miss(idx, paddr, wb.is_some(), p.now);
                 }
                 if let Some((addr, old)) = wb {
                     dram_write_line(&mut self.phys, addr, &old);
@@ -152,7 +152,7 @@ impl MemSystem {
         match self.l1d.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.hit(idx, ctr.cycles, p.now);
+                    p.l1d.hit(idx, p.now);
                     p.consume(paddr, size.bytes());
                 }
                 (self.l1d.read(idx, paddr, size.bytes()), self.lat_l1)
@@ -162,7 +162,7 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
+                    p.l1d.miss(idx, paddr, wb.is_some(), p.now);
                     p.consume(paddr, size.bytes());
                 }
                 if let Some((addr, data)) = wb {
@@ -187,7 +187,7 @@ impl MemSystem {
         match self.l1d.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.hit(idx, ctr.cycles, p.now);
+                    p.l1d.hit(idx, p.now);
                 }
                 self.l1d.write(idx, paddr, size.bytes(), value);
                 self.lat_l1
@@ -197,7 +197,7 @@ impl MemSystem {
                 let mut extra = 0;
                 let (idx, wb) = self.l1d.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1d.miss(idx, paddr, wb.is_some(), ctr.cycles, p.now);
+                    p.l1d.miss(idx, paddr, wb.is_some(), p.now);
                 }
                 if let Some((addr, data)) = wb {
                     extra += self.l2_write_line(addr, &data, ctr);
@@ -222,7 +222,7 @@ impl MemSystem {
         match self.l1i.probe(paddr) {
             Probe::Hit(idx) => {
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1i.hit(idx, ctr.cycles, p.now);
+                    p.l1i.hit(idx, p.now);
                     p.consume(paddr, 4);
                 }
                 (self.l1i.read(idx, paddr, 4), self.lat_l1)
@@ -231,7 +231,7 @@ impl MemSystem {
                 ctr.l1i_miss += 1;
                 let (idx, _) = self.l1i.evict_for(paddr);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.l1i.miss(idx, paddr, false, ctr.cycles, p.now);
+                    p.l1i.miss(idx, paddr, false, p.now);
                     p.consume(paddr, 4);
                 }
                 let mut buf = vec![0u8; self.line as usize];
@@ -255,7 +255,7 @@ impl MemSystem {
         }
         ctr.l1i_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1i.hit(idx, ctr.cycles, p.now);
+            p.l1i.hit(idx, p.now);
             p.consume(paddr, 4);
         }
         Some((self.l1i.read(idx, paddr, 4), self.lat_l1))
@@ -275,7 +275,7 @@ impl MemSystem {
         }
         ctr.l1d_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1d.hit(idx, ctr.cycles, p.now);
+            p.l1d.hit(idx, p.now);
             p.consume(paddr, size.bytes());
         }
         Some((self.l1d.read(idx, paddr, size.bytes()), self.lat_l1))
@@ -296,7 +296,7 @@ impl MemSystem {
         }
         ctr.l1d_access += 1;
         if let Some(p) = self.prof.as_deref_mut() {
-            p.l1d.hit(idx, ctr.cycles, p.now);
+            p.l1d.hit(idx, p.now);
         }
         self.l1d.write(idx, paddr, size.bytes(), value);
         Some(self.lat_l1)
@@ -335,7 +335,7 @@ impl MemSystem {
     /// Live-state equality (see [`crate::System::converges_with`]): the
     /// small caches first, DRAM last ([`PhysMemory`] equality short-cuts
     /// pages the two machines still share and byte-compares the rest).
-    /// The residency profiler is an observer and is ignored.
+    /// The observers are not machine state and are ignored.
     pub fn converges_with(&self, other: &MemSystem) -> bool {
         (self.mode, self.lat_l1, self.lat_l2, self.lat_mem, self.line)
             == (

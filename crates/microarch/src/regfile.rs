@@ -109,8 +109,8 @@ impl RegFile {
     }
 
     /// Flat word index (layout of [`RegFile::flip_bit`]) of an integer
-    /// register in the given mode. Used by residency profiling to map
-    /// operand reads/writes onto register-file slots.
+    /// register in the given mode. Used by the read horizon to map operand
+    /// reads onto register-file words.
     ///
     /// # Panics
     ///

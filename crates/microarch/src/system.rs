@@ -9,6 +9,7 @@ use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::exception::{AbortCause, Exception, VECTOR_BASE};
 use crate::fastpath::{FastPath, FastPathConfig, FastPathStats};
+use crate::fault::Component;
 use crate::horizon::ReadHorizon;
 use crate::mem::{Device, DEVICE_BASE};
 use crate::memsys::MemSystem;
@@ -304,71 +305,65 @@ impl<D: Device> System<D> {
 
     // ----- observers -------------------------------------------------------
 
-    fn observers_attach(&mut self, horizon: bool) {
-        *self.prof = Some(Box::new(SysProfiler::new(&self.itlb, &self.dtlb, horizon)));
+    fn observers_attach(&mut self, pc: bool) {
+        *self.prof = Some(Box::new(SysProfiler::new(&self.itlb, &self.dtlb, pc)));
         *self.mem.prof = Some(Box::new(MemProfiler::new(
             &self.mem.l1i,
             &self.mem.l1d,
             &self.mem.l2,
             self.cfg.mem_bytes,
-            horizon,
         )));
     }
 
-    /// Attach residency trackers and the per-PC sampler to this machine
-    /// (golden runs only), replacing any observers already attached.
-    /// Detach with [`System::profile_take`].
+    /// Attach the read-horizon recorder and the per-PC sampler to this
+    /// machine (golden runs only), replacing any observers already
+    /// attached. Detach with [`System::profile_take`], or with
+    /// [`System::horizon_take`] to keep the horizon itself.
     pub fn profile_attach(&mut self) {
-        self.observers_attach(false);
+        self.observers_attach(true);
     }
 
     /// Detach the profilers and fold them into a [`ProfileData`]: the
-    /// per-PC profile plus one residency report per structure, in the
-    /// paper's component order (RF, L1I$, L1D$, L2$, ITLB, DTLB). Returns
-    /// `None` when no profiler was attached.
+    /// per-PC profile plus one liveness report per structure
+    /// ([`ReadHorizon::report`]), in the paper's component order (RF, L1I$,
+    /// L1D$, L2$, ITLB, DTLB). Returns `None` when no profiler was
+    /// attached.
     pub fn profile_take(&mut self) -> Option<ProfileData> {
-        let sysp = *self.prof.take()?;
-        let memp = *self.mem.prof.take()?;
-        let end = self.cpu.counters.cycles;
+        let pc = self.prof.as_deref_mut()?.pc.take()?.finish();
+        let horizon = self.horizon_take()?;
         Some(ProfileData {
-            total_cycles: end,
+            total_cycles: horizon.end,
             instructions: self.cpu.counters.instructions,
-            pc: sysp.pc?.finish(),
-            structures: vec![
-                sysp.regs.report(end)?,
-                memp.l1i.report(end)?,
-                memp.l1d.report(end)?,
-                memp.l2.report(end)?,
-                sysp.itlb.report(end)?,
-                sysp.dtlb.report(end)?,
-            ],
+            pc,
+            structures: Component::ALL.map(|c| horizon.report(c)).to_vec(),
         })
     }
 
     /// Attach the read-horizon recorder (see [`ReadHorizon`]) to this
     /// machine, replacing any observers already attached. Attach before
     /// the first step of a fault-free run and detach with
-    /// [`System::horizon_take`] after its last. Like the profilers, the
-    /// recorder forces the reference tier and costs unobserved machines
-    /// nothing.
+    /// [`System::horizon_take`] after its last. The recorder forces the
+    /// reference tier and costs unobserved machines nothing.
     pub fn horizon_attach(&mut self) {
-        self.observers_attach(true);
+        self.observers_attach(false);
     }
 
-    /// Detach the recorder and seal what it saw into a [`ReadHorizon`].
-    /// Returns `None` when no recorder was attached.
+    /// Detach the recorder (and the per-PC sampler, if one was attached)
+    /// and seal what it saw into a [`ReadHorizon`]. Returns `None` when no
+    /// recorder was attached.
     pub fn horizon_take(&mut self) -> Option<ReadHorizon> {
         let sysp = *self.prof.take()?;
         let memp = *self.mem.prof.take()?;
         Some(ReadHorizon {
-            regs: sysp.regs.horizon?,
-            l1i: memp.l1i.horizon?,
-            l1d: memp.l1d.horizon?,
-            l2: memp.l2.horizon?,
-            itlb: sysp.itlb.horizon?,
-            dtlb: sysp.dtlb.horizon?,
-            bytes: memp.bytes?,
+            regs: sysp.regs,
+            l1i: memp.l1i,
+            l1d: memp.l1d,
+            l2: memp.l2,
+            itlb: sysp.itlb,
+            dtlb: sysp.dtlb,
+            bytes: memp.bytes,
             last_step: sysp.now,
+            end: self.cpu.counters.cycles,
         })
     }
 
@@ -528,11 +523,10 @@ impl<D: Device> System<D> {
             self.dtlb.lookup_slot(vpn)
         };
         if MODE == tier::REF {
-            let cyc = self.cpu.counters.cycles;
             if let Some(p) = self.prof.as_deref_mut() {
                 let tlb = if is_fetch { &mut p.itlb } else { &mut p.dtlb };
                 match hit {
-                    Some((slot, _)) => tlb.hit(slot, cyc, p.now),
+                    Some((slot, _)) => tlb.hit(slot, p.now),
                     None => tlb.miss(p.now),
                 }
             }
@@ -554,12 +548,11 @@ impl<D: Device> System<D> {
                     self.dtlb.insert_slot(e)
                 };
                 if MODE == tier::REF {
-                    let cyc = self.cpu.counters.cycles;
                     if let Some(p) = self.prof.as_deref_mut() {
                         if is_fetch {
-                            p.itlb.fill(slot, cyc, p.now);
+                            p.itlb.fill(slot, p.now);
                         } else {
-                            p.dtlb.fill(slot, cyc, p.now);
+                            p.dtlb.fill(slot, p.now);
                         }
                     }
                 }
@@ -844,17 +837,7 @@ impl<D: Device> System<D> {
     fn note_reg_read<const MODE: u8>(&mut self, word: usize) {
         if MODE == tier::REF {
             if let Some(p) = self.prof.as_deref_mut() {
-                p.regs.read(word, self.cpu.counters.cycles, p.now);
-            }
-        }
-    }
-
-    /// Observer hook: register-file word `word` is overwritten.
-    #[inline]
-    fn note_reg_write<const MODE: u8>(&mut self, word: usize) {
-        if MODE == tier::REF {
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.regs.write(word, self.cpu.counters.cycles);
+                p.regs.read(word, p.now);
             }
         }
     }
@@ -873,12 +856,9 @@ impl<D: Device> System<D> {
         Ok(self.cpu.regs.get(r, self.cpu.cpsr.mode))
     }
 
-    fn reg_write<const MODE: u8>(&mut self, r: sea_isa::Reg, v: u32) -> Result<(), Exception> {
+    fn reg_write(&mut self, r: sea_isa::Reg, v: u32) -> Result<(), Exception> {
         if r == sea_isa::Reg::Pc {
             return Err(Exception::Undefined { word: 0xFFFF });
-        }
-        if MODE == tier::REF {
-            self.note_reg_write::<MODE>(RegFile::word_index(r, self.cpu.cpsr.mode));
         }
         self.cpu.regs.set(r, self.cpu.cpsr.mode, v);
         Ok(())
@@ -894,13 +874,11 @@ impl<D: Device> System<D> {
         self.cpu.regs.fget_bits(r)
     }
 
-    fn freg_write<const MODE: u8>(&mut self, r: sea_isa::FReg, v: f32) {
-        self.note_reg_write::<MODE>(16 + r.index());
+    fn freg_write(&mut self, r: sea_isa::FReg, v: f32) {
         self.cpu.regs.fset(r, v);
     }
 
-    fn freg_write_bits<const MODE: u8>(&mut self, r: sea_isa::FReg, bits: u32) {
-        self.note_reg_write::<MODE>(16 + r.index());
+    fn freg_write_bits(&mut self, r: sea_isa::FReg, bits: u32) {
         self.cpu.regs.fset_bits(r, bits);
     }
 
@@ -1120,7 +1098,7 @@ impl<D: Device> System<D> {
                     self.cpu.cpsr.v = overflow;
                 }
                 if !op.is_compare() {
-                    self.reg_write::<MODE>(rd, result)?;
+                    self.reg_write(rd, result)?;
                 }
                 Ok(Flow::Next)
             }
@@ -1132,7 +1110,7 @@ impl<D: Device> System<D> {
                 } else {
                     imm as u32
                 };
-                self.reg_write::<MODE>(rd, v)?;
+                self.reg_write(rd, v)?;
                 Ok(Flow::Next)
             }
             Insn::Mul {
@@ -1158,13 +1136,13 @@ impl<D: Device> System<D> {
                     MulOp::Umull => {
                         self.cpu.counters.cycles += mul_lat as u64 + 1;
                         let wide = a as u64 * b as u64;
-                        self.reg_write::<MODE>(ra, (wide >> 32) as u32)?;
+                        self.reg_write(ra, (wide >> 32) as u32)?;
                         wide as u32
                     }
                     MulOp::Smull => {
                         self.cpu.counters.cycles += mul_lat as u64 + 1;
                         let wide = (a as i32 as i64 * b as i32 as i64) as u64;
-                        self.reg_write::<MODE>(ra, (wide >> 32) as u32)?;
+                        self.reg_write(ra, (wide >> 32) as u32)?;
                         wide as u32
                     }
                     MulOp::Udiv => {
@@ -1212,7 +1190,7 @@ impl<D: Device> System<D> {
                     self.cpu.cpsr.n = result & 0x8000_0000 != 0;
                     self.cpu.cpsr.z = result == 0;
                 }
-                self.reg_write::<MODE>(rd, result)?;
+                self.reg_write(rd, result)?;
                 Ok(Flow::Next)
             }
             Insn::Mem {
@@ -1244,14 +1222,14 @@ impl<D: Device> System<D> {
                         self.note_register_fill();
                     }
                     if mode.writeback {
-                        self.reg_write::<MODE>(rn, indexed)?;
+                        self.reg_write(rn, indexed)?;
                     }
-                    self.reg_write::<MODE>(rd, v)?; // load result wins over writeback
+                    self.reg_write(rd, v)?; // load result wins over writeback
                 } else {
                     let v = self.reg_read::<MODE>(rd)?;
                     self.write_mem::<MODE>(vaddr, size, v)?;
                     if mode.writeback {
-                        self.reg_write::<MODE>(rn, indexed)?;
+                        self.reg_write(rn, indexed)?;
                     }
                 }
                 Ok(Flow::Next)
@@ -1291,7 +1269,7 @@ impl<D: Device> System<D> {
                     let r = sea_isa::Reg::from_index(i);
                     if load {
                         let v = self.read_mem::<MODE>(addr, MemSize::Word)?;
-                        self.reg_write::<MODE>(r, v)?;
+                        self.reg_write(r, v)?;
                     } else {
                         let v = self.reg_read::<MODE>(r)?;
                         self.write_mem::<MODE>(addr, MemSize::Word, v)?;
@@ -1299,7 +1277,7 @@ impl<D: Device> System<D> {
                     addr = addr.wrapping_add(4);
                 }
                 if writeback {
-                    self.reg_write::<MODE>(rn, final_base)?;
+                    self.reg_write(rn, final_base)?;
                 }
                 Ok(Flow::Next)
             }
@@ -1337,7 +1315,7 @@ impl<D: Device> System<D> {
                     FpArithOp::Max => (a.max(b), fp_lat),
                 };
                 self.cpu.counters.cycles += cyc as u64;
-                self.freg_write::<MODE>(sd, v);
+                self.freg_write(sd, v);
                 Ok(Flow::Next)
             }
             Insn::FpUnary { op, sd, sm, .. } => {
@@ -1349,7 +1327,7 @@ impl<D: Device> System<D> {
                     FpUnaryOp::Mov => (a, 1),
                 };
                 self.cpu.counters.cycles += cyc as u64;
-                self.freg_write::<MODE>(sd, v);
+                self.freg_write(sd, v);
                 Ok(Flow::Next)
             }
             Insn::FpCmp { sn, sm, .. } => {
@@ -1377,25 +1355,25 @@ impl<D: Device> System<D> {
                 } else {
                     a.max(i32::MIN as f32).min(i32::MAX as f32) as i32
                 };
-                self.reg_write::<MODE>(rd, v as u32)?;
+                self.reg_write(rd, v as u32)?;
                 Ok(Flow::Next)
             }
             Insn::IntToFp { sd, rm, .. } => {
                 self.cpu.counters.cycles += fp_lat as u64;
                 let v = self.reg_read::<MODE>(rm)? as i32;
-                self.freg_write::<MODE>(sd, v as f32);
+                self.freg_write(sd, v as f32);
                 Ok(Flow::Next)
             }
             Insn::FpToCore { rd, sn, .. } => {
                 self.cpu.counters.cycles += 1;
                 let bits = self.freg_read_bits::<MODE>(sn);
-                self.reg_write::<MODE>(rd, bits)?;
+                self.reg_write(rd, bits)?;
                 Ok(Flow::Next)
             }
             Insn::CoreToFp { sd, rn, .. } => {
                 self.cpu.counters.cycles += 1;
                 let bits = self.reg_read::<MODE>(rn)?;
-                self.freg_write_bits::<MODE>(sd, bits);
+                self.freg_write_bits(sd, bits);
                 Ok(Flow::Next)
             }
             Insn::FpMem {
@@ -1406,7 +1384,7 @@ impl<D: Device> System<D> {
                 let vaddr = base.wrapping_add(4 * imm6 as u32);
                 if load {
                     let v = self.read_mem::<MODE>(vaddr, MemSize::Word)?;
-                    self.freg_write_bits::<MODE>(sd, v);
+                    self.freg_write_bits(sd, v);
                 } else {
                     let v = self.freg_read_bits::<MODE>(sd);
                     self.write_mem::<MODE>(vaddr, MemSize::Word, v)?;
@@ -1440,7 +1418,7 @@ impl<D: Device> System<D> {
                     }
                     SysReg::CacheOp => 0,
                 };
-                self.reg_write::<MODE>(rd, v)?;
+                self.reg_write(rd, v)?;
                 Ok(Flow::Next)
             }
             Insn::Msr { sys, rn, .. } => {
@@ -1470,10 +1448,6 @@ impl<D: Device> System<D> {
                         }
                     }
                     SysReg::SpUsr => {
-                        self.note_reg_write::<MODE>(RegFile::word_index(
-                            sea_isa::Reg::Sp,
-                            Mode::User,
-                        ));
                         self.cpu.regs.set_sp_usr(v);
                     }
                     SysReg::CacheOp => {

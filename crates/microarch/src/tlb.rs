@@ -125,7 +125,7 @@ impl Tlb {
     }
 
     /// Like [`Tlb::lookup`], but also reports which slot hit — the handle
-    /// residency profiling keys its intervals on.
+    /// the read horizon stamps.
     pub fn lookup_slot(&mut self, vpn: u32) -> Option<(usize, TlbEntry)> {
         self.lookups += 1;
         self.clock += 1;

@@ -1,11 +1,12 @@
 //! Profiled golden runs.
 //!
 //! The profiling counterpart of [`golden_run`](crate::golden_run): the
-//! same fault-free reference execution, but with `sea-profile` residency
-//! trackers and the per-PC sampler attached for its whole duration. The
-//! resulting [`ProfileData`] carries the ACE-style predicted AVF per
-//! structure and the cycle-attribution profile that `sea-analysis`
-//! renders next to the injection-measured AVF.
+//! same fault-free reference execution, but with the read-horizon recorder
+//! and the per-PC sampler attached for its whole duration. The resulting
+//! [`ProfileData`] carries, per structure, the predicted AVF — the share
+//! of uniform strikes the horizon does not prove Masked — and the
+//! cycle-attribution profile that `sea-analysis` renders next to the
+//! injection-measured AVF.
 //!
 //! Profiling is attached to a *separate* boot — never to the machine a
 //! campaign reuses — so campaign checkpoints and journals stay

@@ -1,11 +1,12 @@
 //! Prometheus text-exposition snapshot writer.
 //!
-//! Campaigns have no HTTP endpoint to scrape, so instead of serving
-//! metrics we periodically rewrite a small text file in [Prometheus
-//! exposition format]. Pointing a `node_exporter` textfile collector (or
-//! just `watch cat`) at it gives live campaign dashboards without adding
-//! a server or a dependency. Histograms are emitted as cumulative
-//! `_bucket{le="..."}` series derived from sea-trace's log2 buckets.
+//! Renders a campaign's metrics in [Prometheus exposition format]. The
+//! same document is served live at `/metrics` when a campaign runs with
+//! `--serve`, and, with `--prom-out`, periodically rewritten to a small
+//! text file, so a `node_exporter` textfile collector (or just `watch
+//! cat`) can follow a campaign that runs no server. Histograms are emitted
+//! as cumulative `_bucket{le="..."}` series derived from sea-trace's log2
+//! buckets.
 //!
 //! [Prometheus exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
